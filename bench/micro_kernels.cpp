@@ -4,6 +4,10 @@
 // (SynTim) and two-level minimisation (EspTim).
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/benchmarks/registry.hpp"
 #include "src/core/approx.hpp"
 #include "src/core/synthesis.hpp"
@@ -44,6 +48,31 @@ void BM_ApproximateCover(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApproximateCover)->Arg(9)->Arg(19);
+
+// The Fig. 5 refinement loop over every non-input signal of the pipeline,
+// from fresh approximations each iteration (copied outside the timing).
+void BM_RefineUntilDisjoint(benchmark::State& state) {
+  const punt::stg::Stg stg =
+      punt::stg::make_muller_pipeline(static_cast<std::size_t>(state.range(0)));
+  const auto unf = punt::unf::Unfolding::build(stg);
+  std::vector<std::pair<punt::core::ApproxCover, punt::core::ApproxCover>> approximations;
+  for (const auto signal : stg.non_input_signals()) {
+    approximations.emplace_back(punt::core::approximate_cover(unf, signal, true),
+                                punt::core::approximate_cover(unf, signal, false));
+  }
+  std::size_t iterations = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto covers = approximations;
+    state.ResumeTiming();
+    iterations = 0;
+    for (auto& [on, off] : covers) {
+      iterations += punt::core::refine_until_disjoint(unf, on, off).iterations;
+    }
+  }
+  state.SetLabel(std::to_string(iterations) + " refinement iterations");
+}
+BENCHMARK(BM_RefineUntilDisjoint)->Arg(19)->Arg(29)->Unit(benchmark::kMillisecond);
 
 void BM_ExactSliceEnumeration(benchmark::State& state) {
   const punt::stg::Stg stg =

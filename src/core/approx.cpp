@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "src/util/error.hpp"
 
@@ -12,74 +13,68 @@ using logic::Cover;
 using logic::Cube;
 using logic::Lit;
 
-/// True when `f` fires strictly after `element` in every run containing both.
-bool after_element(const unf::Unfolding& unf, const SliceElement& element,
-                   unf::EventId f) {
-  if (element.is_event) {
-    return f != element.event && unf.precedes(element.event, f);
+bool has_event(std::span<const std::uint64_t> row, std::size_t f) {
+  return ((row[f >> 6] >> (f & 63)) & 1u) != 0;
+}
+
+/// The events as a bitset over event ids, to AND with co_events rows.
+Bitset event_bits(const unf::Unfolding& unf, const std::vector<unf::EventId>& events) {
+  Bitset bits(unf.event_count());
+  for (const unf::EventId f : events) bits.set(f.index());
+  return bits;
+}
+
+/// Signals owning an event in `events` that is concurrent with `c`:
+/// co_events(c) & events folded into a bitset over signal indices (⊥ and
+/// dummies own none).
+Bitset concurrent_signals(const unf::Unfolding& unf, unf::ConditionId c,
+                          const Bitset& events) {
+  const std::span<const std::uint64_t> co = unf.co_events(c);
+  const std::vector<std::uint64_t>& in = events.words();
+  Bitset out(unf.stg().signal_count());
+  for (std::size_t w = 0; w < co.size(); ++w) {
+    for (std::uint64_t word = co[w] & in[w]; word != 0; word &= word - 1) {
+      const unf::EventId f(static_cast<std::uint32_t>(w * 64 + __builtin_ctzll(word)));
+      const stg::Label* label = unf.label(f);
+      if (label != nullptr && !label->dummy) out.set(label->signal.index());
+    }
   }
-  const unf::EventId producer = unf.producer(element.condition);
-  return f != producer && unf.precedes(producer, f) && !unf.co(element.condition, f);
+  return out;
 }
 
 /// Cube from `code` with the signals in `dc` dashed out.
-Cube cube_with_dc(const stg::Code& code, const std::set<std::size_t>& dc) {
+Cube cube_with_dc(const stg::Code& code, const Bitset& dc) {
   Cube cube = Cube::from_code(code);
-  for (const std::size_t s : dc) cube.set(s, Lit::DC);
+  dc.for_each([&cube](std::size_t s) { cube.set(s, Lit::DC); });
   return cube;
 }
 
-/// Signals owning an instance in `slice_events` that is concurrent with the
-/// given element.
-std::set<std::size_t> concurrent_signals(const unf::Unfolding& unf,
-                                         const SliceElement& element,
-                                         const std::vector<unf::EventId>& slice_events) {
-  std::set<std::size_t> out;
-  for (const unf::EventId f : slice_events) {
-    const stg::Label* label = unf.label(f);
-    if (label == nullptr || label->dummy) continue;
-    const bool concurrent = element.is_event ? unf.co(element.event, f)
-                                             : unf.co(element.condition, f);
-    if (concurrent) out.insert(label->signal.index());
-  }
-  return out;
+/// The MR cube of `c`: its producer's code with DC at the signals owning an
+/// event in `events` concurrent with `c`.
+Cube mr_cube(const unf::Unfolding& unf, unf::ConditionId c, const Bitset& events) {
+  return cube_with_dc(unf.code(unf.producer(c)), concurrent_signals(unf, c, events));
 }
 
-}  // namespace
-
-logic::Cover ApproxCover::combined(std::size_t variable_count) const {
-  Cover out(variable_count);
-  for (const CoverAtom& atom : atoms) out.add_all(atom.cover);
-  out.make_irredundant_scc();
-  return out;
-}
-
-Cube excitation_cover(const unf::Unfolding& unf, unf::EventId entry) {
-  // Everything concurrent with the entry can fire while it stays excited, so
-  // the ER slice's instances are exactly the events concurrent with it.
-  std::set<std::size_t> dc;
-  for (std::size_t i = 1; i < unf.event_count(); ++i) {
+/// Events that fire strictly after `element` in every run containing both:
+/// the causal successors of an entry event, or of a condition's producer
+/// minus those that can fire while the condition is still marked.
+Bitset events_after(const unf::Unfolding& unf, const SliceElement& element) {
+  const unf::EventId origin =
+      element.is_event ? element.event : unf.producer(element.condition);
+  Bitset out(unf.event_count());
+  for (std::size_t i = 0; i < unf.event_count(); ++i) {
     const unf::EventId f(static_cast<std::uint32_t>(i));
-    const stg::Label* label = unf.label(f);
-    if (label == nullptr || label->dummy) continue;
-    if (unf.co(entry, f)) dc.insert(label->signal.index());
+    if (f == origin || !unf.precedes(origin, f)) continue;
+    if (!element.is_event && has_event(unf.co_events(element.condition), i)) continue;
+    out.set(i);
   }
-  return cube_with_dc(unf.excitation_code(entry), dc);
+  return out;
 }
 
-Cube mr_cover(const unf::Unfolding& unf, unf::ConditionId c,
-              const std::vector<unf::EventId>& slice_events) {
-  return cube_with_dc(unf.code(unf.producer(c)),
-                      concurrent_signals(unf, SliceElement::of(c), slice_events));
-}
-
-Cover restricted_next_cover(const unf::Unfolding& unf, unf::ConditionId c,
-                            unf::EventId bound,
-                            const std::vector<unf::EventId>& slice_events) {
-  const std::set<std::size_t> plain_dc =
-      concurrent_signals(unf, SliceElement::of(c), slice_events);
+/// restricted_next_cover, given the plain don't-care signals of `c`.
+Cover restricted_cover(const unf::Unfolding& unf, unf::ConditionId c, unf::EventId bound,
+                       const Bitset& plain_dc) {
   const stg::Code& base = unf.code(unf.producer(c));
-
   Cover out(base.size());
   for (const unf::ConditionId x : unf.preset(bound)) {
     if (x == c) continue;
@@ -92,38 +87,82 @@ Cover restricted_next_cover(const unf::Unfolding& unf, unf::ConditionId c,
       // the bound's excitation states.  An unusable term.
       continue;
     }
-    std::set<std::size_t> dc = plain_dc;
-    dc.erase(label->signal.index());  // pin the trigger's signal to not-yet-fired
+    Bitset dc = plain_dc;
+    dc.reset(label->signal.index());  // pin the trigger's signal to not-yet-fired
     out.add(cube_with_dc(base, dc));
   }
   out.make_irredundant_scc();
   return out;
 }
 
-std::vector<unf::ConditionId> refining_set(const unf::Unfolding& unf,
-                                           const SliceElement& element,
-                                           const Slice& slice) {
+/// The conditions among `conditions` concurrent with `element` (P'r).
+std::vector<unf::ConditionId> concurrent_conditions(
+    const unf::Unfolding& unf, const SliceElement& element,
+    const std::vector<unf::ConditionId>& conditions) {
   std::vector<unf::ConditionId> out;
-  for (const unf::ConditionId c : slice_conditions(unf, slice)) {
-    const bool concurrent = element.is_event ? unf.co(c, element.event)
-                                             : unf.co(c, element.condition);
+  for (const unf::ConditionId c : conditions) {
+    const bool concurrent = element.is_event
+                                ? has_event(unf.co_events(c), element.event.index())
+                                : unf.co(c, element.condition);
     if (concurrent) out.push_back(c);
   }
   return out;
 }
 
+/// The slice events after `element`: the events a refinement MR cube
+/// dashes out (paper §4.3).
+Bitset refinement_candidates(const unf::Unfolding& unf, const SliceElement& element,
+                             const std::vector<unf::EventId>& slice_events) {
+  Bitset candidates = event_bits(unf, slice_events);
+  candidates &= events_after(unf, element);
+  return candidates;
+}
+
+}  // namespace
+
+logic::Cover ApproxCover::combined(std::size_t variable_count) const {
+  std::vector<const Cover*> covers;
+  covers.reserve(atoms.size());
+  for (const CoverAtom& atom : atoms) covers.push_back(&atom.cover);
+  return Cover::union_of(variable_count, covers);
+}
+
+Cube excitation_cover(const unf::Unfolding& unf, unf::EventId entry) {
+  // Everything concurrent with the entry can fire while it stays excited, so
+  // the ER slice's instances are exactly the events concurrent with it.
+  Bitset dc(unf.stg().signal_count());
+  for (std::size_t i = 1; i < unf.event_count(); ++i) {
+    const unf::EventId f(static_cast<std::uint32_t>(i));
+    const stg::Label* label = unf.label(f);
+    if (label == nullptr || label->dummy) continue;
+    if (unf.co(entry, f)) dc.set(label->signal.index());
+  }
+  return cube_with_dc(unf.excitation_code(entry), dc);
+}
+
+Cube mr_cover(const unf::Unfolding& unf, unf::ConditionId c,
+              const std::vector<unf::EventId>& slice_events) {
+  return mr_cube(unf, c, event_bits(unf, slice_events));
+}
+
+Cover restricted_next_cover(const unf::Unfolding& unf, unf::ConditionId c,
+                            unf::EventId bound,
+                            const std::vector<unf::EventId>& slice_events) {
+  return restricted_cover(unf, c, bound,
+                          concurrent_signals(unf, c, event_bits(unf, slice_events)));
+}
+
+std::vector<unf::ConditionId> refining_set(const unf::Unfolding& unf,
+                                           const SliceElement& element,
+                                           const Slice& slice) {
+  return concurrent_conditions(unf, element,
+                               slice_conditions(unf, slice, slice_events(unf, slice)));
+}
+
 Cube refinement_mr_cover(const unf::Unfolding& unf, unf::ConditionId c,
                          const SliceElement& element,
                          const std::vector<unf::EventId>& slice_events) {
-  std::set<std::size_t> dc;
-  for (const unf::EventId f : slice_events) {
-    const stg::Label* label = unf.label(f);
-    if (label == nullptr || label->dummy) continue;
-    if (unf.co(c, f) && after_element(unf, element, f)) {
-      dc.insert(label->signal.index());
-    }
-  }
-  return cube_with_dc(unf.code(unf.producer(c)), dc);
+  return mr_cube(unf, c, refinement_candidates(unf, element, slice_events));
 }
 
 bool refine_atom(const unf::Unfolding& unf, const ApproxCover& owner, CoverAtom& atom,
@@ -135,13 +174,14 @@ bool refine_atom(const unf::Unfolding& unf, const ApproxCover& owner, CoverAtom&
   // surroundings) can sharpen that signal's literal, but the paper's mask is
   // the whole refining set — restricted covers pin every non-successor
   // signal, which includes the offending one whenever possible.
-  const std::vector<unf::ConditionId> refining =
-      refining_set(unf, atom.element, slice);
+  const std::vector<unf::ConditionId> refining = concurrent_conditions(
+      unf, atom.element, slice_conditions(unf, slice, slice_events));
   if (refining.empty()) return false;
 
+  const Bitset candidates = refinement_candidates(unf, atom.element, slice_events);
   Cover mask(unf.stg().signal_count());
   for (const unf::ConditionId c : refining) {
-    mask.add(refinement_mr_cover(unf, c, atom.element, slice_events));
+    mask.add(mr_cube(unf, c, candidates));
   }
   mask.make_irredundant_scc();
 
@@ -240,6 +280,7 @@ ApproxCover approximate_cover(const unf::Unfolding& unf, stg::SignalId signal,
     const Slice& slice = out.slices[si];
     out.slice_event_sets.push_back(slice_events(unf, slice));
     const auto& events = out.slice_event_sets.back();
+    const Bitset event_set = event_bits(unf, events);
 
     // C*e of the entry (absent for the ⊥ slice, paper §4.2).
     if (!unf.is_initial(slice.entry)) {
@@ -256,7 +297,7 @@ ApproxCover approximate_cover(const unf::Unfolding& unf, stg::SignalId signal,
     // cutoff's image represents with full context (DESIGN.md §5), and an
     // unrestricted frontier MR cover can poison the opposite set.
     std::vector<unf::ConditionId> all_conditions;
-    for (const unf::ConditionId c : slice_conditions(unf, slice)) {
+    for (const unf::ConditionId c : slice_conditions(unf, slice, events)) {
       if (!unf.is_cutoff(unf.producer(c))) all_conditions.push_back(c);
     }
     const std::vector<unf::ConditionId> pa =
@@ -281,17 +322,17 @@ ApproxCover approximate_cover(const unf::Unfolding& unf, stg::SignalId signal,
         }
         if (compatible) compatible_bounds.push_back(g);
       }
+      const Bitset plain_dc = concurrent_signals(unf, c, event_set);
       CoverAtom atom;
       atom.element = SliceElement::of(c);
       atom.slice_index = si;
       if (compatible_bounds.empty()) {
         atom.cover = Cover(unf.stg().signal_count());
-        atom.cover.add(mr_cover(unf, c, events));
+        atom.cover.add(cube_with_dc(unf.code(unf.producer(c)), plain_dc));
       } else {
-        Cover cover = restricted_next_cover(unf, c, compatible_bounds.front(), events);
+        Cover cover = restricted_cover(unf, c, compatible_bounds.front(), plain_dc);
         for (std::size_t k = 1; k < compatible_bounds.size(); ++k) {
-          cover =
-              cover.intersect(restricted_next_cover(unf, c, compatible_bounds[k], events));
+          cover = cover.intersect(restricted_cover(unf, c, compatible_bounds[k], plain_dc));
         }
         if (cover.empty()) continue;  // every marking of c excites some bound
         atom.cover = std::move(cover);
@@ -304,27 +345,33 @@ ApproxCover approximate_cover(const unf::Unfolding& unf, stg::SignalId signal,
 
 RefineStats refine_until_disjoint(const unf::Unfolding& unf, ApproxCover& on,
                                   ApproxCover& off, std::size_t max_iterations) {
+  const std::size_t n = unf.stg().signal_count();
   RefineStats stats;
   std::set<std::pair<std::size_t, std::size_t>> stuck;
   while (stats.iterations < max_iterations) {
-    // Find an offending (still refinable) pair of atoms.
+    // Some on/off atom pair intersects iff the two unions do: single-cube
+    // containment keeps only atom cubes and drops only cubes that lie inside
+    // a kept one (DESIGN.md §5).
+    const Cover off_union = off.combined(n);
+    if (!on.combined(n).intersects(off_union)) {
+      stats.disjoint = true;
+      return stats;
+    }
+
+    // The first offending, still refinable pair in row-major order.  By the
+    // same argument, a row whose atom misses the off union has none.
     std::size_t oi = 0, oj = 0;
     bool found = false;
-    bool any_intersecting = false;
     for (std::size_t i = 0; i < on.atoms.size() && !found; ++i) {
+      const Cover& row = on.atoms[i].cover;
+      if (!row.intersects(off_union)) continue;
       for (std::size_t j = 0; j < off.atoms.size(); ++j) {
-        if (!on.atoms[i].cover.intersects(off.atoms[j].cover)) continue;
-        any_intersecting = true;
-        if (stuck.contains({i, j})) continue;
+        if (!row.intersects(off.atoms[j].cover) || stuck.contains({i, j})) continue;
         oi = i;
         oj = j;
         found = true;
         break;
       }
-    }
-    if (!any_intersecting) {
-      stats.disjoint = true;
-      return stats;
     }
     if (!found) return stats;  // every offending pair is stuck: caller falls back
 

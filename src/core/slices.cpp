@@ -54,9 +54,10 @@ std::vector<unf::EventId> slice_events(const unf::Unfolding& unf, const Slice& s
 }
 
 std::vector<unf::ConditionId> slice_conditions(const unf::Unfolding& unf,
-                                               const Slice& slice) {
+                                               const Slice& slice,
+                                               const std::vector<unf::EventId>& events) {
   std::vector<unf::ConditionId> out;
-  for (const unf::EventId f : slice_events(unf, slice)) {
+  for (const unf::EventId f : events) {
     if (!unf.precedes(slice.entry, f)) continue;  // sequential to the entry only
     for (const unf::ConditionId c : unf.postset(f)) out.push_back(c);
   }

@@ -49,9 +49,11 @@ std::vector<unf::EventId> slice_events(const unf::Unfolding& unf, const Slice& s
 
 /// Conditions of the slice that are *sequential to the entry*: produced by a
 /// slice event causally at-or-after the entry.  These are the candidates for
-/// the approximation set P'a (paper §4.2).
+/// the approximation set P'a (paper §4.2).  `events` is slice_events(unf,
+/// slice), which callers compute once per slice.
 std::vector<unf::ConditionId> slice_conditions(const unf::Unfolding& unf,
-                                               const Slice& slice);
+                                               const Slice& slice,
+                                               const std::vector<unf::EventId>& events);
 
 /// Result of exact cut enumeration over one slice.
 struct SliceStates {

@@ -175,8 +175,7 @@ std::vector<Cube> complement_rec(const std::vector<Cube>& cubes,
   for (Cube& c : hi) {
     bool merged = false;
     for (const Cube& l : out) {
-      Cube probe = c;
-      if (l == probe) {  // already emitted as a both-branches cube
+      if (l == c) {  // already emitted as a both-branches cube
         merged = true;
         break;
       }
@@ -187,6 +186,28 @@ std::vector<Cube> complement_rec(const std::vector<Cube>& cubes,
     }
   }
   return out;
+}
+
+/// Single-cube containment over the cubes cube_at(0..count): the indices of
+/// the kept cubes, larger cubes first so that removal is a single pass.
+/// Each literal count is computed once, and std::sort over the same keys
+/// permutes the (count, index) pairs exactly as it would the cubes.
+template <typename CubeAt>
+std::vector<std::size_t> scc_kept(std::size_t count, CubeAt cube_at) {
+  std::vector<std::pair<std::size_t, std::size_t>> order;
+  order.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) order.emplace_back(cube_at(i).literal_count(), i);
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::size_t> kept;
+  for (const auto& [literals, i] : order) {
+    const Cube& c = cube_at(i);
+    if (std::none_of(kept.begin(), kept.end(),
+                     [&](std::size_t k) { return cube_at(k).contains(c); })) {
+      kept.push_back(i);
+    }
+  }
+  return kept;
 }
 
 }  // namespace
@@ -251,22 +272,26 @@ bool Cover::intersects(const Cover& other) const {
 }
 
 void Cover::make_irredundant_scc() {
+  const auto cube_at = [this](std::size_t k) -> const Cube& { return cubes_[k]; };
   std::vector<Cube> kept;
-  // Process larger cubes first so containment removal is a single pass.
-  std::sort(cubes_.begin(), cubes_.end(), [](const Cube& a, const Cube& b) {
-    return a.literal_count() < b.literal_count();
-  });
-  for (const Cube& c : cubes_) {
-    bool contained = false;
-    for (const Cube& k : kept) {
-      if (k.contains(c)) {
-        contained = true;
-        break;
-      }
-    }
-    if (!contained) kept.push_back(c);
+  for (const std::size_t i : scc_kept(cubes_.size(), cube_at)) {
+    kept.push_back(std::move(cubes_[i]));
   }
   cubes_ = std::move(kept);
+}
+
+Cover Cover::union_of(std::size_t variable_count, const std::vector<const Cover*>& covers) {
+  std::vector<const Cube*> cubes;
+  for (const Cover* cover : covers) {
+    if (cover->variable_count_ != variable_count) {
+      throw ValidationError("cube width does not match the cover's variable count");
+    }
+    for (const Cube& c : cover->cubes_) cubes.push_back(&c);
+  }
+  const auto cube_at = [&cubes](std::size_t k) -> const Cube& { return *cubes[k]; };
+  Cover out(variable_count);
+  for (const std::size_t i : scc_kept(cubes.size(), cube_at)) out.cubes_.push_back(*cubes[i]);
+  return out;
 }
 
 Cover Cover::cofactor(const Cube& c) const {

@@ -283,7 +283,9 @@ class Unfolder {
 };
 
 Unfolding Unfolding::build(const stg::Stg& stg, const UnfoldOptions& options) {
-  return Unfolder(stg, options).run();
+  Unfolding unf = Unfolder(stg, options).run();
+  unf.build_co_rows();
+  return unf;
 }
 
 }  // namespace punt::unf

@@ -65,6 +65,38 @@ bool Unfolding::co(EventId e, EventId f) const {
   return true;
 }
 
+void Unfolding::build_co_rows() {
+  const std::size_t conditions = condition_count();
+  co_row_words_ = (event_count() + 63) / 64;
+  co_rows_.assign(conditions * co_row_words_, 0);
+  // One block of 64 conditions at a time: block[x] holds co(x, c) for the
+  // block's conditions c, so the conditions of the block concurrent with an
+  // event are the AND of block[x] over its preset, one word per event.
+  std::vector<std::uint64_t> block(conditions);
+  for (std::size_t w = 0; w * 64 < conditions; ++w) {
+    const std::size_t lo = w * 64;
+    const std::size_t hi = std::min(lo + 64, conditions);
+    for (std::size_t x = 0; x < conditions; ++x) {
+      // co(x, c) for c < x lives in x's triangular row...
+      const std::vector<std::uint64_t>& row = co_[x].words();
+      block[x] = w < row.size() ? row[w] : 0;
+    }
+    for (std::size_t c = lo; c < hi; ++c) {
+      // ...and for c > x in c's.
+      co_[c].for_each([&](std::size_t x) { block[x] |= std::uint64_t{1} << (c - lo); });
+    }
+    for (std::size_t e = 1; e < event_count(); ++e) {
+      if (e_pre_[e].empty()) continue;
+      std::uint64_t concurrent = ~std::uint64_t{0};
+      for (const ConditionId x : e_pre_[e]) concurrent &= block[x.index()];
+      for (; concurrent != 0; concurrent &= concurrent - 1) {
+        const std::size_t c = lo + static_cast<std::size_t>(__builtin_ctzll(concurrent));
+        co_rows_[c * co_row_words_ + e / 64] |= std::uint64_t{1} << (e & 63);
+      }
+    }
+  }
+}
+
 bool Unfolding::in_conflict(EventId e, EventId f) const {
   return e != f && !precedes(e, f) && !precedes(f, e) && !co(e, f);
 }

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "src/pn/marking.hpp"
 #include "src/stg/stg.hpp"
 #include "src/util/bitset.hpp"
+#include "src/util/page_allocator.hpp"
 
 namespace punt::util {
 class BinaryReader;  // binio.hpp
@@ -130,6 +132,12 @@ class Unfolding {
   /// Concurrency between a condition and an event: c can be marked while e
   /// fires (c co every input of e).
   bool co(ConditionId c, EventId e) const;
+  /// co(c, e) for every event e at once: the words of a bitset over event
+  /// ids (bit e%64 of word e/64), so callers can AND it with other event
+  /// sets word by word.
+  std::span<const std::uint64_t> co_events(ConditionId c) const {
+    return {co_rows_.data() + c.index() * co_row_words_, co_row_words_};
+  }
   /// Concurrency between events (both can fire in one run, unordered).
   bool co(EventId e, EventId f) const;
   /// Conflict: no single run fires both.
@@ -176,6 +184,10 @@ class Unfolding {
                                   std::shared_ptr<const stg::Stg> stg);
   Unfolding() = default;
 
+  /// Derives co_rows_ from co_ and the event presets.  Called once the
+  /// segment is complete, by build() and by read_unfolding.
+  void build_co_rows();
+
   std::shared_ptr<const stg::Stg> stg_;
   UnfoldStats stats_;
 
@@ -197,6 +209,12 @@ class Unfolding {
   // Triangular concurrency matrix: co_[c] holds bits for conditions with
   // ids < c; co(a, b) is looked up in the row of the larger id.
   std::vector<Bitset> co_;
+
+  // Condition × event concurrency rows (co_events), co_row_words_ words per
+  // condition in one flat allocation of whole pages (page_allocator.hpp).
+  // Derived from co_, never persisted.
+  std::size_t co_row_words_ = 0;
+  std::vector<std::uint64_t, util::PageAllocator<std::uint64_t>> co_rows_;
 };
 
 /// A persistency (semi-modularity) violation found on the segment: firing

@@ -1,11 +1,29 @@
 // Cover refinement (paper §4.3).  Reference: the Fig. 4(c) worked example —
 // refining the MR cover d e' of p5 with P'r = {p2,p4,p7,p9} yields
 // a c' d e' + b c d e' (as a point set).
+//
+// The equivalence suites below pin the word-level derive layer to scalar
+// references: refine_until_disjoint against the all-pairs loop, the
+// concurrency rows against Unfolding::co(c, e), and the approximation
+// primitives against their per-event definitions.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cctype>
+#include <filesystem>
+#include <memory>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+
+#include "src/benchmarks/registry.hpp"
 #include "src/core/approx.hpp"
+#include "src/core/model_cache.hpp"
+#include "src/core/model_store.hpp"
+#include "src/core/pipeline.hpp"
 #include "src/core/slices.hpp"
 #include "src/logic/espresso.hpp"
 #include "src/stg/generators.hpp"
@@ -160,6 +178,237 @@ TEST(Refine, RefineUntilDisjointSucceedsOnCleanExamples) {
     }
   }
 }
+
+// --- Equivalence with the scalar references ----------------------------------
+
+/// The all-pairs refinement loop: every on/off atom pair is tested for
+/// intersection, and the first intersecting pair that is not stuck (in
+/// row-major order) is refined.  refine_until_disjoint must reproduce it
+/// step for step.
+RefineStats all_pairs_refine(const Unfolding& unf, ApproxCover& on, ApproxCover& off,
+                             std::size_t max_iterations = 1000) {
+  RefineStats stats;
+  std::set<std::pair<std::size_t, std::size_t>> stuck;
+  while (stats.iterations < max_iterations) {
+    std::size_t oi = 0, oj = 0;
+    bool found = false;
+    bool any_intersecting = false;
+    for (std::size_t i = 0; i < on.atoms.size() && !found; ++i) {
+      for (std::size_t j = 0; j < off.atoms.size(); ++j) {
+        if (!on.atoms[i].cover.intersects(off.atoms[j].cover)) continue;
+        any_intersecting = true;
+        if (stuck.contains({i, j})) continue;
+        oi = i;
+        oj = j;
+        found = true;
+        break;
+      }
+    }
+    if (!any_intersecting) {
+      stats.disjoint = true;
+      return stats;
+    }
+    if (!found) return stats;
+    ++stats.iterations;
+    const bool a = refine_atom(unf, on, on.atoms[oi], off.signal);
+    const bool b = refine_atom(unf, off, off.atoms[oj], on.signal);
+    if (a) ++stats.refined_atoms;
+    if (b) ++stats.refined_atoms;
+    if (!a && !b) stuck.insert({oi, oj});
+  }
+  return stats;
+}
+
+/// The swept specs: every registry row, Muller pipelines of 4, 9 and 14
+/// stages and a 3-stage counterflow pipeline.
+constexpr int kSweptSpecs = 25;
+
+std::pair<std::string, Stg> swept_spec(int index) {
+  const auto& registry = benchmarks::table1();
+  if (index < static_cast<int>(registry.size())) {
+    const auto& row = registry[static_cast<std::size_t>(index)];
+    return {row.name, row.make()};
+  }
+  switch (index - static_cast<int>(registry.size())) {
+    case 0: return {"muller4", stg::make_muller_pipeline(4)};
+    case 1: return {"muller9", stg::make_muller_pipeline(9)};
+    case 2: return {"muller14", stg::make_muller_pipeline(14)};
+    default: return {"counterflow3", stg::make_counterflow_pipeline(3)};
+  }
+}
+
+std::string test_name(std::string name) {
+  for (char& ch : name) {
+    if (std::isalnum(static_cast<unsigned char>(ch)) == 0) ch = '_';
+  }
+  return name;
+}
+
+void expect_same_atoms(const ApproxCover& got, const ApproxCover& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.atoms.size(), want.atoms.size()) << where;
+  for (std::size_t k = 0; k < got.atoms.size(); ++k) {
+    EXPECT_EQ(got.atoms[k].slice_index, want.atoms[k].slice_index) << where << " atom " << k;
+    EXPECT_TRUE(got.atoms[k].cover == want.atoms[k].cover)
+        << where << " atom " << k << ":\n"
+        << got.atoms[k].cover.to_pla() << "vs\n"
+        << want.atoms[k].cover.to_pla();
+  }
+}
+
+class RefineEquivalence
+    : public ::testing::TestWithParam<std::tuple<int, ApproxSetPolicy>> {};
+
+TEST_P(RefineEquivalence, UnionCheckReproducesAllPairsLoop) {
+  const auto [index, policy] = GetParam();
+  const auto [name, stg] = swept_spec(index);
+  const Unfolding unf = Unfolding::build(stg);
+  for (const SignalId s : stg.non_input_signals()) {
+    const std::string where = name + "/" + stg.signal_name(s);
+    ApproxCover on = approximate_cover(unf, s, true, policy);
+    ApproxCover off = approximate_cover(unf, s, false, policy);
+    ApproxCover reference_on = on;
+    ApproxCover reference_off = off;
+    const RefineStats got = refine_until_disjoint(unf, on, off);
+    const RefineStats want = all_pairs_refine(unf, reference_on, reference_off);
+    EXPECT_EQ(got.iterations, want.iterations) << where;
+    EXPECT_EQ(got.refined_atoms, want.refined_atoms) << where;
+    EXPECT_EQ(got.disjoint, want.disjoint) << where;
+    expect_same_atoms(on, reference_on, where + " on");
+    expect_same_atoms(off, reference_off, where + " off");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Specs, RefineEquivalence,
+    ::testing::Combine(::testing::Range(0, kSweptSpecs),
+                       ::testing::Values(ApproxSetPolicy::Full, ApproxSetPolicy::PaperChains)),
+    [](const auto& info) {
+      return test_name(swept_spec(std::get<0>(info.param)).first) +
+             (std::get<1>(info.param) == ApproxSetPolicy::Full ? "_Full" : "_PaperChains");
+    });
+
+/// Number of (condition, event) pairs where the concurrency row disagrees
+/// with the scalar co(c, e).
+std::size_t co_row_mismatches(const Unfolding& unf) {
+  std::size_t mismatches = 0;
+  for (std::size_t ci = 0; ci < unf.condition_count(); ++ci) {
+    const ConditionId c(static_cast<std::uint32_t>(ci));
+    const auto row = unf.co_events(c);
+    EXPECT_EQ(row.size(), (unf.event_count() + 63) / 64);
+    for (std::size_t ei = 0; ei < unf.event_count(); ++ei) {
+      const bool in_row = ((row[ei / 64] >> (ei % 64)) & 1u) != 0;
+      if (in_row != unf.co(c, EventId(static_cast<std::uint32_t>(ei)))) ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+class CoRows : public ::testing::TestWithParam<int> {};
+
+TEST_P(CoRows, MatchScalarCoAfterBuildAndAfterDiskLoad) {
+  const auto [name, stg] = swept_spec(GetParam());
+  const SynthesisOptions options;
+  const auto model = SemanticModel::build(stg, options);
+  ASSERT_NE(model->unfolding, nullptr);
+  EXPECT_EQ(co_row_mismatches(*model->unfolding), 0u) << name;
+
+  // The disk tier does not persist the rows; loading rebuilds them.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("punt-co-rows-test-" + test_name(name) + "-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const std::string key = ModelCache::key_of(stg, options);
+  std::shared_ptr<const SemanticModel> loaded;
+  {
+    ModelStore store(dir.string());
+    EXPECT_TRUE(store.store(key, *model));
+    loaded = store.load(key);
+  }
+  std::filesystem::remove_all(dir);
+  ASSERT_NE(loaded, nullptr) << name;
+  ASSERT_NE(loaded->unfolding, nullptr);
+  EXPECT_EQ(co_row_mismatches(*loaded->unfolding), 0u) << name;
+  for (std::size_t ci = 0; ci < model->unfolding->condition_count(); ++ci) {
+    const ConditionId c(static_cast<std::uint32_t>(ci));
+    const auto built = model->unfolding->co_events(c);
+    const auto read = loaded->unfolding->co_events(c);
+    ASSERT_TRUE(std::equal(built.begin(), built.end(), read.begin(), read.end()))
+        << name << " row " << ci;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Specs, CoRows, ::testing::Range(0, kSweptSpecs),
+                         [](const auto& info) { return test_name(swept_spec(info.param).first); });
+
+/// The code of c's producer with DC at every signal owning an instance in
+/// `events` that is concurrent with c and accepted by `keep`, one scalar
+/// co(c, f) query per event.
+template <typename Keep>
+logic::Cube scalar_mr_cube(const Unfolding& unf, ConditionId c,
+                           const std::vector<EventId>& events, Keep keep) {
+  logic::Cube cube = logic::Cube::from_code(unf.code(unf.producer(c)));
+  for (const EventId f : events) {
+    const stg::Label* label = unf.label(f);
+    if (label == nullptr || label->dummy) continue;
+    if (unf.co(c, f) && keep(f)) cube.set(label->signal.index(), logic::Lit::DC);
+  }
+  return cube;
+}
+
+/// Scalar "f fires strictly after `element`".
+bool scalar_after(const Unfolding& unf, const SliceElement& element, EventId f) {
+  if (element.is_event) return f != element.event && unf.precedes(element.event, f);
+  const EventId producer = unf.producer(element.condition);
+  return f != producer && unf.precedes(producer, f) && !unf.co(element.condition, f);
+}
+
+class PrimitiveEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(PrimitiveEquivalence, WordLevelPrimitivesMatchScalarDefinitions) {
+  const auto [name, stg] = swept_spec(GetParam());
+  const Unfolding unf = Unfolding::build(stg);
+  for (const SignalId s : stg.non_input_signals()) {
+    for (const bool value : {true, false}) {
+      for (const Slice& slice : signal_slices(unf, s, value)) {
+        const std::string where = name + "/" + stg.signal_name(s) + " entry " +
+                                  unf.event_name(slice.entry);
+        const std::vector<EventId> events = slice_events(unf, slice);
+        const std::vector<ConditionId> conditions = slice_conditions(unf, slice, events);
+        std::vector<SliceElement> elements;
+        if (!unf.is_initial(slice.entry)) elements.push_back(SliceElement::of(slice.entry));
+        // A few condition elements per slice keep the sweep linear in size.
+        for (std::size_t k = 0; k < conditions.size(); k += 1 + conditions.size() / 3) {
+          elements.push_back(SliceElement::of(conditions[k]));
+        }
+        for (const ConditionId c : conditions) {
+          EXPECT_EQ(mr_cover(unf, c, events),
+                    scalar_mr_cube(unf, c, events, [](EventId) { return true; }))
+              << where << " mr " << unf.condition_name(c);
+        }
+        for (const SliceElement& element : elements) {
+          std::vector<ConditionId> scalar_refining;
+          for (const ConditionId c : conditions) {
+            if (element.is_event ? unf.co(c, element.event) : unf.co(c, element.condition)) {
+              scalar_refining.push_back(c);
+            }
+          }
+          EXPECT_EQ(refining_set(unf, element, slice), scalar_refining) << where;
+          for (const ConditionId c : scalar_refining) {
+            EXPECT_EQ(refinement_mr_cover(unf, c, element, events),
+                      scalar_mr_cube(unf, c, events, [&](EventId f) {
+                        return scalar_after(unf, element, f);
+                      }))
+                << where << " refinement " << unf.condition_name(c);
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Specs, PrimitiveEquivalence, ::testing::Range(0, kSweptSpecs),
+                         [](const auto& info) { return test_name(swept_spec(info.param).first); });
 
 }  // namespace
 }  // namespace punt::core

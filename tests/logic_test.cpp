@@ -1,6 +1,7 @@
 // Unit and property tests for cubes, covers and the espresso minimiser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/logic/cover.hpp"
@@ -99,6 +100,58 @@ TEST(Cover, SccRemovesContainedCubes) {
   f.make_irredundant_scc();
   EXPECT_EQ(f.cube_count(), 1u);
   EXPECT_EQ(f.cube(0).to_string(), "1--");
+}
+
+/// 100 pairwise-disjoint cubes (distinct constants on the first 7 of 12
+/// variables) with 7 to 10 literals: containment drops none of them, and
+/// the many equal literal counts make std::sort's order differ from a
+/// stable sort's.
+std::vector<Cube> disjoint_cubes_with_tied_sizes() {
+  std::vector<Cube> cubes;
+  for (std::size_t i = 0; i < 100; ++i) {
+    Cube c(12);
+    for (std::size_t v = 0; v < 7; ++v) c.set(v, ((i >> v) & 1) != 0 ? Lit::One : Lit::Zero);
+    for (std::size_t v = 7; v < 7 + (i * 7) % 4; ++v) c.set(v, Lit::One);
+    cubes.push_back(std::move(c));
+  }
+  return cubes;
+}
+
+TEST(Cover, SccKeepsTheOrderOfStdSortByLiteralCount) {
+  // Covers feed espresso in this order, so equations depend on it.
+  const std::vector<Cube> cubes = disjoint_cubes_with_tied_sizes();
+  const auto by_literals = [](const Cube& a, const Cube& b) {
+    return a.literal_count() < b.literal_count();
+  };
+  std::vector<Cube> expected = cubes;
+  std::sort(expected.begin(), expected.end(), by_literals);
+  std::vector<Cube> stable = cubes;
+  std::stable_sort(stable.begin(), stable.end(), by_literals);
+  ASSERT_NE(stable, expected);  // the input tells the two orders apart
+
+  Cover f(12, cubes);
+  f.make_irredundant_scc();
+  EXPECT_EQ(f.cubes(), expected);
+}
+
+TEST(Cover, UnionOfMatchesAddAllThenScc) {
+  std::vector<Cube> cubes = disjoint_cubes_with_tied_sizes();
+  // Contained cubes and duplicates that the containment pass must drop.
+  cubes.push_back(Cube::from_string("0000000-----"));
+  cubes.push_back(Cube::from_string("000000010000"));
+  cubes.push_back(cubes[17]);
+  std::vector<Cover> parts(9, Cover(12));
+  for (std::size_t i = 0; i < cubes.size(); ++i) parts[i % parts.size()].add(cubes[i]);
+  Cover expected(12);
+  std::vector<const Cover*> pointers;
+  for (const Cover& part : parts) {
+    expected.add_all(part);
+    pointers.push_back(&part);
+  }
+  expected.make_irredundant_scc();
+  EXPECT_EQ(Cover::union_of(12, pointers), expected);
+  EXPECT_LT(expected.cube_count(), cubes.size());
+  EXPECT_THROW(Cover::union_of(11, pointers), ValidationError);
 }
 
 TEST(Cover, TautologyBasics) {
