@@ -96,7 +96,25 @@ void BM_EspressoOnSgCovers(benchmark::State& state) {
     benchmark::DoNotOptimize(punt::logic::espresso(on, off));
   }
 }
-BENCHMARK(BM_EspressoOnSgCovers)->Arg(6)->Arg(9);
+BENCHMARK(BM_EspressoOnSgCovers)->Arg(6)->Arg(9)->Arg(12);
+
+// The on/off disjointness test DeriveTask's CSC check and espresso's
+// contradiction check run on one signal's minterm covers (Cover::intersects
+// splits both lists rather than comparing all pairs).
+void BM_CoverIntersectsSgCovers(benchmark::State& state) {
+  const punt::stg::Stg stg =
+      punt::stg::make_muller_pipeline(static_cast<std::size_t>(state.range(0)));
+  const auto sgraph = punt::sg::StateGraph::build(stg);
+  const auto signal = stg.non_input_signals().front();
+  const auto on = punt::sg::on_cover(sgraph, signal);
+  const auto off = punt::sg::off_cover(sgraph, signal);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(on.intersects(off));
+  }
+  state.SetLabel(std::to_string(on.cube_count()) + " x " + std::to_string(off.cube_count()) +
+                 " minterms");
+}
+BENCHMARK(BM_CoverIntersectsSgCovers)->Arg(9)->Arg(12);
 
 void BM_CoverComplement(benchmark::State& state) {
   const punt::stg::Stg stg =

@@ -8,7 +8,9 @@
 namespace punt::logic {
 namespace {
 
-/// Per-variable polarity statistics across a cube list.
+/// Per-variable polarity statistics across a cube list.  A recursion keeps
+/// one instance and recounts it at every node: a node needs its counts only
+/// to choose the split variable, before it recurses.
 struct ColumnStats {
   std::vector<std::size_t> ones;
   std::vector<std::size_t> zeros;
@@ -16,15 +18,12 @@ struct ColumnStats {
   explicit ColumnStats(std::size_t variable_count)
       : ones(variable_count, 0), zeros(variable_count, 0) {}
 
-  static ColumnStats of(const std::vector<Cube>& cubes, std::size_t variable_count) {
-    ColumnStats stats(variable_count);
+  void count(const std::vector<Cube>& cubes) {
+    std::fill(ones.begin(), ones.end(), 0);
+    std::fill(zeros.begin(), zeros.end(), 0);
     for (const Cube& c : cubes) {
-      for (std::size_t v = 0; v < variable_count; ++v) {
-        if (c.get(v) == Lit::One) ++stats.ones[v];
-        if (c.get(v) == Lit::Zero) ++stats.zeros[v];
-      }
+      c.for_each_literal([this](std::size_t v, Lit l) { ++(l == Lit::One ? ones : zeros)[v]; });
     }
-    return stats;
   }
 
   /// Most binate variable (max of min(ones, zeros), ties by total count), or
@@ -73,12 +72,13 @@ std::vector<Cube> cofactor_var(const std::vector<Cube>& cubes, std::size_t v, Li
   return out;
 }
 
-bool tautology_rec(std::vector<Cube> cubes, std::size_t variable_count) {
+bool tautology_rec(std::vector<Cube> cubes, ColumnStats& stats) {
+  const std::size_t variable_count = stats.ones.size();
   while (true) {
     if (cubes.empty()) return false;
     if (has_universal_cube(cubes)) return true;
 
-    ColumnStats stats = ColumnStats::of(cubes, variable_count);
+    stats.count(cubes);
 
     // Unate reduction: if v appears in one polarity only, the cover is a
     // tautology iff its cofactor against the *opposite* value is — which
@@ -100,17 +100,17 @@ bool tautology_rec(std::vector<Cube> cubes, std::size_t variable_count) {
       // possible when every cube is universal (caught above) — so false.
       return false;
     }
-    return tautology_rec(cofactor_var(cubes, v, Lit::Zero), variable_count) &&
-           tautology_rec(cofactor_var(cubes, v, Lit::One), variable_count);
+    return tautology_rec(cofactor_var(cubes, v, Lit::Zero), stats) &&
+           tautology_rec(cofactor_var(cubes, v, Lit::One), stats);
   }
 }
 
 /// Thrown internally when a capped complement exceeds its budget.
 struct ComplementOverflow {};
 
-std::vector<Cube> complement_rec(const std::vector<Cube>& cubes,
-                                 std::size_t variable_count,
+std::vector<Cube> complement_rec(const std::vector<Cube>& cubes, ColumnStats& stats,
                                  std::size_t* budget = nullptr) {
+  const std::size_t variable_count = stats.ones.size();
   if (budget != nullptr && *budget == 0) throw ComplementOverflow{};
   if (cubes.empty()) {
     return {Cube(variable_count)};  // complement of 0 is 1
@@ -121,18 +121,15 @@ std::vector<Cube> complement_rec(const std::vector<Cube>& cubes,
   if (cubes.size() == 1) {
     // De Morgan on a single product: one cube per tested literal.
     std::vector<Cube> out;
-    const Cube& c = cubes.front();
-    for (std::size_t v = 0; v < variable_count; ++v) {
-      const Lit l = c.get(v);
-      if (l == Lit::DC) continue;
+    cubes.front().for_each_literal([&](std::size_t v, Lit l) {
       Cube term(variable_count);
       term.set(v, l == Lit::One ? Lit::Zero : Lit::One);
       out.push_back(std::move(term));
-    }
+    });
     return out;
   }
 
-  ColumnStats stats = ColumnStats::of(cubes, variable_count);
+  stats.count(cubes);
   std::size_t v = stats.most_binate();
   if (v == ColumnStats::npos) {
     // Unate cover: split on any tested variable (there is one, otherwise a
@@ -146,41 +143,24 @@ std::vector<Cube> complement_rec(const std::vector<Cube>& cubes,
     assert(v != ColumnStats::npos);
   }
 
-  std::vector<Cube> lo =
-      complement_rec(cofactor_var(cubes, v, Lit::Zero), variable_count, budget);
-  std::vector<Cube> hi =
-      complement_rec(cofactor_var(cubes, v, Lit::One), variable_count, budget);
+  std::vector<Cube> out = complement_rec(cofactor_var(cubes, v, Lit::Zero), stats, budget);
+  std::vector<Cube> hi = complement_rec(cofactor_var(cubes, v, Lit::One), stats, budget);
   if (budget != nullptr) {
-    const std::size_t produced = lo.size() + hi.size();
+    const std::size_t produced = out.size() + hi.size();
     if (produced >= *budget) throw ComplementOverflow{};
     *budget -= produced;
   }
-  std::vector<Cube> out;
-  out.reserve(lo.size() + hi.size());
-  // Merge cubes identical up to the split variable to curb growth.
-  for (Cube& c : lo) {
-    bool merged = false;
-    for (const Cube& h : hi) {
-      if (c == h) {
-        out.push_back(c);  // v stays DC: present on both branches
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) {
-      c.set(v, Lit::Zero);
-      out.push_back(std::move(c));
-    }
+  // Merge cubes identical up to the split variable to curb growth: a cube
+  // on both branches keeps v as DC.  Both branches hold v as DC throughout,
+  // so a hi cube can only equal a lo cube that kept it.
+  const std::size_t lo_count = out.size();
+  for (std::size_t i = 0; i < lo_count; ++i) {
+    if (std::find(hi.begin(), hi.end(), out[i]) == hi.end()) out[i].set(v, Lit::Zero);
   }
+  out.reserve(lo_count + hi.size());
   for (Cube& c : hi) {
-    bool merged = false;
-    for (const Cube& l : out) {
-      if (l == c) {  // already emitted as a both-branches cube
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) {
+    const auto lo_end = out.begin() + static_cast<std::ptrdiff_t>(lo_count);
+    if (std::find(out.begin(), lo_end, c) == lo_end) {
       c.set(v, Lit::One);
       out.push_back(std::move(c));
     }
@@ -209,6 +189,101 @@ std::vector<std::size_t> scc_kept(std::size_t count, CubeAt cube_at) {
   }
   return kept;
 }
+
+/// Two cube lists are compared pairwise when either has at most this many
+/// cubes (a split costs a pass over both lists), or when the best split
+/// keeps more than 3/4 of their pairs.
+constexpr std::size_t kPairwiseSide = 8;
+
+/// The exact "some cube of A meets some cube of B" test behind
+/// Cover::intersects (DESIGN.md §6).  Both lists are split on the variable
+/// whose split leaves the fewest pairs; a cube with DC there goes to both
+/// halves.  Two cubes meet iff no variable holds opposite constants, so
+/// every meeting pair lands together in some half, and a half only pairs
+/// cubes that were paired before.  The lists live on one DFS stack of cube
+/// pointers, so a split allocates nothing once the stack has grown.
+class PairSplitter {
+ public:
+  PairSplitter(const std::vector<Cube>& a, const std::vector<Cube>& b, std::size_t variable_count)
+      : a_size_(a.size()), counts_(4 * variable_count) {
+    stack_.reserve(2 * (a.size() + b.size()));
+    for (const Cube& c : a) stack_.push_back(&c);
+    for (const Cube& c : b) stack_.push_back(&c);
+  }
+
+  bool any_pair_meets() { return meets(0, a_size_, a_size_, stack_.size() - a_size_); }
+
+ private:
+  /// Whether some cube of stack_[a, a + na) meets some cube of
+  /// stack_[b, b + nb).
+  bool meets(std::size_t a, std::size_t na, std::size_t b, std::size_t nb) {
+    if (na == 0 || nb == 0) return false;
+    const std::size_t v = std::min(na, nb) > kPairwiseSide ? best_split(a, na, b, nb) : npos;
+    if (v == npos) {
+      for (std::size_t i = a; i < a + na; ++i) {
+        for (std::size_t j = b; j < b + nb; ++j) {
+          if (stack_[i]->intersects(*stack_[j])) return true;
+        }
+      }
+      return false;
+    }
+    const std::size_t mark = stack_.size();
+    for (const Lit excluded : {Lit::One, Lit::Zero}) {
+      const std::size_t a_half = stack_.size();
+      push_half(a, na, v, excluded);
+      const std::size_t b_half = stack_.size();
+      push_half(b, nb, v, excluded);
+      const bool hit = meets(a_half, b_half - a_half, b_half, stack_.size() - b_half);
+      stack_.resize(mark);
+      if (hit) return true;
+    }
+    return false;
+  }
+
+  /// The variable whose split leaves the fewest pairs, or npos when even
+  /// that split keeps more than 3/4 of the na * nb pairs.
+  std::size_t best_split(std::size_t a, std::size_t na, std::size_t b, std::size_t nb) {
+    std::fill(counts_.begin(), counts_.end(), 0);
+    count(a, na, 0);
+    count(b, nb, 2);
+    std::size_t best = npos;
+    std::size_t best_pairs = na * nb;
+    for (std::size_t v = 0; 4 * v < counts_.size(); ++v) {
+      const std::size_t* c = &counts_[4 * v];
+      // Zero half: the cubes not One at v; One half: the cubes not Zero.
+      const std::size_t pairs = (na - c[1]) * (nb - c[3]) + (na - c[0]) * (nb - c[2]);
+      if (pairs < best_pairs) {
+        best = v;
+        best_pairs = pairs;
+      }
+    }
+    return 4 * best_pairs <= 3 * na * nb ? best : npos;
+  }
+
+  /// Adds the per-variable Zero and One counts of stack_[begin, begin + n)
+  /// to counts_[4v + offset] and counts_[4v + offset + 1].
+  void count(std::size_t begin, std::size_t n, std::size_t offset) {
+    for (std::size_t i = begin; i < begin + n; ++i) {
+      stack_[i]->for_each_literal([&](std::size_t v, Lit l) {
+        ++counts_[4 * v + offset + (l == Lit::One ? 1 : 0)];
+      });
+    }
+  }
+
+  /// Pushes the cubes of stack_[begin, begin + n) not `excluded` at v.
+  void push_half(std::size_t begin, std::size_t n, std::size_t v, Lit excluded) {
+    for (std::size_t i = begin; i < begin + n; ++i) {
+      const Cube* c = stack_[i];
+      if (c->get(v) != excluded) stack_.push_back(c);
+    }
+  }
+
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  std::size_t a_size_;
+  std::vector<const Cube*> stack_;
+  std::vector<std::size_t> counts_;  // per variable: A zeros, A ones, B zeros, B ones
+};
 
 }  // namespace
 
@@ -263,6 +338,9 @@ Cover Cover::intersect(const Cover& other) const {
 }
 
 bool Cover::intersects(const Cover& other) const {
+  if (std::min(cubes_.size(), other.cubes_.size()) > kPairwiseSide) {
+    return PairSplitter(cubes_, other.cubes_, variable_count_).any_pair_meets();
+  }
   for (const Cube& a : cubes_) {
     for (const Cube& b : other.cubes_) {
       if (a.intersects(b)) return true;
@@ -297,17 +375,15 @@ Cover Cover::union_of(std::size_t variable_count, const std::vector<const Cover*
 Cover Cover::cofactor(const Cube& c) const {
   Cover out(variable_count_);
   for (const Cube& cube : cubes_) {
-    if (!cube.intersects(c)) continue;
-    Cube reduced = cube;
-    for (std::size_t v = 0; v < variable_count_; ++v) {
-      if (c.get(v) != Lit::DC) reduced.set(v, Lit::DC);
-    }
-    out.add(std::move(reduced));
+    if (auto reduced = cube.cofactor(c)) out.cubes_.push_back(std::move(*reduced));
   }
   return out;
 }
 
-bool Cover::tautology() const { return tautology_rec(cubes_, variable_count_); }
+bool Cover::tautology() const {
+  ColumnStats stats(variable_count_);
+  return tautology_rec(cubes_, stats);
+}
 
 bool Cover::contains_cube(const Cube& c) const { return cofactor(c).tautology(); }
 
@@ -319,15 +395,17 @@ bool Cover::contains_cover(const Cover& other) const {
 }
 
 Cover Cover::complement() const {
-  Cover out(variable_count_, complement_rec(cubes_, variable_count_));
+  ColumnStats stats(variable_count_);
+  Cover out(variable_count_, complement_rec(cubes_, stats));
   out.make_irredundant_scc();
   return out;
 }
 
 std::optional<Cover> Cover::complement_capped(std::size_t max_cubes) const {
   std::size_t budget = max_cubes;
+  ColumnStats stats(variable_count_);
   try {
-    Cover out(variable_count_, complement_rec(cubes_, variable_count_, &budget));
+    Cover out(variable_count_, complement_rec(cubes_, stats, &budget));
     out.make_irredundant_scc();
     return out;
   } catch (const ComplementOverflow&) {

@@ -47,7 +47,8 @@ class Cover {
   Cover intersect(const Cover& other) const;
 
   /// True when some pair of cubes intersects — the paper's cover-correctness
-  /// test `C*On . C*Off != 0` without materialising the product.
+  /// test `C*On . C*Off != 0` without materialising the product.  Splits
+  /// both cube lists by variable instead of comparing all pairs (DESIGN.md §6).
   bool intersects(const Cover& other) const;
 
   /// Removes duplicate cubes and cubes contained in another single cube.

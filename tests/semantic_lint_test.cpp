@@ -82,11 +82,13 @@ TEST(SemanticCatalog, SevenExactRulesDisjointFromTheStructuralTier) {
   const char* expected[] = {"STG100", "STG101", "STG102", "STG103",
                             "STG104", "STG105", "STG106"};
   for (std::size_t i = 0; i < catalog.size(); ++i) {
-    EXPECT_EQ(catalog[i].id, expected[i]);
+    // Ids are compared as strings: identical literals need not share an
+    // address (AddressSanitizer, for one, does not merge them).
+    EXPECT_STREQ(catalog[i].id, expected[i]);
     EXPECT_TRUE(lint::is_semantic_rule(catalog[i].id));
     // Disjoint id spaces: nothing semantic appears in the structural catalog.
     for (const lint::RuleInfo& structural : lint::rule_catalog()) {
-      EXPECT_NE(structural.id, catalog[i].id);
+      EXPECT_STRNE(structural.id, catalog[i].id);
       EXPECT_FALSE(lint::is_semantic_rule(structural.id));
     }
   }
