@@ -127,6 +127,46 @@ void BM_CoverComplement(benchmark::State& state) {
 }
 BENCHMARK(BM_CoverComplement)->Arg(6)->Arg(9);
 
+// espresso's don't-care input: mp-forward-pkt's `a` (its complement
+// overflows the cap), its `u3_3` (a 1030-cube DC), and muller12's reachable
+// codes, the one DC every signal of its state-graph model shares (empty:
+// every code is reachable).
+punt::logic::Cover care_set(std::int64_t which, std::string* label) {
+  if (which == 2) {
+    *label = "muller12 reachable codes";
+    return punt::sg::reachable_code_cover(
+        punt::sg::StateGraph::build(punt::stg::make_muller_pipeline(12)));
+  }
+  const char* signal = which == 0 ? "a" : "u3_3";
+  *label = std::string("mp-forward-pkt/") + signal;
+  punt::core::SynthesisOptions options;
+  options.minimize = false;
+  const auto result =
+      punt::core::synthesize(punt::benchmarks::find("mp-forward-pkt").make(), options);
+  for (const auto& impl : result.signals) {
+    if (impl.name != signal) continue;
+    punt::logic::Cover care = impl.on_cover;
+    care.add_all(impl.off_cover);
+    return care;
+  }
+  return {};
+}
+
+void BM_DontCareCover(benchmark::State& state) {
+  std::string label;
+  const punt::logic::Cover care = care_set(state.range(0), &label);
+  bool capped = false;
+  std::size_t cubes = 0;
+  for (auto _ : state) {
+    const punt::logic::Cover dc = punt::logic::dont_care_cover(care, &capped);
+    cubes = dc.cube_count();
+    benchmark::DoNotOptimize(cubes);
+  }
+  state.SetLabel(label + ": " + std::to_string(care.cube_count()) + " cubes -> " +
+                 (capped ? std::string("capped") : std::to_string(cubes) + "-cube DC"));
+}
+BENCHMARK(BM_DontCareCover)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+
 void BM_SynthesizeRegistryRow(benchmark::State& state) {
   const auto& bench =
       punt::benchmarks::table1()[static_cast<std::size_t>(state.range(0))];

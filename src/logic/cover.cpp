@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <span>
 
 #include "src/util/error.hpp"
 
@@ -18,7 +20,7 @@ struct ColumnStats {
   explicit ColumnStats(std::size_t variable_count)
       : ones(variable_count, 0), zeros(variable_count, 0) {}
 
-  void count(const std::vector<Cube>& cubes) {
+  void count(std::span<const Cube> cubes) {
     std::fill(ones.begin(), ones.end(), 0);
     std::fill(zeros.begin(), zeros.end(), 0);
     for (const Cube& c : cubes) {
@@ -108,65 +110,203 @@ bool tautology_rec(std::vector<Cube> cubes, ColumnStats& stats) {
 /// Thrown internally when a capped complement exceeds its budget.
 struct ComplementOverflow {};
 
-std::vector<Cube> complement_rec(const std::vector<Cube>& cubes, ColumnStats& stats,
-                                 std::size_t* budget = nullptr) {
-  const std::size_t variable_count = stats.ones.size();
-  if (budget != nullptr && *budget == 0) throw ComplementOverflow{};
-  if (cubes.empty()) {
-    return {Cube(variable_count)};  // complement of 0 is 1
-  }
-  if (has_universal_cube(cubes)) {
-    return {};
-  }
-  if (cubes.size() == 1) {
-    // De Morgan on a single product: one cube per tested literal.
-    std::vector<Cube> out;
-    cubes.front().for_each_literal([&](std::size_t v, Lit l) {
-      Cube term(variable_count);
-      term.set(v, l == Lit::One ? Lit::Zero : Lit::One);
-      out.push_back(std::move(term));
-    });
-    return out;
+/// Open-addressing set of positions in a cube list, keyed by cube value
+/// (Cube::hash) and reused across calls: a slot is live only while it
+/// carries the current stamp, so starting a new set clears nothing.
+class CubeIndexSet {
+ public:
+  struct Slot {
+    std::uint32_t stamp = 0;
+    bool marked = false;  // free for the caller
+    std::size_t position = 0;
+  };
+
+  /// Starts an empty set with room for `count` positions.
+  void reset(std::size_t count) {
+    std::size_t size = 16;
+    while (size < 2 * count) size *= 2;
+    if (slots_.size() < size) slots_.resize(size);
+    mask_ = size - 1;
+    if (++stamp_ == 0) {  // wrapped: every old slot must read as empty again
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      stamp_ = 1;
+    }
   }
 
-  stats.count(cubes);
-  std::size_t v = stats.most_binate();
-  if (v == ColumnStats::npos) {
-    // Unate cover: split on any tested variable (there is one, otherwise a
-    // universal cube would exist).
-    for (std::size_t u = 0; u < variable_count; ++u) {
-      if (stats.ones[u] + stats.zeros[u] > 0) {
-        v = u;
-        break;
+  /// The slot of the cube equal to cubes[i], inserting position i when the
+  /// set has none; *inserted tells which.
+  Slot& insert(const std::vector<Cube>& cubes, std::size_t i, bool* inserted) {
+    Slot& slot = probe(cubes, cubes[i]);
+    *inserted = slot.stamp != stamp_;
+    if (*inserted) slot = Slot{stamp_, false, i};
+    return slot;
+  }
+
+  /// The slot of the cube equal to `c`, or null.
+  Slot* find(const std::vector<Cube>& cubes, const Cube& c) {
+    Slot& slot = probe(cubes, c);
+    return slot.stamp == stamp_ ? &slot : nullptr;
+  }
+
+ private:
+  /// The slot holding a cube equal to `c`, or the empty slot where it goes.
+  Slot& probe(const std::vector<Cube>& cubes, const Cube& c) {
+    for (std::size_t k = c.hash() & mask_;; k = (k + 1) & mask_) {
+      Slot& slot = slots_[k];
+      if (slot.stamp != stamp_ || cubes[slot.position] == c) return slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::uint32_t stamp_ = 0;
+};
+
+/// Branch pairs whose smaller side has at most this many cubes merge by a
+/// pairwise scan; larger pairs test membership in a CubeIndexSet.
+constexpr std::size_t kPairwiseMerge = 8;
+
+/// The complement kernel (DESIGN.md §6): Shannon expansion on the most
+/// binate variable over one cube stack and one result arena.  A node's cube
+/// list is a range of the stack; it pushes each child's cofactor above that
+/// range and truncates it again after the child returns.  A node's result
+/// is the range its children leave at the end of the arena, the Zero
+/// branch's cubes followed by the One branch's, merged in place.  Once the
+/// buffers have grown, a node allocates nothing (for cubes of up to 64
+/// variables, whose words live inline).
+class Complementer {
+ public:
+  /// `budget`, when given, is the capped complement's running total: every
+  /// merge node spends the cubes its two branches produced, and the call
+  /// fails (ComplementOverflow) when a node starts with nothing left or
+  /// its branches produce at least what is left.
+  Complementer(std::size_t variable_count, std::size_t* budget)
+      : variable_count_(variable_count), stats_(variable_count), budget_(budget) {}
+
+  /// The complement of `cubes`, before single-cube containment.
+  std::vector<Cube> run(const std::vector<Cube>& cubes) {
+    stack_.assign(cubes.begin(), cubes.end());
+    complement(0, stack_.size());
+    return std::move(arena_);
+  }
+
+ private:
+  /// Appends the complement of stack_[begin, end) to the arena.
+  void complement(std::size_t begin, std::size_t end) {
+    if (budget_ != nullptr && *budget_ == 0) throw ComplementOverflow{};
+    if (begin == end) {
+      arena_.emplace_back(variable_count_);  // complement of 0 is 1
+      return;
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      if (stack_[i].literal_count() == 0) return;  // complement of 1 is 0
+    }
+    if (end - begin == 1) {
+      // De Morgan on a single product: one cube per tested literal.
+      stack_[begin].for_each_literal([&](std::size_t v, Lit l) {
+        arena_.emplace_back(variable_count_);
+        arena_.back().set(v, l == Lit::One ? Lit::Zero : Lit::One);
+      });
+      return;
+    }
+
+    stats_.count(std::span<const Cube>(stack_).subspan(begin, end - begin));
+    std::size_t v = stats_.most_binate();
+    if (v == ColumnStats::npos) {
+      // Unate list: split on any tested variable (there is one, otherwise a
+      // universal cube would exist).
+      for (std::size_t u = 0; u < variable_count_; ++u) {
+        if (stats_.ones[u] + stats_.zeros[u] > 0) {
+          v = u;
+          break;
+        }
+      }
+      assert(v != ColumnStats::npos);
+    }
+
+    const std::size_t lo = arena_.size();
+    push_cofactor(begin, end, v, Lit::Zero);
+    complement(end, stack_.size());
+    stack_.resize(end);
+    const std::size_t hi = arena_.size();
+    push_cofactor(begin, end, v, Lit::One);
+    complement(end, stack_.size());
+    stack_.resize(end);
+    if (budget_ != nullptr) {
+      const std::size_t produced = arena_.size() - lo;
+      if (produced >= *budget_) throw ComplementOverflow{};
+      *budget_ -= produced;
+    }
+    merge(v, lo, hi);
+  }
+
+  /// Pushes the cofactor of stack_[begin, end) w.r.t. v = value, keeping
+  /// the cubes' relative order.
+  void push_cofactor(std::size_t begin, std::size_t end, std::size_t v, Lit value) {
+    // Reserve first so that pushing never moves the cubes being read.
+    const std::size_t need = stack_.size() + (end - begin);
+    if (stack_.capacity() < need) stack_.reserve(std::max(need, 2 * stack_.capacity()));
+    for (std::size_t i = begin; i < end; ++i) {
+      const Lit l = stack_[i].get(v);
+      if (l == Lit::DC) {
+        stack_.push_back(stack_[i]);
+      } else if (l == value) {
+        stack_.push_back(stack_[i]);
+        stack_.back().set(v, Lit::DC);
       }
     }
-    assert(v != ColumnStats::npos);
   }
 
-  std::vector<Cube> out = complement_rec(cofactor_var(cubes, v, Lit::Zero), stats, budget);
-  std::vector<Cube> hi = complement_rec(cofactor_var(cubes, v, Lit::One), stats, budget);
-  if (budget != nullptr) {
-    const std::size_t produced = out.size() + hi.size();
-    if (produced >= *budget) throw ComplementOverflow{};
-    *budget -= produced;
-  }
-  // Merge cubes identical up to the split variable to curb growth: a cube
-  // on both branches keeps v as DC.  Both branches hold v as DC throughout,
-  // so a hi cube can only equal a lo cube that kept it.
-  const std::size_t lo_count = out.size();
-  for (std::size_t i = 0; i < lo_count; ++i) {
-    if (std::find(hi.begin(), hi.end(), out[i]) == hi.end()) out[i].set(v, Lit::Zero);
-  }
-  out.reserve(lo_count + hi.size());
-  for (Cube& c : hi) {
-    const auto lo_end = out.begin() + static_cast<std::ptrdiff_t>(lo_count);
-    if (std::find(out.begin(), lo_end, c) == lo_end) {
-      c.set(v, Lit::One);
-      out.push_back(std::move(c));
+  /// Merges the branch results arena_[lo, hi) (Zero) and arena_[hi, end)
+  /// (One), both DC at v: a cube on both sides keeps v as DC in its Zero
+  /// position, the other Zero cubes get v = 0, and the other One cubes get
+  /// v = 1 and close up behind them.
+  void merge(std::size_t v, std::size_t lo, std::size_t hi) {
+    const std::size_t lo_count = hi - lo;
+    const std::size_t hi_count = arena_.size() - hi;
+    // marks_[i] (i < lo_count): Zero cube i is also a One cube;
+    // marks_[lo_count + j]: One cube j is also a Zero cube.
+    marks_.assign(lo_count + hi_count, 0);
+    if (std::min(lo_count, hi_count) <= kPairwiseMerge) {
+      for (std::size_t i = 0; i < lo_count; ++i) {
+        for (std::size_t j = 0; j < hi_count; ++j) {
+          if (arena_[lo + i] == arena_[hi + j]) marks_[i] = marks_[lo_count + j] = 1;
+        }
+      }
+    } else {
+      set_.reset(lo_count);
+      bool inserted = false;
+      for (std::size_t i = 0; i < lo_count; ++i) set_.insert(arena_, lo + i, &inserted);
+      for (std::size_t j = 0; j < hi_count; ++j) {
+        if (CubeIndexSet::Slot* slot = set_.find(arena_, arena_[hi + j])) {
+          slot->marked = true;
+          marks_[lo_count + j] = 1;
+        }
+      }
+      for (std::size_t i = 0; i < lo_count; ++i) {
+        marks_[i] = set_.find(arena_, arena_[lo + i])->marked ? 1 : 0;
+      }
     }
+    for (std::size_t i = 0; i < lo_count; ++i) {
+      if (marks_[i] == 0) arena_[lo + i].set(v, Lit::Zero);
+    }
+    std::size_t out = hi;
+    for (std::size_t j = 0; j < hi_count; ++j) {
+      if (marks_[lo_count + j] != 0) continue;
+      if (out != hi + j) arena_[out] = std::move(arena_[hi + j]);
+      arena_[out++].set(v, Lit::One);
+    }
+    arena_.resize(out);
   }
-  return out;
-}
+
+  std::size_t variable_count_;
+  ColumnStats stats_;
+  std::size_t* budget_;
+  std::vector<Cube> stack_;
+  std::vector<Cube> arena_;
+  std::vector<std::uint8_t> marks_;
+  CubeIndexSet set_;
+};
 
 /// Single-cube containment over the cubes cube_at(0..count): the indices of
 /// the kept cubes, larger cubes first so that removal is a single pass.
@@ -349,6 +489,23 @@ bool Cover::intersects(const Cover& other) const {
   return false;
 }
 
+void Cover::remove_duplicates() {
+  CubeIndexSet seen;
+  seen.reset(cubes_.size());
+  std::size_t kept = 0;
+  bool inserted = false;
+  for (std::size_t i = 0; i < cubes_.size(); ++i) {
+    CubeIndexSet::Slot& slot = seen.insert(cubes_, i, &inserted);
+    if (!inserted) continue;
+    // The kept cube moves down before the next probe, so the set's
+    // positions always name kept cubes.
+    slot.position = kept;
+    if (kept != i) cubes_[kept] = std::move(cubes_[i]);
+    ++kept;
+  }
+  cubes_.resize(kept);
+}
+
 void Cover::make_irredundant_scc() {
   const auto cube_at = [this](std::size_t k) -> const Cube& { return cubes_[k]; };
   std::vector<Cube> kept;
@@ -395,17 +552,15 @@ bool Cover::contains_cover(const Cover& other) const {
 }
 
 Cover Cover::complement() const {
-  ColumnStats stats(variable_count_);
-  Cover out(variable_count_, complement_rec(cubes_, stats));
+  Cover out(variable_count_, Complementer(variable_count_, nullptr).run(cubes_));
   out.make_irredundant_scc();
   return out;
 }
 
 std::optional<Cover> Cover::complement_capped(std::size_t max_cubes) const {
   std::size_t budget = max_cubes;
-  ColumnStats stats(variable_count_);
   try {
-    Cover out(variable_count_, complement_rec(cubes_, stats, &budget));
+    Cover out(variable_count_, Complementer(variable_count_, &budget).run(cubes_));
     out.make_irredundant_scc();
     return out;
   } catch (const ComplementOverflow&) {

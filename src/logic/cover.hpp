@@ -54,6 +54,10 @@ class Cover {
   /// Removes duplicate cubes and cubes contained in another single cube.
   void make_irredundant_scc();
 
+  /// Removes repeated cubes only, keeping each cube's first occurrence and
+  /// the cubes' relative order (a hash set over the cube words).
+  void remove_duplicates();
+
   /// The covers' union with single-cube containment removed: the cubes, in
   /// order, that add_all of each cover followed by make_irredundant_scc
   /// keeps, without copying the cubes it drops.
@@ -74,12 +78,16 @@ class Cover {
   /// True when every cube of `other` is covered by this cover.
   bool contains_cover(const Cover& other) const;
 
-  /// Complement via unate-recursive Shannon expansion.
+  /// Complement via unate-recursive Shannon expansion (DESIGN.md §6).
   Cover complement() const;
 
-  /// Complement, abandoned when the intermediate result would exceed
-  /// `max_cubes` (nullopt).  Lets callers trade optional don't-care
-  /// information for bounded runtime on adversarial covers.
+  /// Complement under a budget of `max_cubes`, or nullopt when the budget
+  /// runs out.  The budget is a running total over the whole recursion:
+  /// every merge node spends the cubes its two branches produced, and the
+  /// call is abandoned when a node starts with nothing left, or when one
+  /// node's branches together produce at least what is left.  Lets callers
+  /// trade optional don't-care information for bounded runtime on
+  /// adversarial covers.
   std::optional<Cover> complement_capped(std::size_t max_cubes) const;
 
   /// Canonical order (sort + dedupe); useful for comparisons in tests.

@@ -142,6 +142,20 @@ class Cube {
   /// orders first.
   bool operator<(const Cube& other) const;
 
+  /// Hash of the packed words: equal cubes hash equally, and every bit of
+  /// the result depends on every word (murmur3's finalizer), so callers may
+  /// mask it to any power-of-two table size.
+  std::uint64_t hash() const {
+    const std::uint64_t* w = words();
+    std::uint64_t h = size_;
+    for (std::size_t i = 0; i < word_count(); ++i) h = (h ^ w[i]) * 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 33;
+    h *= 0xFF51AFD7ED558CCDULL;
+    h ^= h >> 33;
+    h *= 0xC4CEB9FE1A85EC53ULL;
+    return h ^ (h >> 33);
+  }
+
   /// "10-" notation.
   std::string to_string() const;
 

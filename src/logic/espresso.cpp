@@ -116,29 +116,23 @@ Cover reduce(const Cover& f, const Cover& dc) {
 
 std::size_t cost(const Cover& f) { return f.literal_count() + f.cube_count(); }
 
-}  // namespace
-
-Cover espresso(const Cover& on, const Cover& blocking, MinimizeStats* stats,
-               const EspressoOptions& options) {
+/// Throws when `on` and `blocking` share a point.
+void check_consistent(const Cover& on, const Cover& blocking) {
   if (on.intersects(blocking)) {
     throw ValidationError(
         "espresso: the on-set cover intersects the blocking cover; the "
         "specification of the function is contradictory");
   }
+}
+
+/// EXPAND / IRREDUNDANT / (REDUCE, EXPAND, IRREDUNDANT)* on consistent
+/// inputs.
+Cover minimize(const Cover& on, const Cover& blocking, const Cover& dc, MinimizeStats* stats,
+               const EspressoOptions& options) {
   if (stats) {
     stats->initial_cubes = on.cube_count();
     stats->initial_literals = on.literal_count();
   }
-  // The don't-care cover only sharpens IRREDUNDANT and REDUCE; computing it
-  // needs a complement, which can blow up on adversarial (wide-cube) covers.
-  // Cap the complement's size and fall back to an empty DC past the cap —
-  // still correct, marginally less minimal.
-  constexpr std::size_t kDcComplementCap = 200000;
-  Cover combined = on;
-  combined.add_all(blocking);
-  const Cover dc =
-      combined.complement_capped(kDcComplementCap).value_or(Cover(on.variable_count()));
-
   Cover f = expand(on, blocking);
   f = irredundant(f, dc);
   std::size_t best_cost = cost(f);
@@ -157,6 +151,31 @@ Cover espresso(const Cover& on, const Cover& blocking, MinimizeStats* stats,
     stats->iterations = iterations;
   }
   return f;
+}
+
+}  // namespace
+
+Cover dont_care_cover(const Cover& care, bool* capped) {
+  std::optional<Cover> dc = care.complement_capped(kDcComplementCap);
+  if (capped) *capped = !dc.has_value();
+  return dc ? std::move(*dc) : Cover(care.variable_count());
+}
+
+Cover espresso(const Cover& on, const Cover& blocking, MinimizeStats* stats,
+               const EspressoOptions& options) {
+  check_consistent(on, blocking);
+  Cover care = on;
+  care.add_all(blocking);
+  bool capped = false;
+  const Cover dc = dont_care_cover(care, &capped);
+  if (stats) stats->dc_capped = capped ? 1 : 0;
+  return minimize(on, blocking, dc, stats, options);
+}
+
+Cover espresso(const Cover& on, const Cover& blocking, const Cover& dc, MinimizeStats* stats,
+               const EspressoOptions& options) {
+  check_consistent(on, blocking);
+  return minimize(on, blocking, dc, stats, options);
 }
 
 Cover espresso_with_dc(const Cover& on, const Cover& dc, MinimizeStats* stats,
