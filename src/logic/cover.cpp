@@ -50,27 +50,34 @@ struct ColumnStats {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 };
 
-bool has_universal_cube(const std::vector<Cube>& cubes) {
+bool has_universal_cube(std::span<const Cube> cubes) {
   for (const Cube& c : cubes) {
     if (c.literal_count() == 0) return true;
   }
   return false;
 }
 
-/// Cofactor of a cube list w.r.t. one variable binding.
-std::vector<Cube> cofactor_var(const std::vector<Cube>& cubes, std::size_t v, Lit value) {
-  std::vector<Cube> out;
-  out.reserve(cubes.size());
+/// Appends the cofactor of `cubes` w.r.t. one variable binding to `out`, in
+/// order: every cube that leaves v as DC or tests v == value, with v freed.
+/// `cubes` may lie in `out` when `out` has room for all of them.
+void append_cofactor(std::span<const Cube> cubes, std::size_t v, Lit value,
+                     std::vector<Cube>& out) {
   for (const Cube& c : cubes) {
     const Lit l = c.get(v);
     if (l == Lit::DC) {
       out.push_back(c);
     } else if (l == value) {
-      Cube copy = c;
-      copy.set(v, Lit::DC);
-      out.push_back(std::move(copy));
+      out.push_back(c);
+      out.back().set(v, Lit::DC);
     }
   }
+}
+
+/// Cofactor of a cube list w.r.t. one variable binding.
+std::vector<Cube> cofactor_var(const std::vector<Cube>& cubes, std::size_t v, Lit value) {
+  std::vector<Cube> out;
+  out.reserve(cubes.size());
+  append_cofactor(cubes, v, value, out);
   return out;
 }
 
@@ -115,12 +122,6 @@ struct ComplementOverflow {};
 /// carries the current stamp, so starting a new set clears nothing.
 class CubeIndexSet {
  public:
-  struct Slot {
-    std::uint32_t stamp = 0;
-    bool marked = false;  // free for the caller
-    std::size_t position = 0;
-  };
-
   /// Starts an empty set with room for `count` positions.
   void reset(std::size_t count) {
     std::size_t size = 16;
@@ -133,22 +134,27 @@ class CubeIndexSet {
     }
   }
 
-  /// The slot of the cube equal to cubes[i], inserting position i when the
+  /// The position stored for the cube equal to cubes[i], storing i when the
   /// set has none; *inserted tells which.
-  Slot& insert(const std::vector<Cube>& cubes, std::size_t i, bool* inserted) {
+  std::size_t& insert(const std::vector<Cube>& cubes, std::size_t i, bool* inserted) {
     Slot& slot = probe(cubes, cubes[i]);
     *inserted = slot.stamp != stamp_;
-    if (*inserted) slot = Slot{stamp_, false, i};
-    return slot;
+    if (*inserted) slot = Slot{stamp_, i};
+    return slot.position;
   }
 
-  /// The slot of the cube equal to `c`, or null.
-  Slot* find(const std::vector<Cube>& cubes, const Cube& c) {
-    Slot& slot = probe(cubes, c);
-    return slot.stamp == stamp_ ? &slot : nullptr;
+  /// The position stored for the cube equal to `c`, or null.
+  const std::size_t* find(const std::vector<Cube>& cubes, const Cube& c) {
+    const Slot& slot = probe(cubes, c);
+    return slot.stamp == stamp_ ? &slot.position : nullptr;
   }
 
  private:
+  struct Slot {
+    std::uint32_t stamp = 0;
+    std::size_t position = 0;
+  };
+
   /// The slot holding a cube equal to `c`, or the empty slot where it goes.
   Slot& probe(const std::vector<Cube>& cubes, const Cube& c) {
     for (std::size_t k = c.hash() & mask_;; k = (k + 1) & mask_) {
@@ -161,10 +167,6 @@ class CubeIndexSet {
   std::size_t mask_ = 0;
   std::uint32_t stamp_ = 0;
 };
-
-/// Branch pairs whose smaller side has at most this many cubes merge by a
-/// pairwise scan; larger pairs test membership in a CubeIndexSet.
-constexpr std::size_t kPairwiseMerge = 8;
 
 /// The complement kernel (DESIGN.md §6): Shannon expansion on the most
 /// binate variable over one cube stack and one result arena.  A node's cube
@@ -198,19 +200,18 @@ class Complementer {
       arena_.emplace_back(variable_count_);  // complement of 0 is 1
       return;
     }
-    for (std::size_t i = begin; i < end; ++i) {
-      if (stack_[i].literal_count() == 0) return;  // complement of 1 is 0
-    }
-    if (end - begin == 1) {
+    const std::span<const Cube> cubes = std::span<const Cube>(stack_).subspan(begin, end - begin);
+    if (has_universal_cube(cubes)) return;  // complement of 1 is 0
+    if (cubes.size() == 1) {
       // De Morgan on a single product: one cube per tested literal.
-      stack_[begin].for_each_literal([&](std::size_t v, Lit l) {
+      cubes.front().for_each_literal([&](std::size_t v, Lit l) {
         arena_.emplace_back(variable_count_);
         arena_.back().set(v, l == Lit::One ? Lit::Zero : Lit::One);
       });
       return;
     }
 
-    stats_.count(std::span<const Cube>(stack_).subspan(begin, end - begin));
+    stats_.count(cubes);
     std::size_t v = stats_.most_binate();
     if (v == ColumnStats::npos) {
       // Unate list: split on any tested variable (there is one, otherwise a
@@ -246,57 +247,38 @@ class Complementer {
     // Reserve first so that pushing never moves the cubes being read.
     const std::size_t need = stack_.size() + (end - begin);
     if (stack_.capacity() < need) stack_.reserve(std::max(need, 2 * stack_.capacity()));
-    for (std::size_t i = begin; i < end; ++i) {
-      const Lit l = stack_[i].get(v);
-      if (l == Lit::DC) {
-        stack_.push_back(stack_[i]);
-      } else if (l == value) {
-        stack_.push_back(stack_[i]);
-        stack_.back().set(v, Lit::DC);
-      }
-    }
+    append_cofactor(std::span<const Cube>(stack_).subspan(begin, end - begin), v, value, stack_);
   }
 
   /// Merges the branch results arena_[lo, hi) (Zero) and arena_[hi, end)
   /// (One), both DC at v: a cube on both sides keeps v as DC in its Zero
   /// position, the other Zero cubes get v = 0, and the other One cubes get
-  /// v = 1 and close up behind them.
+  /// v = 1 and close up behind them.  No node's result repeats a cube (its
+  /// branches' results do not, and v keeps them apart), so a One cube
+  /// matches at most one Zero cube.
   void merge(std::size_t v, std::size_t lo, std::size_t hi) {
-    const std::size_t lo_count = hi - lo;
-    const std::size_t hi_count = arena_.size() - hi;
-    // marks_[i] (i < lo_count): Zero cube i is also a One cube;
-    // marks_[lo_count + j]: One cube j is also a Zero cube.
-    marks_.assign(lo_count + hi_count, 0);
-    if (std::min(lo_count, hi_count) <= kPairwiseMerge) {
-      for (std::size_t i = 0; i < lo_count; ++i) {
-        for (std::size_t j = 0; j < hi_count; ++j) {
-          if (arena_[lo + i] == arena_[hi + j]) marks_[i] = marks_[lo_count + j] = 1;
-        }
-      }
-    } else {
-      set_.reset(lo_count);
-      bool inserted = false;
-      for (std::size_t i = 0; i < lo_count; ++i) set_.insert(arena_, lo + i, &inserted);
-      for (std::size_t j = 0; j < hi_count; ++j) {
-        if (CubeIndexSet::Slot* slot = set_.find(arena_, arena_[hi + j])) {
-          slot->marked = true;
-          marks_[lo_count + j] = 1;
-        }
-      }
-      for (std::size_t i = 0; i < lo_count; ++i) {
-        marks_[i] = set_.find(arena_, arena_[lo + i])->marked ? 1 : 0;
-      }
-    }
-    for (std::size_t i = 0; i < lo_count; ++i) {
-      if (marks_[i] == 0) arena_[lo + i].set(v, Lit::Zero);
+    const std::size_t end = arena_.size();
+    shared_.assign(hi - lo, 0);  // shared_[i - lo]: Zero cube i is a One cube
+    set_.reset(hi - lo);
+    bool inserted = false;
+    for (std::size_t i = lo; i < hi; ++i) {
+      set_.insert(arena_, i, &inserted);
+      assert(inserted);
     }
     std::size_t out = hi;
-    for (std::size_t j = 0; j < hi_count; ++j) {
-      if (marks_[lo_count + j] != 0) continue;
-      if (out != hi + j) arena_[out] = std::move(arena_[hi + j]);
+    for (std::size_t j = hi; j < end; ++j) {
+      if (const std::size_t* i = set_.find(arena_, arena_[j])) {
+        shared_[*i - lo] = 1;
+        continue;
+      }
+      if (out != j) arena_[out] = std::move(arena_[j]);
       arena_[out++].set(v, Lit::One);
     }
     arena_.resize(out);
+    // Last, since the lookups above compare against the Zero cubes.
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (shared_[i - lo] == 0) arena_[i].set(v, Lit::Zero);
+    }
   }
 
   std::size_t variable_count_;
@@ -304,7 +286,7 @@ class Complementer {
   std::size_t* budget_;
   std::vector<Cube> stack_;
   std::vector<Cube> arena_;
-  std::vector<std::uint8_t> marks_;
+  std::vector<std::uint8_t> shared_;
   CubeIndexSet set_;
 };
 
@@ -495,11 +477,11 @@ void Cover::remove_duplicates() {
   std::size_t kept = 0;
   bool inserted = false;
   for (std::size_t i = 0; i < cubes_.size(); ++i) {
-    CubeIndexSet::Slot& slot = seen.insert(cubes_, i, &inserted);
+    std::size_t& position = seen.insert(cubes_, i, &inserted);
     if (!inserted) continue;
     // The kept cube moves down before the next probe, so the set's
     // positions always name kept cubes.
-    slot.position = kept;
+    position = kept;
     if (kept != i) cubes_[kept] = std::move(cubes_[i]);
     ++kept;
   }
