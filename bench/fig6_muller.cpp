@@ -2,15 +2,19 @@
 //
 // Scalability on the Muller pipeline: synthesis time versus signal count
 // for the unfolding-based flow ("PUNT") and the explicit state-graph flow
-// (the SIS/Petrify stand-in).  The SG flow is expected to blow up
-// exponentially (2^n states for n stages) while the unfolding flow grows
-// roughly linearly; points whose SG exceeds the state threshold are
-// reported as DNF — the paper's "existing tools soon choke".
+// (the SIS/Petrify stand-in).  The state graph of an n-stage pipeline has
+// about 2^n states, so the SG flow runs only where a probe finds at most
+// 5000 states; the points it skips are labelled as such.  Each flow's
+// growth is summarised by the least-squares slope of log(time) against
+// log(signals) over the points it ran.
 //
 // The circled dot of Fig. 6 — the 34-signal counterflow pipeline — is
 // reproduced as the final rows.  Set PUNT_BENCH_FULL=1 for larger sweeps.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "src/core/synthesis.hpp"
 #include "src/sg/state_graph.hpp"
@@ -23,8 +27,8 @@ namespace {
 using punt::core::Method;
 using punt::core::SynthesisOptions;
 
-/// SG-flow points above this state count are reported as DNF (the cost is
-/// minutes-to-hours; the point of the figure is exactly that).
+/// The SG flow runs only on specs whose state graph has at most this many
+/// states.
 constexpr std::size_t kSgStateThreshold = 5000;
 
 double punt_time(const punt::stg::Stg& stg) {
@@ -35,7 +39,8 @@ double punt_time(const punt::stg::Stg& stg) {
   return sw.seconds();
 }
 
-/// Returns negative when the SG flow did not finish (threshold exceeded).
+/// Returns negative when the probe found more than kSgStateThreshold states
+/// and the SG flow was skipped.
 double sg_time(const punt::stg::Stg& stg, std::size_t* states) {
   punt::Stopwatch sw;
   punt::sg::BuildOptions probe;
@@ -54,30 +59,68 @@ double sg_time(const punt::stg::Stg& stg, std::size_t* states) {
   return sw.seconds();
 }
 
+/// Least-squares slope of log(seconds) against log(signals), or NaN with
+/// fewer than two points.
+double log_log_exponent(const std::vector<std::pair<double, double>>& points) {
+  if (points.size() < 2) return std::nan("");
+  double mean_x = 0, mean_y = 0;
+  for (const auto& [signals, seconds] : points) {
+    mean_x += std::log(signals);
+    mean_y += std::log(seconds);
+  }
+  mean_x /= static_cast<double>(points.size());
+  mean_y /= static_cast<double>(points.size());
+  double sxy = 0, sxx = 0;
+  for (const auto& [signals, seconds] : points) {
+    const double dx = std::log(signals) - mean_x;
+    sxy += dx * (std::log(seconds) - mean_y);
+    sxx += dx * dx;
+  }
+  return sxy / sxx;
+}
+
+void print_exponent(const char* flow, const std::vector<std::pair<double, double>>& points) {
+  if (points.size() < 2) {
+    std::printf("%s: %zu point(s) ran, too few to fit\n", flow, points.size());
+    return;
+  }
+  std::printf("%s: time ~ signals^%.2f (least squares over %zu points, %.0f-%.0f signals)\n",
+              flow, log_log_exponent(points), points.size(), points.front().first,
+              points.back().first);
+}
+
 }  // namespace
 
 int main() {
   const bool full = std::getenv("PUNT_BENCH_FULL") != nullptr;
   std::printf("Figure 6 — Muller pipeline scalability (time in seconds)\n\n");
-  std::printf("%8s %8s | %10s | %12s %10s\n", "stages", "signals", "PUNT", "SG-flow",
+  std::printf("%8s %8s | %10s | %22s %10s\n", "stages", "signals", "PUNT", "SG-flow",
               "SG-states");
-  std::printf("--------------------------------------------------------\n");
+  std::printf("--------------------------------------------------------------------\n");
 
   std::vector<std::size_t> stage_counts{4, 9, 14, 19, 24, 29};
   if (full) stage_counts.insert(stage_counts.end(), {39, 49});
+  std::vector<std::pair<double, double>> punt_points;
+  std::vector<std::pair<double, double>> sg_points;
   for (const std::size_t n : stage_counts) {
     const punt::stg::Stg stg = punt::stg::make_muller_pipeline(n);
+    const double signals = static_cast<double>(stg.signal_count());
     const double punt_seconds = punt_time(stg);
+    punt_points.emplace_back(signals, punt_seconds);
     std::size_t states = 0;
     const double sg_seconds = sg_time(stg, &states);
     if (sg_seconds >= 0) {
-      std::printf("%8zu %8zu | %10.3f | %12.3f %10zu\n", n, stg.signal_count(),
-                  punt_seconds, sg_seconds, states);
+      sg_points.emplace_back(signals, sg_seconds);
+      std::printf("%8zu %8zu | %10.3f | %22.3f %10zu\n", n, stg.signal_count(), punt_seconds,
+                  sg_seconds, states);
     } else {
-      std::printf("%8zu %8zu | %10.3f | %12s %10zu\n", n, stg.signal_count(),
-                  punt_seconds, "DNF", states);
+      std::printf("%8zu %8zu | %10.3f | %22s %10s\n", n, stg.signal_count(), punt_seconds,
+                  "skipped (>5000 states)", "");
     }
   }
+  std::printf("\n");
+  print_exponent("PUNT", punt_points);
+  print_exponent("SG-flow", sg_points);
 
   std::printf("\nCounterflow pipeline (the paper's circled dot: 34 signals;\n"
               "Petrify needed >24h, PUNT <2h — an order of magnitude):\n\n");
@@ -85,10 +128,12 @@ int main() {
   const double cf_punt = punt_time(cf);
   std::size_t cf_states = 0;
   const double cf_sg = sg_time(cf, &cf_states);
-  std::printf("%8s %8zu | %10.3f | %12s %10s\n", "cfpp", cf.signal_count(), cf_punt,
-              cf_sg >= 0 ? "finished" : "DNF", cf_sg >= 0 ? "" : ">5000");
-  std::printf(
-      "\nShape check: PUNT grows roughly linearly with the signal count while\n"
-      "the explicit SG flow grows exponentially and stops finishing.\n");
+  if (cf_sg >= 0) {
+    std::printf("%8s %8zu | %10.3f | %22.3f %10zu\n", "cfpp", cf.signal_count(), cf_punt, cf_sg,
+                cf_states);
+  } else {
+    std::printf("%8s %8zu | %10.3f | %22s %10s\n", "cfpp", cf.signal_count(), cf_punt,
+                "skipped (>5000 states)", "");
+  }
   return 0;
 }

@@ -127,15 +127,17 @@ void BM_CoverComplement(benchmark::State& state) {
 }
 BENCHMARK(BM_CoverComplement)->Arg(6)->Arg(9);
 
-// espresso's don't-care input: mp-forward-pkt's `a` (its complement
-// overflows the cap), its `u3_3` (a 1030-cube DC), and muller12's reachable
-// codes, the one DC every signal of its state-graph model shares (empty:
-// every code is reachable).
-punt::logic::Cover care_set(std::int64_t which, std::string* label) {
+// espresso on whole care sets: mp-forward-pkt's `a` (its don't-care
+// complement overflowed the old 200,000-cube cap), its `u3_3` (a 1030-cube
+// don't-care set before), and muller12's first state-graph signal.
+std::pair<punt::logic::Cover, punt::logic::Cover> on_off(std::int64_t which,
+                                                         std::string* label) {
   if (which == 2) {
-    *label = "muller12 reachable codes";
-    return punt::sg::reachable_code_cover(
-        punt::sg::StateGraph::build(punt::stg::make_muller_pipeline(12)));
+    const punt::stg::Stg stg = punt::stg::make_muller_pipeline(12);
+    const auto sgraph = punt::sg::StateGraph::build(stg);
+    const auto signal = stg.non_input_signals().front();
+    *label = "muller12/" + stg.signal_name(signal);
+    return {punt::sg::on_cover(sgraph, signal), punt::sg::off_cover(sgraph, signal)};
   }
   const char* signal = which == 0 ? "a" : "u3_3";
   *label = std::string("mp-forward-pkt/") + signal;
@@ -144,28 +146,23 @@ punt::logic::Cover care_set(std::int64_t which, std::string* label) {
   const auto result =
       punt::core::synthesize(punt::benchmarks::find("mp-forward-pkt").make(), options);
   for (const auto& impl : result.signals) {
-    if (impl.name != signal) continue;
-    punt::logic::Cover care = impl.on_cover;
-    care.add_all(impl.off_cover);
-    return care;
+    if (impl.name == signal) return {impl.on_cover, impl.off_cover};
   }
   return {};
 }
 
-void BM_DontCareCover(benchmark::State& state) {
+void BM_EspressoCareSet(benchmark::State& state) {
   std::string label;
-  const punt::logic::Cover care = care_set(state.range(0), &label);
-  bool capped = false;
+  const auto [on, off] = on_off(state.range(0), &label);
   std::size_t cubes = 0;
   for (auto _ : state) {
-    const punt::logic::Cover dc = punt::logic::dont_care_cover(care, &capped);
-    cubes = dc.cube_count();
+    cubes = punt::logic::espresso(on, off).cube_count();
     benchmark::DoNotOptimize(cubes);
   }
-  state.SetLabel(label + ": " + std::to_string(care.cube_count()) + " cubes -> " +
-                 (capped ? std::string("capped") : std::to_string(cubes) + "-cube DC"));
+  state.SetLabel(label + ": " + std::to_string(on.cube_count()) + " on / " +
+                 std::to_string(off.cube_count()) + " off cubes -> " + std::to_string(cubes));
 }
-BENCHMARK(BM_DontCareCover)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EspressoCareSet)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 void BM_SynthesizeRegistryRow(benchmark::State& state) {
   const auto& bench =

@@ -266,9 +266,6 @@ Table1Report make_report(const Shard& shard, const std::vector<std::size_t>& pos
       row.total_seconds = entry.result.total_seconds;
       row.literals = entry.result.literal_count();
       row.exact_fallbacks = entry.result.exact_fallbacks;
-      for (const core::SignalImplementation& impl : entry.result.signals) {
-        row.dc_capped += impl.min_stats.dc_capped;
-      }
     } else {
       row.error = entry.error;
     }
@@ -302,15 +299,11 @@ std::string format_table1(const Table1Report& report) {
     }
     total_seconds += row.total_seconds;
     total_literals += row.literals;
-    std::string notes;
-    if (row.exact_fallbacks > 0) notes = "exact fallback";
-    if (row.dc_capped > 0) notes += notes.empty() ? "dc capped" : ", dc capped";
-    const std::string status = notes.empty() ? "ok" : "ok (" + notes + ")";
     out += printf_string(
         "%-24s %4zu | %8.3f %8.3f %8.3f %8.3f %6zu | %8.2f %6zu | %s\n", row.name.c_str(),
         row.signals, row.unfold_seconds, row.derive_seconds, row.minimize_seconds,
         row.total_seconds, row.literals, row.paper_total_seconds, row.paper_literals,
-        status.c_str());
+        row.exact_fallbacks > 0 ? "ok (exact fallback)" : "ok");
   }
   out += printf_string("%.*s\n", 106, rule);
   out += printf_string("%-24s %4zu | %8s %8s %8s %8.3f %6zu | %8.2f %6zu | failures %zu\n",
@@ -337,12 +330,12 @@ std::string to_json(const Table1Report& report) {
         "    {\"name\": \"%s\", \"signals\": %zu, \"ok\": %s, \"error\": \"%s\", "
         "\"unfold_seconds\": %.17g, \"derive_seconds\": %.17g, "
         "\"minimize_seconds\": %.17g, \"total_seconds\": %.17g, \"literals\": %zu, "
-        "\"exact_fallbacks\": %zu, \"dc_capped\": %zu, \"paper_total_seconds\": %.17g, "
+        "\"exact_fallbacks\": %zu, \"paper_total_seconds\": %.17g, "
         "\"paper_literals\": %zu}%s\n",
         json_escape(row.name).c_str(), row.signals, row.ok ? "true" : "false",
         json_escape(row.error).c_str(), row.unfold_seconds, row.derive_seconds,
         row.minimize_seconds, row.total_seconds, row.literals, row.exact_fallbacks,
-        row.dc_capped, row.paper_total_seconds, row.paper_literals,
+        row.paper_total_seconds, row.paper_literals,
         i + 1 < report.rows.size() ? "," : "");
   }
   out += "  ]\n}\n";
@@ -394,8 +387,6 @@ Table1Report report_from_json(std::string_view text) {
     row.total_seconds = number_field(entry, "total_seconds");
     row.literals = count_field(entry, "literals");
     row.exact_fallbacks = count_field(entry, "exact_fallbacks");
-    // Additive to version 1: rows written before the field count none.
-    row.dc_capped = entry.find("dc_capped") != nullptr ? count_field(entry, "dc_capped") : 0;
     row.paper_total_seconds = number_field(entry, "paper_total_seconds");
     row.paper_literals = count_field(entry, "paper_literals");
     report.rows.push_back(std::move(row));

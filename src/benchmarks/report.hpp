@@ -52,7 +52,6 @@ struct Table1Row {
   double total_seconds = 0;     // TotTim
   std::size_t literals = 0;     // LitCnt
   std::size_t exact_fallbacks = 0;
-  std::size_t dc_capped = 0;  // signals minimised with an empty DC (cap hit)
   double paper_total_seconds = 0;   // paperTot
   std::size_t paper_literals = 0;   // papLit
 };

@@ -109,18 +109,6 @@ std::shared_ptr<const SemanticModel> SemanticModel::build(
   return model;
 }
 
-const SemanticModel::ReachableDontCare& SemanticModel::reachable_dont_care() const {
-  std::call_once(dont_care_once_, [this] {
-    if (!sgraph) {
-      throw ValidationError("internal error: reachable_dont_care needs a state-graph model");
-    }
-    const Cover codes = sg::reachable_code_cover(*sgraph);
-    dont_care_.codes = codes.cube_count();
-    dont_care_.cover = logic::dont_care_cover(codes, &dont_care_.capped);
-  });
-  return dont_care_;
-}
-
 PipelineContext PipelineContext::build(const stg::Stg& stg,
                                        const SynthesisOptions& options,
                                        ModelCache* cache, const std::string* key) {
@@ -252,27 +240,10 @@ void MinimizeTask::run(const PipelineContext& context, DeriveTask& derive) {
   ThreadCpuStopwatch phase;
   if (options.architecture == Architecture::ComplexGate) {
     if (options.minimize) {
-      // Both phases share one care set, on + off, so they share its DC.
-      Cover own_dc;
-      bool capped = false;
-      const Cover* dc = &own_dc;
-      if (options.method == Method::StateGraph) {
-        const SemanticModel::ReachableDontCare& shared = context.model->reachable_dont_care();
-        if (impl.on_cover.cube_count() + impl.off_cover.cube_count() != shared.codes) {
-          throw ValidationError("internal error: the on and off covers of '" + impl.name +
-                                "' are not the model's reachable codes");
-        }
-        dc = &shared.cover;
-        capped = shared.capped;
-      } else {
-        Cover care = impl.on_cover;
-        care.add_all(impl.off_cover);
-        own_dc = logic::dont_care_cover(care, &capped);
-      }
       logic::MinimizeStats stats_on;
-      const Cover gate_on = logic::espresso(impl.on_cover, impl.off_cover, *dc, &stats_on);
+      const Cover gate_on = logic::espresso(impl.on_cover, impl.off_cover, &stats_on);
       logic::MinimizeStats stats_off;
-      const Cover gate_off = logic::espresso(impl.off_cover, impl.on_cover, *dc, &stats_off);
+      const Cover gate_off = logic::espresso(impl.off_cover, impl.on_cover, &stats_off);
       // The paper implements whichever phase yields the simpler gate.
       if (gate_off.literal_count() < gate_on.literal_count()) {
         impl.gate = gate_off;
@@ -283,7 +254,6 @@ void MinimizeTask::run(const PipelineContext& context, DeriveTask& derive) {
         impl.gate_covers_on = true;
         impl.min_stats = stats_on;
       }
-      impl.min_stats.dc_capped = capped ? 1 : 0;
     } else {
       impl.gate = tidy(impl.on_cover);
       impl.gate_covers_on = true;
@@ -303,8 +273,6 @@ void MinimizeTask::run(const PipelineContext& context, DeriveTask& derive) {
       impl.min_stats.final_cubes += stats_reset.final_cubes;
       impl.min_stats.final_literals += stats_reset.final_literals;
       impl.min_stats.iterations += stats_reset.iterations;
-      // Two DCs (the care sets differ), one capped signal.
-      impl.min_stats.dc_capped = std::max(stats_set.dc_capped, stats_reset.dc_capped);
     } else {
       impl.set_function = tidy(derive.er_on);
       impl.reset_function = tidy(derive.er_off);

@@ -97,24 +97,6 @@ struct SemanticModel {
   /// rejection, persistency).  Throws like the seed's synthesize() phase 1.
   static std::shared_ptr<const SemanticModel> build(const stg::Stg& stg,
                                                     const SynthesisOptions& options);
-
-  /// The don't-care set of a state-graph model: logic::dont_care_cover of
-  /// its distinct reachable codes.  A complex-gate signal without a CSC
-  /// conflict has exactly those codes as on ++ off cover, so every such
-  /// signal shares this DC (DESIGN.md §6).
-  struct ReachableDontCare {
-    logic::Cover cover;
-    bool capped = false;     // the complement overflowed; `cover` is empty
-    std::size_t codes = 0;   // distinct reachable codes
-  };
-
-  /// Computed once, on first use, by whichever thread asks first; never
-  /// persisted by the disk tier.  StateGraph kind only.
-  const ReachableDontCare& reachable_dont_care() const;
-
- private:
-  mutable std::once_flag dont_care_once_;
-  mutable ReachableDontCare dont_care_;
 };
 
 /// One synthesis run's view: the shared model plus the derivation-only
@@ -167,9 +149,7 @@ struct MinimizeTask {
   double minimize_seconds = 0;  // this task's share of EspTim
 
   /// No-op when the derive phase recorded a CSC conflict (no correct gate
-  /// exists; the covers stay reported).  A complex gate minimises both
-  /// phases against one don't-care set: its own on + off's, or on the
-  /// StateGraph method the model's shared one.
+  /// exists; the covers stay reported).
   void run(const PipelineContext& context, DeriveTask& derive);
 };
 

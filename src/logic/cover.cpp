@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <span>
 
 #include "src/util/error.hpp"
 
@@ -20,7 +19,7 @@ struct ColumnStats {
   explicit ColumnStats(std::size_t variable_count)
       : ones(variable_count, 0), zeros(variable_count, 0) {}
 
-  void count(std::span<const Cube> cubes) {
+  void count(const std::vector<Cube>& cubes) {
     std::fill(ones.begin(), ones.end(), 0);
     std::fill(zeros.begin(), zeros.end(), 0);
     for (const Cube& c : cubes) {
@@ -50,18 +49,18 @@ struct ColumnStats {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 };
 
-bool has_universal_cube(std::span<const Cube> cubes) {
+bool has_universal_cube(const std::vector<Cube>& cubes) {
   for (const Cube& c : cubes) {
     if (c.literal_count() == 0) return true;
   }
   return false;
 }
 
-/// Appends the cofactor of `cubes` w.r.t. one variable binding to `out`, in
-/// order: every cube that leaves v as DC or tests v == value, with v freed.
-/// `cubes` may lie in `out` when `out` has room for all of them.
-void append_cofactor(std::span<const Cube> cubes, std::size_t v, Lit value,
-                     std::vector<Cube>& out) {
+/// Cofactor of a cube list w.r.t. one variable binding, in order: every cube
+/// that leaves v as DC or tests v == value, with v freed.
+std::vector<Cube> cofactor_var(const std::vector<Cube>& cubes, std::size_t v, Lit value) {
+  std::vector<Cube> out;
+  out.reserve(cubes.size());
   for (const Cube& c : cubes) {
     const Lit l = c.get(v);
     if (l == Lit::DC) {
@@ -71,13 +70,6 @@ void append_cofactor(std::span<const Cube> cubes, std::size_t v, Lit value,
       out.back().set(v, Lit::DC);
     }
   }
-}
-
-/// Cofactor of a cube list w.r.t. one variable binding.
-std::vector<Cube> cofactor_var(const std::vector<Cube>& cubes, std::size_t v, Lit value) {
-  std::vector<Cube> out;
-  out.reserve(cubes.size());
-  append_cofactor(cubes, v, value, out);
   return out;
 }
 
@@ -114,181 +106,53 @@ bool tautology_rec(std::vector<Cube> cubes, ColumnStats& stats) {
   }
 }
 
-/// Thrown internally when a capped complement exceeds its budget.
-struct ComplementOverflow {};
-
-/// Open-addressing set of positions in a cube list, keyed by cube value
-/// (Cube::hash) and reused across calls: a slot is live only while it
-/// carries the current stamp, so starting a new set clears nothing.
-class CubeIndexSet {
- public:
-  /// Starts an empty set with room for `count` positions.
-  void reset(std::size_t count) {
-    std::size_t size = 16;
-    while (size < 2 * count) size *= 2;
-    if (slots_.size() < size) slots_.resize(size);
-    mask_ = size - 1;
-    if (++stamp_ == 0) {  // wrapped: every old slot must read as empty again
-      std::fill(slots_.begin(), slots_.end(), Slot{});
-      stamp_ = 1;
-    }
+/// The complement of a cube list before single-cube containment (DESIGN.md
+/// §6): Shannon expansion on the most binate variable, merging the branch
+/// results' common cubes.
+std::vector<Cube> complement_rec(const std::vector<Cube>& cubes, ColumnStats& stats) {
+  const std::size_t variable_count = stats.ones.size();
+  if (cubes.empty()) return {Cube(variable_count)};  // complement of 0 is 1
+  if (has_universal_cube(cubes)) return {};          // complement of 1 is 0
+  if (cubes.size() == 1) {
+    // De Morgan on a single product: one cube per tested literal.
+    std::vector<Cube> out;
+    cubes.front().for_each_literal([&](std::size_t v, Lit l) {
+      out.emplace_back(variable_count);
+      out.back().set(v, l == Lit::One ? Lit::Zero : Lit::One);
+    });
+    return out;
   }
 
-  /// The position stored for the cube equal to cubes[i], storing i when the
-  /// set has none; *inserted tells which.
-  std::size_t& insert(const std::vector<Cube>& cubes, std::size_t i, bool* inserted) {
-    Slot& slot = probe(cubes, cubes[i]);
-    *inserted = slot.stamp != stamp_;
-    if (*inserted) slot = Slot{stamp_, i};
-    return slot.position;
-  }
-
-  /// The position stored for the cube equal to `c`, or null.
-  const std::size_t* find(const std::vector<Cube>& cubes, const Cube& c) {
-    const Slot& slot = probe(cubes, c);
-    return slot.stamp == stamp_ ? &slot.position : nullptr;
-  }
-
- private:
-  struct Slot {
-    std::uint32_t stamp = 0;
-    std::size_t position = 0;
-  };
-
-  /// The slot holding a cube equal to `c`, or the empty slot where it goes.
-  Slot& probe(const std::vector<Cube>& cubes, const Cube& c) {
-    for (std::size_t k = c.hash() & mask_;; k = (k + 1) & mask_) {
-      Slot& slot = slots_[k];
-      if (slot.stamp != stamp_ || cubes[slot.position] == c) return slot;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-  std::uint32_t stamp_ = 0;
-};
-
-/// The complement kernel (DESIGN.md §6): Shannon expansion on the most
-/// binate variable over one cube stack and one result arena.  A node's cube
-/// list is a range of the stack; it pushes each child's cofactor above that
-/// range and truncates it again after the child returns.  A node's result
-/// is the range its children leave at the end of the arena, the Zero
-/// branch's cubes followed by the One branch's, merged in place.  Once the
-/// buffers have grown, a node allocates nothing (for cubes of up to 64
-/// variables, whose words live inline).
-class Complementer {
- public:
-  /// `budget`, when given, is the capped complement's running total: every
-  /// merge node spends the cubes its two branches produced, and the call
-  /// fails (ComplementOverflow) when a node starts with nothing left or
-  /// its branches produce at least what is left.
-  Complementer(std::size_t variable_count, std::size_t* budget)
-      : variable_count_(variable_count), stats_(variable_count), budget_(budget) {}
-
-  /// The complement of `cubes`, before single-cube containment.
-  std::vector<Cube> run(const std::vector<Cube>& cubes) {
-    stack_.assign(cubes.begin(), cubes.end());
-    complement(0, stack_.size());
-    return std::move(arena_);
-  }
-
- private:
-  /// Appends the complement of stack_[begin, end) to the arena.
-  void complement(std::size_t begin, std::size_t end) {
-    if (budget_ != nullptr && *budget_ == 0) throw ComplementOverflow{};
-    if (begin == end) {
-      arena_.emplace_back(variable_count_);  // complement of 0 is 1
-      return;
-    }
-    const std::span<const Cube> cubes = std::span<const Cube>(stack_).subspan(begin, end - begin);
-    if (has_universal_cube(cubes)) return;  // complement of 1 is 0
-    if (cubes.size() == 1) {
-      // De Morgan on a single product: one cube per tested literal.
-      cubes.front().for_each_literal([&](std::size_t v, Lit l) {
-        arena_.emplace_back(variable_count_);
-        arena_.back().set(v, l == Lit::One ? Lit::Zero : Lit::One);
-      });
-      return;
-    }
-
-    stats_.count(cubes);
-    std::size_t v = stats_.most_binate();
-    if (v == ColumnStats::npos) {
-      // Unate list: split on any tested variable (there is one, otherwise a
-      // universal cube would exist).
-      for (std::size_t u = 0; u < variable_count_; ++u) {
-        if (stats_.ones[u] + stats_.zeros[u] > 0) {
-          v = u;
-          break;
-        }
+  stats.count(cubes);
+  std::size_t v = stats.most_binate();
+  if (v == ColumnStats::npos) {
+    // Unate list: split on any tested variable (there is one, otherwise a
+    // universal cube would exist).
+    for (std::size_t u = 0; u < variable_count; ++u) {
+      if (stats.ones[u] + stats.zeros[u] > 0) {
+        v = u;
+        break;
       }
-      assert(v != ColumnStats::npos);
     }
-
-    const std::size_t lo = arena_.size();
-    push_cofactor(begin, end, v, Lit::Zero);
-    complement(end, stack_.size());
-    stack_.resize(end);
-    const std::size_t hi = arena_.size();
-    push_cofactor(begin, end, v, Lit::One);
-    complement(end, stack_.size());
-    stack_.resize(end);
-    if (budget_ != nullptr) {
-      const std::size_t produced = arena_.size() - lo;
-      if (produced >= *budget_) throw ComplementOverflow{};
-      *budget_ -= produced;
-    }
-    merge(v, lo, hi);
+    assert(v != ColumnStats::npos);
   }
 
-  /// Pushes the cofactor of stack_[begin, end) w.r.t. v = value, keeping
-  /// the cubes' relative order.
-  void push_cofactor(std::size_t begin, std::size_t end, std::size_t v, Lit value) {
-    // Reserve first so that pushing never moves the cubes being read.
-    const std::size_t need = stack_.size() + (end - begin);
-    if (stack_.capacity() < need) stack_.reserve(std::max(need, 2 * stack_.capacity()));
-    append_cofactor(std::span<const Cube>(stack_).subspan(begin, end - begin), v, value, stack_);
+  std::vector<Cube> out = complement_rec(cofactor_var(cubes, v, Lit::Zero), stats);
+  std::vector<Cube> hi = complement_rec(cofactor_var(cubes, v, Lit::One), stats);
+  // A cube on both branches keeps v as DC; the others get v = 0 or v = 1.
+  const std::size_t lo_count = out.size();
+  for (std::size_t i = 0; i < lo_count; ++i) {
+    if (std::find(hi.begin(), hi.end(), out[i]) == hi.end()) out[i].set(v, Lit::Zero);
   }
-
-  /// Merges the branch results arena_[lo, hi) (Zero) and arena_[hi, end)
-  /// (One), both DC at v: a cube on both sides keeps v as DC in its Zero
-  /// position, the other Zero cubes get v = 0, and the other One cubes get
-  /// v = 1 and close up behind them.  No node's result repeats a cube (its
-  /// branches' results do not, and v keeps them apart), so a One cube
-  /// matches at most one Zero cube.
-  void merge(std::size_t v, std::size_t lo, std::size_t hi) {
-    const std::size_t end = arena_.size();
-    shared_.assign(hi - lo, 0);  // shared_[i - lo]: Zero cube i is a One cube
-    set_.reset(hi - lo);
-    bool inserted = false;
-    for (std::size_t i = lo; i < hi; ++i) {
-      set_.insert(arena_, i, &inserted);
-      assert(inserted);
-    }
-    std::size_t out = hi;
-    for (std::size_t j = hi; j < end; ++j) {
-      if (const std::size_t* i = set_.find(arena_, arena_[j])) {
-        shared_[*i - lo] = 1;
-        continue;
-      }
-      if (out != j) arena_[out] = std::move(arena_[j]);
-      arena_[out++].set(v, Lit::One);
-    }
-    arena_.resize(out);
-    // Last, since the lookups above compare against the Zero cubes.
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (shared_[i - lo] == 0) arena_[i].set(v, Lit::Zero);
+  for (Cube& c : hi) {
+    const auto lo_end = out.begin() + static_cast<std::ptrdiff_t>(lo_count);
+    if (std::find(out.begin(), lo_end, c) == lo_end) {
+      c.set(v, Lit::One);
+      out.push_back(std::move(c));
     }
   }
-
-  std::size_t variable_count_;
-  ColumnStats stats_;
-  std::size_t* budget_;
-  std::vector<Cube> stack_;
-  std::vector<Cube> arena_;
-  std::vector<std::uint8_t> shared_;
-  CubeIndexSet set_;
-};
+  return out;
+}
 
 /// Single-cube containment over the cubes cube_at(0..count): the indices of
 /// the kept cubes, larger cubes first so that removal is a single pass.
@@ -472,18 +336,20 @@ bool Cover::intersects(const Cover& other) const {
 }
 
 void Cover::remove_duplicates() {
-  CubeIndexSet seen;
-  seen.reset(cubes_.size());
+  // Open addressing over the positions of the kept cubes, keyed by
+  // Cube::hash.  A kept cube moves down before the next probe, so every
+  // stored position names a kept cube.
+  constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
+  std::size_t mask = 15;
+  while (mask < 2 * cubes_.size()) mask = 2 * mask + 1;
+  std::vector<std::size_t> slots(mask + 1, kEmpty);
   std::size_t kept = 0;
-  bool inserted = false;
   for (std::size_t i = 0; i < cubes_.size(); ++i) {
-    std::size_t& position = seen.insert(cubes_, i, &inserted);
-    if (!inserted) continue;
-    // The kept cube moves down before the next probe, so the set's
-    // positions always name kept cubes.
-    position = kept;
+    std::size_t k = cubes_[i].hash() & mask;
+    while (slots[k] != kEmpty && !(cubes_[slots[k]] == cubes_[i])) k = (k + 1) & mask;
+    if (slots[k] != kEmpty) continue;  // a repeat of a kept cube
     if (kept != i) cubes_[kept] = std::move(cubes_[i]);
-    ++kept;
+    slots[k] = kept++;
   }
   cubes_.resize(kept);
 }
@@ -534,20 +400,10 @@ bool Cover::contains_cover(const Cover& other) const {
 }
 
 Cover Cover::complement() const {
-  Cover out(variable_count_, Complementer(variable_count_, nullptr).run(cubes_));
+  ColumnStats stats(variable_count_);
+  Cover out(variable_count_, complement_rec(cubes_, stats));
   out.make_irredundant_scc();
   return out;
-}
-
-std::optional<Cover> Cover::complement_capped(std::size_t max_cubes) const {
-  std::size_t budget = max_cubes;
-  try {
-    Cover out(variable_count_, Complementer(variable_count_, &budget).run(cubes_));
-    out.make_irredundant_scc();
-    return out;
-  } catch (const ComplementOverflow&) {
-    return std::nullopt;
-  }
 }
 
 void Cover::normalize() {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,15 +79,6 @@ class Cover {
 
   /// Complement via unate-recursive Shannon expansion (DESIGN.md §6).
   Cover complement() const;
-
-  /// Complement under a budget of `max_cubes`, or nullopt when the budget
-  /// runs out.  The budget is a running total over the whole recursion:
-  /// every merge node spends the cubes its two branches produced, and the
-  /// call is abandoned when a node starts with nothing left, or when one
-  /// node's branches together produce at least what is left.  Lets callers
-  /// trade optional don't-care information for bounded runtime on
-  /// adversarial covers.
-  std::optional<Cover> complement_capped(std::size_t max_cubes) const;
 
   /// Canonical order (sort + dedupe); useful for comparisons in tests.
   void normalize();

@@ -1,6 +1,8 @@
 #include "src/logic/espresso.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "src/util/error.hpp"
 
@@ -15,8 +17,8 @@ bool cube_hits_cover(const Cube& c, const Cover& cover) {
 }
 
 /// Greedily raises literals of `c` to DC while the cube stays disjoint from
-/// `blocking`.  Raising order: variables whose raising frees the most cubes
-/// are tried on every pass until a fixpoint.
+/// `blocking`.  Each pass tries the literals in variable-index order; passes
+/// repeat until one raises nothing.
 Cube expand_cube(Cube c, const Cover& blocking) {
   bool progress = true;
   while (progress) {
@@ -57,9 +59,10 @@ Cover expand(const Cover& f, const Cover& blocking) {
   return out;
 }
 
-/// IRREDUNDANT phase: removes cubes covered by the rest of the cover plus
-/// the don't-care cover.
-Cover irredundant(const Cover& f, const Cover& dc) {
+/// IRREDUNDANT phase: removes cubes whose on-set points the rest of the
+/// cover already covers.  A cube c misses the blocking cover, so c lies in
+/// rest + DC exactly when on_c ⊆ rest_c (cofactors w.r.t. c).
+Cover irredundant(const Cover& f, const Cover& on) {
   std::vector<Cube> cubes = f.cubes();
   // Try to remove small cubes first; large cubes are more likely essential.
   std::sort(cubes.begin(), cubes.end(), [](const Cube& a, const Cube& b) {
@@ -71,8 +74,7 @@ Cover irredundant(const Cover& f, const Cover& dc) {
     for (std::size_t j = 0; j < cubes.size(); ++j) {
       if (j != i && !removed[j]) rest.add(cubes[j]);
     }
-    rest.add_all(dc);
-    if (rest.contains_cube(cubes[i])) removed[i] = true;
+    if (rest.cofactor(cubes[i]).contains_cover(on.cofactor(cubes[i]))) removed[i] = true;
   }
   Cover out(f.variable_count());
   for (std::size_t i = 0; i < cubes.size(); ++i) {
@@ -82,36 +84,32 @@ Cover irredundant(const Cover& f, const Cover& dc) {
 }
 
 /// REDUCE phase: shrinks each cube to the smallest cube still covering the
-/// points only it covers (w.r.t. the rest plus DC), freeing room for a
+/// on-set points only it covers, on_c · ¬rest_c, freeing room for a
 /// different EXPAND direction.
-Cover reduce(const Cover& f, const Cover& dc) {
-  Cover current = f;
-  std::vector<Cube> cubes = current.cubes();
+Cover reduce(const Cover& f, const Cover& on) {
+  std::vector<Cube> cubes = f.cubes();
   std::sort(cubes.begin(), cubes.end(), [](const Cube& a, const Cube& b) {
     return a.literal_count() < b.literal_count();
   });
-  std::vector<Cube> result;
   for (std::size_t i = 0; i < cubes.size(); ++i) {
+    // cubes[0, i) already hold their reduced forms.
     Cover rest(f.variable_count());
     for (std::size_t j = 0; j < cubes.size(); ++j) {
-      if (j != i) rest.add(j < i ? result[j] : cubes[j]);
+      if (j != i) rest.add(cubes[j]);
     }
-    rest.add_all(dc);
-    // Unique part of cubes[i]: complement of rest, inside cubes[i].
-    const Cover unique = rest.cofactor(cubes[i]).complement();
-    if (unique.empty()) {
-      result.push_back(cubes[i]);  // fully redundant; leave for IRREDUNDANT
-      continue;
+    const Cover on_c = on.cofactor(cubes[i]);
+    const Cover outside = rest.cofactor(cubes[i]).complement();
+    std::optional<Cube> super;
+    for (const Cube& a : on_c.cubes()) {
+      for (const Cube& b : outside.cubes()) {
+        if (auto unique = a.intersect(b)) super = super ? super->supercube_with(*unique) : *unique;
+      }
     }
-    Cube super = unique.cube(0);
-    for (std::size_t k = 1; k < unique.cube_count(); ++k) {
-      super = super.supercube_with(unique.cube(k));
-    }
+    if (!super) continue;  // fully redundant; leave for IRREDUNDANT
     // Pull the supercube back into the subspace of cubes[i].
-    const auto reduced = super.intersect(cubes[i]);
-    result.push_back(reduced ? *reduced : cubes[i]);
+    if (auto reduced = super->intersect(cubes[i])) cubes[i] = std::move(*reduced);
   }
-  return Cover(f.variable_count(), std::move(result));
+  return Cover(f.variable_count(), std::move(cubes));
 }
 
 std::size_t cost(const Cover& f) { return f.literal_count() + f.cube_count(); }
@@ -125,25 +123,21 @@ void check_consistent(const Cover& on, const Cover& blocking) {
   }
 }
 
-/// EXPAND / IRREDUNDANT / (REDUCE, EXPAND, IRREDUNDANT)* on consistent
-/// inputs.
-Cover minimize(const Cover& on, const Cover& blocking, const Cover& dc, MinimizeStats* stats,
-               const EspressoOptions& options) {
+}  // namespace
+
+Cover espresso(const Cover& on, const Cover& blocking, MinimizeStats* stats) {
+  check_consistent(on, blocking);
   if (stats) {
     stats->initial_cubes = on.cube_count();
     stats->initial_literals = on.literal_count();
   }
-  Cover f = expand(on, blocking);
-  f = irredundant(f, dc);
-  std::size_t best_cost = cost(f);
+  Cover f = irredundant(expand(on, blocking), on);
   std::size_t iterations = 0;
-  for (; iterations < options.max_iterations; ++iterations) {
-    Cover candidate = reduce(f, dc);
-    candidate = expand(candidate, blocking);
-    candidate = irredundant(candidate, dc);
-    if (cost(candidate) >= best_cost) break;
-    best_cost = cost(candidate);
+  while (true) {
+    Cover candidate = irredundant(expand(reduce(f, on), blocking), on);
+    if (cost(candidate) >= cost(f)) break;
     f = std::move(candidate);
+    ++iterations;
   }
   if (stats) {
     stats->final_cubes = f.cube_count();
@@ -151,38 +145,6 @@ Cover minimize(const Cover& on, const Cover& blocking, const Cover& dc, Minimize
     stats->iterations = iterations;
   }
   return f;
-}
-
-}  // namespace
-
-Cover dont_care_cover(const Cover& care, bool* capped) {
-  std::optional<Cover> dc = care.complement_capped(kDcComplementCap);
-  if (capped) *capped = !dc.has_value();
-  return dc ? std::move(*dc) : Cover(care.variable_count());
-}
-
-Cover espresso(const Cover& on, const Cover& blocking, MinimizeStats* stats,
-               const EspressoOptions& options) {
-  check_consistent(on, blocking);
-  Cover care = on;
-  care.add_all(blocking);
-  bool capped = false;
-  const Cover dc = dont_care_cover(care, &capped);
-  if (stats) stats->dc_capped = capped ? 1 : 0;
-  return minimize(on, blocking, dc, stats, options);
-}
-
-Cover espresso(const Cover& on, const Cover& blocking, const Cover& dc, MinimizeStats* stats,
-               const EspressoOptions& options) {
-  check_consistent(on, blocking);
-  return minimize(on, blocking, dc, stats, options);
-}
-
-Cover espresso_with_dc(const Cover& on, const Cover& dc, MinimizeStats* stats,
-                       const EspressoOptions& options) {
-  Cover combined = on;
-  combined.add_all(dc);
-  return espresso(on, combined.complement(), stats, options);
 }
 
 }  // namespace punt::logic

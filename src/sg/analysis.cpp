@@ -1,7 +1,6 @@
 #include "src/sg/analysis.hpp"
 
 #include <map>
-#include <ranges>
 #include <set>
 
 namespace punt::sg {
@@ -79,8 +78,7 @@ namespace {
 
 /// One minterm cube per distinct code of `states`, in first-occurrence
 /// order.
-template <typename States>
-logic::Cover cover_of_states(const StateGraph& sg, const States& states) {
+logic::Cover cover_of_states(const StateGraph& sg, const std::vector<std::size_t>& states) {
   std::vector<logic::Cube> cubes;
   cubes.reserve(states.size());
   for (const std::size_t s : states) cubes.push_back(logic::Cube::from_code(sg.code(s)));
@@ -97,10 +95,6 @@ logic::Cover on_cover(const StateGraph& sg, stg::SignalId signal) {
 
 logic::Cover off_cover(const StateGraph& sg, stg::SignalId signal) {
   return cover_of_states(sg, sg.off_set(signal));
-}
-
-logic::Cover reachable_code_cover(const StateGraph& sg) {
-  return cover_of_states(sg, std::views::iota(std::size_t{0}, sg.state_count()));
 }
 
 logic::Cover er_cover(const stg::Stg& stg, const StateGraph& sg, stg::SignalId signal,

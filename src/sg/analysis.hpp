@@ -53,11 +53,6 @@ logic::Cover on_cover(const StateGraph& sg, stg::SignalId signal);
 /// Exact off-set (implied value 0) cover of `signal`.
 logic::Cover off_cover(const StateGraph& sg, stg::SignalId signal);
 
-/// One minterm cube per distinct reachable code, in state order.  For a
-/// signal without a CSC conflict, on_cover ++ off_cover holds exactly these
-/// cubes (in another order).
-logic::Cover reachable_code_cover(const StateGraph& sg);
-
 /// Exact cover of the excitation region ER(+signal) / ER(-signal).
 logic::Cover er_cover(const stg::Stg& stg, const StateGraph& sg, stg::SignalId signal,
                       bool rising);

@@ -13,7 +13,6 @@
 #include "src/stg/generators.hpp"
 #include "src/unfolding/unfolding.hpp"
 #include "src/util/error.hpp"
-#include "src/util/xorshift.hpp"
 
 namespace punt {
 namespace {
@@ -114,15 +113,6 @@ TEST(Espresso, StatsAreFilled) {
   EXPECT_EQ(stats.final_literals, 1u);  // f = a
 }
 
-TEST(Espresso, IterationCapRespected) {
-  logic::Cover on(2), off(2);
-  on.add(logic::Cube::from_string("11"));
-  off.add(logic::Cube::from_string("00"));
-  logic::EspressoOptions options;
-  options.max_iterations = 0;  // first EXPAND/IRREDUNDANT only
-  EXPECT_NO_THROW(logic::espresso(on, off, nullptr, options));
-}
-
 TEST(Cover, ZeroVariableCovers) {
   logic::Cover zero(0);
   EXPECT_FALSE(zero.tautology());
@@ -131,30 +121,6 @@ TEST(Cover, ZeroVariableCovers) {
   EXPECT_TRUE(one.covers_point({}));
   EXPECT_EQ(one.complement().cube_count(), 0u);
   EXPECT_EQ(zero.complement().cube_count(), 1u);
-}
-
-TEST(Cover, CappedComplementDegradesGracefully) {
-  // A 12-variable parity-ish cover makes the complement large; tiny caps
-  // must return nullopt instead of burning time.
-  logic::Cover f(12);
-  XorShift rng(99);
-  for (int i = 0; i < 40; ++i) {
-    logic::Cube c(12);
-    for (std::size_t v = 0; v < 12; ++v) {
-      const auto r = rng.below(3);
-      c.set(v, r == 0 ? logic::Lit::Zero : (r == 1 ? logic::Lit::One : logic::Lit::DC));
-    }
-    f.add(c);
-  }
-  const auto capped = f.complement_capped(1);
-  if (capped.has_value()) {
-    EXPECT_LE(capped->cube_count(), 1u);  // genuinely tiny complement
-  }
-  const auto full = f.complement();
-  const auto generous = f.complement_capped(1000000);
-  ASSERT_TRUE(generous.has_value());
-  generous->cube_count();  // must be usable
-  EXPECT_EQ(full.cube_count(), generous->cube_count());
 }
 
 TEST(GFormat, InternalAndDummySections) {

@@ -14,12 +14,12 @@
 #include <utility>
 #include <vector>
 
-#include "src/benchmarks/registry.hpp"
 #include "src/core/synthesis.hpp"
 #include "src/logic/cover.hpp"
 #include "src/logic/espresso.hpp"
 #include "src/stg/generators.hpp"
 #include "src/util/xorshift.hpp"
+#include "tests/dc_espresso_reference.hpp"
 
 namespace punt::logic {
 namespace {
@@ -133,6 +133,19 @@ TEST_P(CoverAlgebra, EspressoSoundOnDisjointPair) {
     EXPECT_EQ(min.covers_point(p), f.covers_point(p));
   }
   EXPECT_LE(min.literal_count(), f.literal_count() + 1);
+}
+
+TEST_P(CoverAlgebra, EspressoMatchesTheDcReference) {
+  // A random on/off partition, on = f and off = g minus f, with every
+  // other point free; both phases, cube list for cube list.
+  const Cover& on_set = f;
+  const Cover off = g.intersect(f.complement());
+  for (const auto& [on, blocking] : {std::pair{&on_set, &off}, std::pair{&off, &on_set}}) {
+    const std::optional<Cover> dc = reference::dont_care(*on, *blocking);
+    ASSERT_TRUE(dc.has_value());
+    EXPECT_EQ(espresso(*on, *blocking).cubes(), reference::espresso(*on, *blocking, *dc).cubes())
+        << "seed " << GetParam();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoverAlgebra, ::testing::Range(0, 25));
@@ -467,207 +480,6 @@ TEST(SplittingIntersects, MintermCoversOfASpaceSplitExactly) {
   odd.add(even.cube(300));
   EXPECT_TRUE(even.intersects(odd));
   EXPECT_TRUE(odd.intersects(even));
-}
-
-// --- The complement kernel against the recursion it replaced -----------------
-//
-// reference_rec is the list-per-node recursion Cover::complement ran before
-// the cube-stack kernel (DESIGN.md §6): each node copies its cofactor lists
-// and returns a fresh result list.  It defines the cube lists, in order, and
-// the cap decisions the kernel must reproduce.
-
-struct ReferenceOverflow {};
-
-std::vector<Cube> reference_cofactor(const std::vector<Cube>& cubes, std::size_t v, Lit value) {
-  std::vector<Cube> out;
-  for (const Cube& c : cubes) {
-    const Lit l = c.get(v);
-    if (l == Lit::DC) {
-      out.push_back(c);
-    } else if (l == value) {
-      Cube copy = c;
-      copy.set(v, Lit::DC);
-      out.push_back(std::move(copy));
-    }
-  }
-  return out;
-}
-
-std::vector<Cube> reference_rec(const std::vector<Cube>& cubes, std::size_t n,
-                                std::size_t* budget) {
-  if (budget != nullptr && *budget == 0) throw ReferenceOverflow{};
-  if (cubes.empty()) return {Cube(n)};
-  for (const Cube& c : cubes) {
-    if (c.literal_count() == 0) return {};
-  }
-  if (cubes.size() == 1) {
-    std::vector<Cube> out;
-    cubes.front().for_each_literal([&](std::size_t v, Lit l) {
-      Cube term(n);
-      term.set(v, l == Lit::One ? Lit::Zero : Lit::One);
-      out.push_back(std::move(term));
-    });
-    return out;
-  }
-  std::vector<std::size_t> ones(n, 0);
-  std::vector<std::size_t> zeros(n, 0);
-  for (const Cube& c : cubes) {
-    c.for_each_literal([&](std::size_t v, Lit l) { ++(l == Lit::One ? ones : zeros)[v]; });
-  }
-  // Most binate variable (max of min(ones, zeros), ties by total count),
-  // else the first tested one.
-  constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t v = npos;
-  std::size_t best_min = 0;
-  std::size_t best_total = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    if (ones[u] == 0 || zeros[u] == 0) continue;
-    const std::size_t lo = std::min(ones[u], zeros[u]);
-    if (v == npos || lo > best_min || (lo == best_min && ones[u] + zeros[u] > best_total)) {
-      v = u;
-      best_min = lo;
-      best_total = ones[u] + zeros[u];
-    }
-  }
-  for (std::size_t u = 0; v == npos && u < n; ++u) {
-    if (ones[u] + zeros[u] > 0) v = u;
-  }
-
-  std::vector<Cube> out = reference_rec(reference_cofactor(cubes, v, Lit::Zero), n, budget);
-  std::vector<Cube> hi = reference_rec(reference_cofactor(cubes, v, Lit::One), n, budget);
-  if (budget != nullptr) {
-    const std::size_t produced = out.size() + hi.size();
-    if (produced >= *budget) throw ReferenceOverflow{};
-    *budget -= produced;
-  }
-  const std::size_t lo_count = out.size();
-  for (std::size_t i = 0; i < lo_count; ++i) {
-    if (std::find(hi.begin(), hi.end(), out[i]) == hi.end()) out[i].set(v, Lit::Zero);
-  }
-  for (Cube& c : hi) {
-    const auto lo_end = out.begin() + static_cast<std::ptrdiff_t>(lo_count);
-    if (std::find(out.begin(), lo_end, c) == lo_end) {
-      c.set(v, Lit::One);
-      out.push_back(std::move(c));
-    }
-  }
-  return out;
-}
-
-/// The reference complement under `cap` (single-cube containment applied,
-/// as Cover::complement does), or nullopt when the cap overflows.  *left
-/// receives the budget a successful run did not spend.
-std::optional<Cover> reference_complement(const Cover& f, std::size_t cap,
-                                          std::size_t* left = nullptr) {
-  std::size_t budget = cap;
-  try {
-    Cover out(f.variable_count(), reference_rec(f.cubes(), f.variable_count(), &budget));
-    out.make_irredundant_scc();
-    if (left != nullptr) *left = budget;
-    return out;
-  } catch (const ReferenceOverflow&) {
-    return std::nullopt;
-  }
-}
-
-/// The smallest cap the reference succeeds under, by bisection between 0
-/// (always abandoned) and `succeeds`, a cap it succeeds under.
-std::size_t reference_threshold(const Cover& f, std::size_t succeeds) {
-  std::size_t fails = 0;
-  while (succeeds - fails > 1) {
-    const std::size_t mid = fails + (succeeds - fails) / 2;
-    (reference_complement(f, mid) ? succeeds : fails) = mid;
-  }
-  return succeeds;
-}
-
-/// The kernel's cubes and cap decisions equal the reference's: under
-/// `limit`, uncapped, and at the reference's threshold and just below it.
-/// The threshold is one cube above what the reference spent under `limit`
-/// (the CoverAlgebra test checks that rule against a bisection), verified
-/// on the reference itself.  Returns whether the complement fit under
-/// `limit`.
-bool expect_kernel_matches_reference(const Cover& f, std::size_t limit, const std::string& label) {
-  std::size_t left = 0;
-  const std::optional<Cover> expected = reference_complement(f, limit, &left);
-  const std::optional<Cover> capped = f.complement_capped(limit);
-  EXPECT_EQ(capped.has_value(), expected.has_value()) << label;
-  if (!expected || !capped) return false;
-  EXPECT_TRUE(*capped == *expected) << label << "\nkernel:\n"
-                                    << capped->to_pla() << "reference:\n"
-                                    << expected->to_pla();
-  EXPECT_TRUE(f.complement() == *expected) << label << " (uncapped)";
-  const std::size_t threshold = limit - left + 1;
-  EXPECT_TRUE(reference_complement(f, threshold).has_value()) << label << " at " << threshold;
-  EXPECT_FALSE(reference_complement(f, threshold - 1).has_value())
-      << label << " at " << threshold - 1;
-  EXPECT_TRUE(f.complement_capped(threshold).has_value()) << label << " at " << threshold;
-  EXPECT_FALSE(f.complement_capped(threshold - 1).has_value())
-      << label << " at " << threshold - 1;
-  return true;
-}
-
-TEST_P(CoverAlgebra, ComplementKernelMatchesTheReference) {
-  Cover both = f;
-  both.add_all(g);
-  for (const Cover* cover : {&f, &g, &both}) {
-    const std::string label = "seed " + std::to_string(GetParam());
-    constexpr std::size_t kLimit = std::size_t{1} << 20;
-    EXPECT_TRUE(expect_kernel_matches_reference(*cover, kLimit, label));
-    std::size_t left = 0;
-    ASSERT_TRUE(reference_complement(*cover, kLimit, &left).has_value());
-    EXPECT_EQ(reference_threshold(*cover, kLimit), kLimit - left + 1) << label;
-  }
-}
-
-TEST(ComplementKernel, WideCoversMatchTheReference) {
-  // Cubes wider than the inline words; a few long merges (the hashed
-  // membership test) and some covers past the cap.
-  XorShift rng(2024);
-  std::size_t fitted = 0;
-  std::size_t overflowed = 0;
-  for (int round = 0; round < 60; ++round) {
-    const std::size_t n = round % 3 == 0 ? 70 : (round % 3 == 1 ? 130 : 65);
-    const std::size_t count = 3 + rng.below(8);
-    const Cover f = random_wide_cover(rng, n, count, 93 + rng.below(5));
-    const bool fitted_now =
-        expect_kernel_matches_reference(f, 4000, "round " + std::to_string(round));
-    (fitted_now ? fitted : overflowed) += 1;
-  }
-  EXPECT_GT(fitted, 0u);
-  EXPECT_GT(overflowed, 0u);
-}
-
-TEST(ComplementKernel, DuplicateAndContainedCubesMatchTheReference) {
-  // Repeated cubes reach the kernel's leaves and merges unchanged.
-  XorShift rng(77);
-  for (int round = 0; round < 40; ++round) {
-    const std::size_t n = 6 + rng.below(5);
-    Cover f = random_wide_cover(rng, n, 6 + rng.below(20), 60);
-    const std::size_t repeats = f.cube_count();
-    for (std::size_t i = 0; i < repeats; i += 2) f.add(f.cube(i));
-    expect_kernel_matches_reference(f, std::size_t{1} << 20, "round " + std::to_string(round));
-  }
-}
-
-TEST(ComplementKernel, Table1CareSetsMatchTheReference) {
-  // espresso's DC input: each registry signal's on + off, under its cap.
-  std::size_t capped = 0;
-  for (const auto& bench : benchmarks::table1()) {
-    core::SynthesisOptions options;
-    options.minimize = false;
-    options.throw_on_csc = false;
-    const core::SynthesisResult result = core::synthesize(bench.make(), options);
-    for (const core::SignalImplementation& impl : result.signals) {
-      Cover care = impl.on_cover;
-      care.add_all(impl.off_cover);
-      if (!expect_kernel_matches_reference(care, kDcComplementCap,
-                                           bench.name + "/" + impl.name)) {
-        ++capped;
-      }
-    }
-  }
-  EXPECT_EQ(capped, 1u) << "mp-forward-pkt/a is the one care set past the cap";
 }
 
 TEST(CoverDuplicates, RemoveDuplicatesKeepsFirstOccurrences) {

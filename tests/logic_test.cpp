@@ -309,7 +309,9 @@ TEST(Espresso, WithExplicitDcWrapper) {
   on.add(Cube::from_string("11"));
   dc.add(Cube::from_string("10"));
   dc.add(Cube::from_string("01"));
-  const Cover min = espresso_with_dc(on, dc);
+  Cover care = on;
+  care.add_all(dc);
+  const Cover min = espresso(on, care.complement());
   // off = {00}; one literal covers on within on+dc.
   EXPECT_EQ(min.literal_count(), 1u);
   EXPECT_TRUE(min.contains_cover(on));

@@ -2,7 +2,7 @@
 // counts (results AND failure diagnostics), the batch front end on mixed
 // success/failure workloads, per-entry cancellation after a CSC failure,
 // distinct-key-first model scheduling, the signal index, the set/reset
-// MinimizeStats aggregation, and the don't-care sets minimisation shares.
+// MinimizeStats aggregation, and state-graph batches at several job counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +18,6 @@
 #include "src/core/model_cache.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/synthesis.hpp"
-#include "src/logic/espresso.hpp"
-#include "src/sg/analysis.hpp"
 #include "src/stg/generators.hpp"
 #include "src/util/error.hpp"
 #include "src/util/task_graph.hpp"
@@ -511,10 +509,10 @@ TEST(Pipeline, BatchCapturesPerEntryFailures) {
   EXPECT_THROW(std::rethrow_exception(batch.entries[1].exception), CscError);
 }
 
-// --- Shared don't-care sets ----------------------------------------------------
+// --- State-graph batches ---------------------------------------------------------
 
 /// The registry plus Muller pipelines of 4, 9 and 11 stages.
-std::vector<std::pair<std::string, Stg>> dont_care_specs() {
+std::vector<std::pair<std::string, Stg>> state_graph_specs() {
   std::vector<std::pair<std::string, Stg>> specs;
   for (const auto& bench : benchmarks::table1()) specs.emplace_back(bench.name, bench.make());
   for (const std::size_t stages : {4u, 9u, 11u}) {
@@ -523,72 +521,12 @@ std::vector<std::pair<std::string, Stg>> dont_care_specs() {
   return specs;
 }
 
-void expect_same_minimization(const logic::Cover& on, const logic::Cover& off,
-                              const logic::Cover& dc, const std::string& label) {
-  logic::MinimizeStats own_stats;
-  logic::MinimizeStats shared_stats;
-  const logic::Cover own = logic::espresso(on, off, &own_stats);
-  const logic::Cover shared = logic::espresso(on, off, dc, &shared_stats);
-  EXPECT_TRUE(shared == own) << label;
-  EXPECT_EQ(shared_stats.iterations, own_stats.iterations) << label;
-  EXPECT_EQ(shared_stats.final_cubes, own_stats.final_cubes) << label;
-}
-
-TEST(Pipeline, ComplexGatePhasesMinimiseAlikeAgainstOneSharedDc) {
-  // MinimizeTask computes one DC from on + off and minimises both phases
-  // against it; each phase must come out exactly as espresso's own DC
-  // (from on + off, resp. off + on) would have made it.
-  for (const Method method : {Method::UnfoldingApprox, Method::UnfoldingExact}) {
-    for (const auto& bench : benchmarks::table1()) {
-      SynthesisOptions options;
-      options.method = method;
-      options.minimize = false;
-      options.throw_on_csc = false;
-      const SynthesisResult result = synthesize(bench.make(), options);
-      for (const SignalImplementation& impl : result.signals) {
-        if (impl.csc_conflict) continue;
-        logic::Cover care = impl.on_cover;
-        care.add_all(impl.off_cover);
-        const logic::Cover dc = logic::dont_care_cover(care);
-        const std::string label = bench.name + "/" + impl.name +
-                                  (method == Method::UnfoldingExact ? " exact" : " approx");
-        expect_same_minimization(impl.on_cover, impl.off_cover, dc, label + " on");
-        expect_same_minimization(impl.off_cover, impl.on_cover, dc, label + " off");
-      }
-    }
-  }
-}
-
-TEST(Pipeline, StateGraphModelDcIsEverySignalsOwnDc) {
-  SynthesisOptions options;
-  options.method = Method::StateGraph;
-  for (const auto& [name, stg] : dont_care_specs()) {
-    const auto model = SemanticModel::build(stg, options);
-    const SemanticModel::ReachableDontCare& shared = model->reachable_dont_care();
-    for (const stg::SignalId s : model->targets) {
-      const logic::Cover on = sg::on_cover(*model->sgraph, s);
-      const logic::Cover off = sg::off_cover(*model->sgraph, s);
-      if (on.intersects(off)) continue;  // a CSC conflict has no gate to minimise
-      const std::string label = name + "/" + stg.signal_name(s);
-      EXPECT_EQ(on.cube_count() + off.cube_count(), shared.codes) << label;
-      logic::Cover care = on;
-      care.add_all(off);
-      bool capped = false;
-      const logic::Cover own = logic::dont_care_cover(care, &capped);
-      EXPECT_EQ(capped, shared.capped) << label;
-      EXPECT_TRUE(own.contains_cover(shared.cover)) << label;
-      EXPECT_TRUE(shared.cover.contains_cover(own)) << label;
-    }
-  }
-}
-
 TEST(Pipeline, StateGraphBatchAtFourJobsMatchesOneJob) {
-  // Every entry twice through one cache: the repeat reuses the cached model
-  // and its DC, and at four jobs the signals of one model race to compute
-  // that DC first.
+  // Every entry twice through one cache: the repeat reuses the cached
+  // model, and at four jobs the signals of one model run concurrently.
   std::vector<Stg> stgs;
   for (int copy = 0; copy < 2; ++copy) {
-    for (auto& [name, stg] : dont_care_specs()) stgs.push_back(std::move(stg));
+    for (auto& [name, stg] : state_graph_specs()) stgs.push_back(std::move(stg));
   }
   BatchOptions serial;
   serial.synthesis.method = Method::StateGraph;

@@ -36,7 +36,6 @@ Table1Report synthetic_full_report() {
     row.total_seconds = 0.111 * static_cast<double>(p);
     row.literals = 10 + p;
     row.exact_fallbacks = p % 2;
-    row.dc_capped = p % 3 == 0 ? 1 : 0;
     row.paper_total_seconds = registry[p].paper_total_time;
     row.paper_literals = registry[p].paper_literals;
     report.rows.push_back(row);
@@ -167,7 +166,6 @@ TEST(Report, JsonRoundTripPreservesEveryField) {
     EXPECT_DOUBLE_EQ(a.total_seconds, b.total_seconds);
     EXPECT_EQ(a.literals, b.literals);
     EXPECT_EQ(a.exact_fallbacks, b.exact_fallbacks);
-    EXPECT_EQ(a.dc_capped, b.dc_capped);
     EXPECT_DOUBLE_EQ(a.paper_total_seconds, b.paper_total_seconds);
     EXPECT_EQ(a.paper_literals, b.paper_literals);
   }
@@ -175,41 +173,22 @@ TEST(Report, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(format_table1(report), format_table1(parsed));
 }
 
-TEST(Report, RowsWithoutDcCappedParseAsUncapped) {
-  // dc_capped is additive to version 1: a report written before it existed
-  // still parses and merges, with no capped signals.
-  std::string json = to_json(synthetic_full_report());
-  for (std::size_t at; (at = json.find("\"dc_capped\": ")) != std::string::npos;) {
-    json.erase(at, json.find(", ", at) + 2 - at);
+TEST(Report, RowsCarryingDcCappedStillParse) {
+  // Reports written while espresso still capped its don't-care complement
+  // carry a per-row "dc_capped" count; the reader ignores it, so they still
+  // parse and merge.
+  const Table1Report report = synthetic_full_report();
+  std::string json = to_json(report);
+  const std::string old_field = "\"dc_capped\": 1, ";
+  for (std::size_t at = json.find("\"paper_total_seconds\""); at != std::string::npos;
+       at = json.find("\"paper_total_seconds\"", at + old_field.size() + 1)) {
+    json.insert(at, old_field);
   }
+  ASSERT_NE(json.find(old_field), std::string::npos);
   const Table1Report parsed = report_from_json(json);
-  ASSERT_FALSE(parsed.rows.empty());
-  for (const Table1Row& row : parsed.rows) EXPECT_EQ(row.dc_capped, 0u) << row.name;
+  ASSERT_EQ(parsed.rows.size(), report.rows.size());
+  EXPECT_EQ(format_table1(parsed), format_table1(report));
   EXPECT_EQ(merge_reports({parsed}).rows.size(), parsed.rows.size());
-}
-
-TEST(Report, MpForwardPktReportsItsOneCappedDontCareSet) {
-  // Signal a's on + off has a complement past kDcComplementCap, so its
-  // minimisation runs with an empty DC; every other signal gets its DC.
-  const auto& registry = table1();
-  const auto it = std::find_if(registry.begin(), registry.end(),
-                               [](const Benchmark& b) { return b.name == "mp-forward-pkt"; });
-  ASSERT_NE(it, registry.end());
-  const Shard shard{0, 1};
-  const std::vector<punt::stg::Stg> stgs = {it->make()};
-  const core::BatchResult batch = core::synthesize_batch(stgs, {});
-  ASSERT_TRUE(batch.entries[0].ok) << batch.entries[0].error;
-  std::vector<std::string> capped;
-  for (const core::SignalImplementation& impl : batch.entries[0].result.signals) {
-    if (impl.min_stats.dc_capped != 0) capped.push_back(impl.name);
-  }
-  EXPECT_EQ(capped, std::vector<std::string>{"a"});
-
-  const std::size_t position = static_cast<std::size_t>(it - registry.begin());
-  const Table1Report report = make_report(shard, {position}, batch);
-  ASSERT_EQ(report.rows.size(), 1u);
-  EXPECT_EQ(report.rows[0].dc_capped, 1u);
-  EXPECT_NE(format_table1(report).find("| ok (dc capped)\n"), std::string::npos);
 }
 
 TEST(Report, FromJsonRejectsForeignPayloads) {
@@ -477,9 +456,6 @@ TEST(Report, FormatShowsPaperColumnsAndErrors) {
   EXPECT_NE(table.find("papLit"), std::string::npos);
   EXPECT_NE(table.find("CapacityError"), std::string::npos);
   EXPECT_NE(table.find("failures 1"), std::string::npos);
-  // Row 3 has an exact fallback and a capped DC, row 6 only the cap.
-  EXPECT_NE(table.find("| ok (exact fallback, dc capped)\n"), std::string::npos);
-  EXPECT_NE(table.find("| ok (dc capped)\n"), std::string::npos);
   EXPECT_NE(table.find("| ok (exact fallback)\n"), std::string::npos);
   // Every registry entry has a row, failed or not.
   for (const auto& bench : table1()) {
