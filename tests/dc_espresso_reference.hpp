@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/logic/cover.hpp"
@@ -182,9 +183,8 @@ inline Cover reduce(const Cover& f, const Cover& dc) {
       if (j != i) rest.add(j < i ? result[j] : cubes[j]);
     }
     rest.add_all(dc);
-    const Cover cofactor = rest.cofactor(cubes[i]);
-    Cover unique(f.variable_count(),
-                 complement_rec(cofactor.cubes(), f.variable_count(), nullptr));
+    const Cover rest_c = rest.cofactor(cubes[i]);
+    Cover unique(f.variable_count(), complement_rec(rest_c.cubes(), f.variable_count(), nullptr));
     unique.make_irredundant_scc();
     if (unique.empty()) {
       result.push_back(cubes[i]);
