@@ -11,6 +11,9 @@
 // A change that alters equations on purpose regenerates the file: on any
 // mismatch the test writes the complete fresh set to
 // `equations.golden.actual` in its working directory.
+//
+// A second test feeds every espresso input of the same runs to espresso and
+// to the DC-based reference in tests/dc_espresso_reference.hpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
