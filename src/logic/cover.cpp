@@ -144,6 +144,7 @@ std::vector<Cube> complement_rec(const std::vector<Cube>& cubes, ColumnStats& st
   for (std::size_t i = 0; i < lo_count; ++i) {
     if (std::find(hi.begin(), hi.end(), out[i]) == hi.end()) out[i].set(v, Lit::Zero);
   }
+  out.reserve(lo_count + hi.size());
   for (Cube& c : hi) {
     const auto lo_end = out.begin() + static_cast<std::ptrdiff_t>(lo_count);
     if (std::find(out.begin(), lo_end, c) == lo_end) {
