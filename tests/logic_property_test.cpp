@@ -505,6 +505,62 @@ TEST(SplittingIntersects, MintermCoversOfASpaceSplitExactly) {
   EXPECT_TRUE(odd.intersects(even));
 }
 
+// --- The complement kernel against the reference recursion ------------------
+//
+// reference::complement_rec (tests/dc_espresso_reference.hpp) is the
+// list-per-node recursion the DC reference builds its don't-care sets with.
+// Cover::complement runs the same recursion (DESIGN.md §6), so both give
+// the same cube lists, in order: the reference's DC is the cover production
+// code would compute from the same care set.
+
+/// Cover::complement's cubes equal the reference's wherever the reference
+/// fits under `limit`.  Returns whether it fit.
+bool expect_kernel_matches_reference(const Cover& f, std::size_t limit, const std::string& label) {
+  const std::optional<Cover> expected = reference::complement(f, limit);
+  if (!expected) return false;
+  const Cover kernel = f.complement();
+  EXPECT_TRUE(kernel == *expected) << label << "\nkernel:\n"
+                                   << kernel.to_pla() << "reference:\n"
+                                   << expected->to_pla();
+  return true;
+}
+
+TEST_P(CoverAlgebra, ComplementKernelMatchesTheReference) {
+  Cover both = f;
+  both.add_all(g);
+  for (const Cover* cover : {&f, &g, &both}) {
+    EXPECT_TRUE(expect_kernel_matches_reference(*cover, std::size_t{1} << 20,
+                                                "seed " + std::to_string(GetParam())));
+  }
+}
+
+TEST(ComplementKernel, WideCoversMatchTheReference) {
+  // Cubes wider than the inline words.  Complements past the reference's
+  // cap are too large to compare here and are skipped.
+  XorShift rng(2024);
+  std::size_t fitted = 0;
+  for (int round = 0; round < 60; ++round) {
+    const std::size_t n = round % 3 == 0 ? 70 : (round % 3 == 1 ? 130 : 65);
+    const std::size_t count = 3 + rng.below(8);
+    const Cover f = random_wide_cover(rng, n, count, 93 + rng.below(5));
+    if (expect_kernel_matches_reference(f, 4000, "round " + std::to_string(round))) ++fitted;
+  }
+  EXPECT_GT(fitted, 0u);
+}
+
+TEST(ComplementKernel, DuplicateAndContainedCubesMatchTheReference) {
+  // Repeated cubes reach the recursion's leaves and merges unchanged.
+  XorShift rng(77);
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t n = 6 + rng.below(5);
+    Cover f = random_wide_cover(rng, n, 6 + rng.below(20), 60);
+    const std::size_t repeats = f.cube_count();
+    for (std::size_t i = 0; i < repeats; i += 2) f.add(f.cube(i));
+    EXPECT_TRUE(expect_kernel_matches_reference(f, std::size_t{1} << 20,
+                                                "round " + std::to_string(round)));
+  }
+}
+
 TEST(CoverDuplicates, RemoveDuplicatesKeepsFirstOccurrences) {
   XorShift rng(9);
   for (const std::size_t n : {5, 70}) {
