@@ -17,42 +17,41 @@ bool has_event(std::span<const std::uint64_t> row, std::size_t f) {
   return ((row[f >> 6] >> (f & 63)) & 1u) != 0;
 }
 
-/// The events as a bitset over event ids, to AND with co_events rows.
-Bitset event_bits(const unf::Unfolding& unf, const std::vector<unf::EventId>& events) {
-  Bitset bits(unf.event_count());
-  for (const unf::EventId f : events) bits.set(f.index());
-  return bits;
-}
-
-/// Signals owning an event in `events` that is concurrent with `c`:
-/// co_events(c) & events folded into a bitset over signal indices (⊥ and
-/// dummies own none).
-Bitset concurrent_signals(const unf::Unfolding& unf, unf::ConditionId c,
-                          const Bitset& events) {
-  const std::span<const std::uint64_t> co = unf.co_events(c);
-  const std::vector<std::uint64_t>& in = events.words();
-  Bitset out(unf.stg().signal_count());
-  for (std::size_t w = 0; w < co.size(); ++w) {
-    for (std::uint64_t word = co[w] & in[w]; word != 0; word &= word - 1) {
-      const unf::EventId f(static_cast<std::uint32_t>(w * 64 + __builtin_ctzll(word)));
-      const stg::Label* label = unf.label(f);
-      if (label != nullptr && !label->dummy) out.set(label->signal.index());
+/// Signals owning an event of the set whose w-th word is word(w), as a
+/// bitset over signal indices (⊥ and dummies own none).
+template <typename Word>
+Bitset signals_of(const unf::Unfolding& unf, Word word) {
+  const std::size_t n = unf.stg().signal_count();
+  std::vector<std::uint64_t> out((n + 63) / 64, 0);
+  // Each pass folds 128 signals into two registers, without a branch: a
+  // signal outside the pass, and the invalid id of ⊥ and dummies, wraps to
+  // an offset past both words.
+  for (std::size_t base = 0; base < n; base += 128) {
+    std::uint64_t lo = 0, hi = 0;
+    for (std::size_t w = 0; w < unf.event_words(); ++w) {
+      for (std::uint64_t bits = word(w); bits != 0; bits &= bits - 1) {
+        const unf::EventId f(static_cast<std::uint32_t>(w * 64 + __builtin_ctzll(bits)));
+        const std::size_t s = unf.signal_of(f).index() - base;
+        const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+        lo |= s < 64 ? bit : 0;
+        hi |= s - 64 < 64 ? bit : 0;
+      }
     }
+    out[base / 64] = lo;
+    if (base / 64 + 1 < out.size()) out[base / 64 + 1] = hi;
   }
-  return out;
+  return Bitset::from_words(n, std::move(out));
 }
 
-/// Cube from `code` with the signals in `dc` dashed out.
-Cube cube_with_dc(const stg::Code& code, const Bitset& dc) {
-  Cube cube = Cube::from_code(code);
-  dc.for_each([&cube](std::size_t s) { cube.set(s, Lit::DC); });
-  return cube;
+/// The code of `e` with the signals in `dc` dashed out.
+Cube code_cube(const unf::Unfolding& unf, unf::EventId e, const Bitset& dc) {
+  return Cube::from_bits(unf.code_bits(e), dc.words(), unf.stg().signal_count());
 }
 
 /// The MR cube of `c`: its producer's code with DC at the signals owning an
 /// event in `events` concurrent with `c`.
 Cube mr_cube(const unf::Unfolding& unf, unf::ConditionId c, const Bitset& events) {
-  return cube_with_dc(unf.code(unf.producer(c)), concurrent_signals(unf, c, events));
+  return code_cube(unf, unf.producer(c), concurrent_signals(unf, {c}, events).front());
 }
 
 /// Events that fire strictly after `element` in every run containing both:
@@ -62,34 +61,33 @@ Bitset events_after(const unf::Unfolding& unf, const SliceElement& element) {
   const unf::EventId origin =
       element.is_event ? element.event : unf.producer(element.condition);
   Bitset out(unf.event_count());
-  for (std::size_t i = 0; i < unf.event_count(); ++i) {
-    const unf::EventId f(static_cast<std::uint32_t>(i));
-    if (f == origin || !unf.precedes(origin, f)) continue;
-    if (!element.is_event && has_event(unf.co_events(element.condition), i)) continue;
-    out.set(i);
-  }
+  out |= unf.successors(origin);
+  out.reset(origin.index());
+  if (!element.is_event) out.subtract(unf.co_events(element.condition));
   return out;
 }
 
 /// restricted_next_cover, given the plain don't-care signals of `c`.
 Cover restricted_cover(const unf::Unfolding& unf, unf::ConditionId c, unf::EventId bound,
                        const Bitset& plain_dc) {
-  const stg::Code& base = unf.code(unf.producer(c));
+  const unf::EventId producer = unf.producer(c);
+  const stg::Code& base = unf.code(producer);
+  const Cube plain = code_cube(unf, producer, plain_dc);
   Cover out(base.size());
   for (const unf::ConditionId x : unf.preset(bound)) {
     if (x == c) continue;
     const unf::EventId trigger = unf.producer(x);
-    const stg::Label* label = unf.label(trigger);
-    if (label == nullptr || label->dummy) continue;  // ⊥ or dummy trigger: skip
-    if (unf.precedes(trigger, unf.producer(c))) {
+    const stg::SignalId signal = unf.signal_of(trigger);
+    if (!signal.valid()) continue;  // ⊥ or dummy trigger: skip
+    if (unf.precedes(trigger, producer)) {
       // The trigger fired before `c` came into existence: its signal already
       // holds the fired value in the base code, so pinning it cannot exclude
       // the bound's excitation states.  An unusable term.
       continue;
     }
-    Bitset dc = plain_dc;
-    dc.reset(label->signal.index());  // pin the trigger's signal to not-yet-fired
-    out.add(cube_with_dc(base, dc));
+    Cube cube = plain;  // pin the trigger's signal to not-yet-fired
+    cube.set(signal.index(), base[signal.index()] != 0 ? Lit::One : Lit::Zero);
+    out.add(std::move(cube));
   }
   out.make_irredundant_scc();
   return out;
@@ -112,13 +110,59 @@ std::vector<unf::ConditionId> concurrent_conditions(
 /// The slice events after `element`: the events a refinement MR cube
 /// dashes out (paper §4.3).
 Bitset refinement_candidates(const unf::Unfolding& unf, const SliceElement& element,
-                             const std::vector<unf::EventId>& slice_events) {
-  Bitset candidates = event_bits(unf, slice_events);
-  candidates &= events_after(unf, element);
+                             const Bitset& slice_events) {
+  Bitset candidates = events_after(unf, element);
+  candidates &= slice_events;
   return candidates;
 }
 
 }  // namespace
+
+std::vector<Bitset> concurrent_signals(const unf::Unfolding& unf,
+                                       const std::vector<unf::ConditionId>& conditions,
+                                       const Bitset& events) {
+  // Up to 64 conditions at a time: for each word of events, transposing the
+  // conditions' co words gives, per event of the word, the batch's
+  // conditions concurrent with it; OR-ing those into the event's signal
+  // gives, per signal, the conditions it is a DC of, and transposing back
+  // gives each condition's signal set.  ⊥ and dummies carry the invalid
+  // signal id, which min() maps to bit n, a sink past the last signal.
+  const std::size_t n = unf.stg().signal_count();
+  const std::size_t signal_words = (n + 63) / 64;
+  const std::vector<std::uint64_t>& in = events.words();
+  std::vector<Bitset> out;
+  out.reserve(conditions.size());
+  std::vector<std::uint64_t> by_signal((n / 64 + 1) * 64);
+  std::uint64_t block[64];
+  for (std::size_t first = 0; first < conditions.size(); first += 64) {
+    const std::size_t batch = std::min<std::size_t>(64, conditions.size() - first);
+    std::fill(by_signal.begin(), by_signal.end(), 0);
+    for (std::size_t w = 0; w < unf.event_words(); ++w) {
+      if (in[w] == 0) continue;
+      std::uint64_t any = 0;
+      for (std::size_t k = 0; k < batch; ++k) {
+        block[k] = unf.co_events(conditions[first + k])[w] & in[w];
+        any |= block[k];
+      }
+      if (any == 0) continue;
+      std::fill(block + batch, block + 64, 0);
+      transpose64(block);
+      for (std::uint64_t bits = in[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t b = static_cast<std::size_t>(__builtin_ctzll(bits));
+        const unf::EventId f(static_cast<std::uint32_t>(w * 64 + b));
+        by_signal[std::min<std::size_t>(unf.signal_of(f).index(), n)] |= block[b];
+      }
+    }
+    for (std::size_t g = 0; g < signal_words; ++g) transpose64(by_signal.data() + g * 64);
+    for (std::size_t k = 0; k < batch; ++k) {
+      std::vector<std::uint64_t> words(signal_words);
+      for (std::size_t g = 0; g < signal_words; ++g) words[g] = by_signal[g * 64 + k];
+      if (n % 64 != 0) words.back() &= (std::uint64_t{1} << (n % 64)) - 1;  // the sink
+      out.push_back(Bitset::from_words(n, std::move(words)));
+    }
+  }
+  return out;
+}
 
 logic::Cover ApproxCover::combined(std::size_t variable_count) const {
   std::vector<const Cover*> covers;
@@ -130,26 +174,24 @@ logic::Cover ApproxCover::combined(std::size_t variable_count) const {
 Cube excitation_cover(const unf::Unfolding& unf, unf::EventId entry) {
   // Everything concurrent with the entry can fire while it stays excited, so
   // the ER slice's instances are exactly the events concurrent with it.
-  Bitset dc(unf.stg().signal_count());
-  for (std::size_t i = 1; i < unf.event_count(); ++i) {
-    const unf::EventId f(static_cast<std::uint32_t>(i));
-    const stg::Label* label = unf.label(f);
-    if (label == nullptr || label->dummy) continue;
-    if (unf.co(entry, f)) dc.set(label->signal.index());
+  const Bitset co = unf.co_events(entry);
+  const Bitset dc = signals_of(unf, [&](std::size_t w) { return co.words()[w]; });
+  // The code at the minimal excitation cut: the entry's own edge undone.
+  const std::span<const std::uint64_t> code = unf.code_bits(entry);
+  std::vector<std::uint64_t> before(code.begin(), code.end());
+  if (const stg::SignalId s = unf.signal_of(entry); s.valid()) {
+    before[s.index() / 64] ^= std::uint64_t{1} << (s.index() % 64);
   }
-  return cube_with_dc(unf.excitation_code(entry), dc);
+  return Cube::from_bits(before, dc.words(), unf.stg().signal_count());
 }
 
-Cube mr_cover(const unf::Unfolding& unf, unf::ConditionId c,
-              const std::vector<unf::EventId>& slice_events) {
-  return mr_cube(unf, c, event_bits(unf, slice_events));
+Cube mr_cover(const unf::Unfolding& unf, unf::ConditionId c, const Bitset& slice_events) {
+  return mr_cube(unf, c, slice_events);
 }
 
 Cover restricted_next_cover(const unf::Unfolding& unf, unf::ConditionId c,
-                            unf::EventId bound,
-                            const std::vector<unf::EventId>& slice_events) {
-  return restricted_cover(unf, c, bound,
-                          concurrent_signals(unf, c, event_bits(unf, slice_events)));
+                            unf::EventId bound, const Bitset& slice_events) {
+  return restricted_cover(unf, c, bound, concurrent_signals(unf, {c}, slice_events).front());
 }
 
 std::vector<unf::ConditionId> refining_set(const unf::Unfolding& unf,
@@ -160,8 +202,7 @@ std::vector<unf::ConditionId> refining_set(const unf::Unfolding& unf,
 }
 
 Cube refinement_mr_cover(const unf::Unfolding& unf, unf::ConditionId c,
-                         const SliceElement& element,
-                         const std::vector<unf::EventId>& slice_events) {
+                         const SliceElement& element, const Bitset& slice_events) {
   return mr_cube(unf, c, refinement_candidates(unf, element, slice_events));
 }
 
@@ -179,9 +220,10 @@ bool refine_atom(const unf::Unfolding& unf, const ApproxCover& owner, CoverAtom&
   if (refining.empty()) return false;
 
   const Bitset candidates = refinement_candidates(unf, atom.element, slice_events);
+  const std::vector<Bitset> dc = concurrent_signals(unf, refining, candidates);
   Cover mask(unf.stg().signal_count());
-  for (const unf::ConditionId c : refining) {
-    mask.add(mr_cube(unf, c, candidates));
+  for (std::size_t k = 0; k < refining.size(); ++k) {
+    mask.add(code_cube(unf, unf.producer(refining[k]), dc[k]));
   }
   mask.make_irredundant_scc();
 
@@ -206,8 +248,7 @@ namespace {
 /// (conditions no slice event consumes) so unbounded runs stay covered.
 std::vector<unf::ConditionId> chain_approximation_set(
     const unf::Unfolding& unf, const Slice& slice,
-    const std::vector<unf::EventId>& slice_events,
-    const std::vector<unf::ConditionId>& all_conditions) {
+    const Bitset& slice_events, const std::vector<unf::ConditionId>& all_conditions) {
   std::set<unf::ConditionId> chosen;
   auto deeper = [&unf](unf::ConditionId a, unf::ConditionId b) {
     const std::size_t da = unf.config_size(unf.producer(a));
@@ -248,9 +289,10 @@ std::vector<unf::ConditionId> chain_approximation_set(
   // event (cutoff consumers do not count — their postsets are excluded from
   // approximation sets, so runs effectively park there).
   std::set<unf::EventId> live_consumers;
-  for (const unf::EventId f : slice_events) {
+  slice_events.for_each([&](std::size_t i) {
+    const unf::EventId f(static_cast<std::uint32_t>(i));
     if (!unf.is_initial(f) && !unf.is_cutoff(f)) live_consumers.insert(f);
-  }
+  });
   for (const unf::EventId g : slice.bounds) {
     if (!unf.is_cutoff(g)) live_consumers.insert(g);
   }
@@ -279,8 +321,7 @@ ApproxCover approximate_cover(const unf::Unfolding& unf, stg::SignalId signal,
   for (std::size_t si = 0; si < out.slices.size(); ++si) {
     const Slice& slice = out.slices[si];
     out.slice_event_sets.push_back(slice_events(unf, slice));
-    const auto& events = out.slice_event_sets.back();
-    const Bitset event_set = event_bits(unf, events);
+    const Bitset& events = out.slice_event_sets.back();
 
     // C*e of the entry (absent for the ⊥ slice, paper §4.2).
     if (!unf.is_initial(slice.entry)) {
@@ -305,34 +346,32 @@ ApproxCover approximate_cover(const unf::Unfolding& unf, stg::SignalId signal,
             ? all_conditions
             : chain_approximation_set(unf, slice, events, all_conditions);
 
-    for (const unf::ConditionId c : pa) {
+    const std::vector<Bitset> plain = concurrent_signals(unf, pa, events);
+    for (std::size_t k = 0; k < pa.size(); ++k) {
+      const unf::ConditionId c = pa[k];
       // A bound that can be enabled while c is marked makes every such
       // marking an opposite-set state; its excitation markings must be
       // excluded from c's MR cover (paper §4.2, generalised: the bound is
       // "compatible" when c feeds it or is concurrent with its whole
-      // preset).
+      // preset, i.e. with the bound itself).
+      const std::span<const std::uint64_t> co = unf.co_events(c);
       std::vector<unf::EventId> compatible_bounds;
       for (const unf::EventId g : slice.bounds) {
-        bool compatible = true;
-        for (const unf::ConditionId x : unf.preset(g)) {
-          if (x != c && !unf.co(c, x)) {
-            compatible = false;
-            break;
-          }
+        const auto& pre = unf.preset(g);
+        if (has_event(co, g.index()) || std::find(pre.begin(), pre.end(), c) != pre.end()) {
+          compatible_bounds.push_back(g);
         }
-        if (compatible) compatible_bounds.push_back(g);
       }
-      const Bitset plain_dc = concurrent_signals(unf, c, event_set);
       CoverAtom atom;
       atom.element = SliceElement::of(c);
       atom.slice_index = si;
       if (compatible_bounds.empty()) {
         atom.cover = Cover(unf.stg().signal_count());
-        atom.cover.add(cube_with_dc(unf.code(unf.producer(c)), plain_dc));
+        atom.cover.add(code_cube(unf, unf.producer(c), plain[k]));
       } else {
-        Cover cover = restricted_cover(unf, c, compatible_bounds.front(), plain_dc);
-        for (std::size_t k = 1; k < compatible_bounds.size(); ++k) {
-          cover = cover.intersect(restricted_cover(unf, c, compatible_bounds[k], plain_dc));
+        Cover cover = restricted_cover(unf, c, compatible_bounds.front(), plain[k]);
+        for (std::size_t b = 1; b < compatible_bounds.size(); ++b) {
+          cover = cover.intersect(restricted_cover(unf, c, compatible_bounds[b], plain[k]));
         }
         if (cover.empty()) continue;  // every marking of c excites some bound
         atom.cover = std::move(cover);
@@ -348,23 +387,20 @@ RefineStats refine_until_disjoint(const unf::Unfolding& unf, ApproxCover& on,
   const std::size_t n = unf.stg().signal_count();
   RefineStats stats;
   std::set<std::pair<std::size_t, std::size_t>> stuck;
+  // Refinement only shrinks atoms and only adds stuck pairs, so the set of
+  // offending, refinable pairs only shrinks: the first one's row never
+  // moves back, and the union of the off atoms as they were at the start
+  // still contains the union of the current ones.  A row that misses the
+  // old union therefore misses every current off atom.
+  const Cover off_start = off.combined(n);
+  std::size_t first_row = 0;
   while (stats.iterations < max_iterations) {
-    // Some on/off atom pair intersects iff the two unions do: single-cube
-    // containment keeps only atom cubes and drops only cubes that lie inside
-    // a kept one (DESIGN.md §5).
-    const Cover off_union = off.combined(n);
-    if (!on.combined(n).intersects(off_union)) {
-      stats.disjoint = true;
-      return stats;
-    }
-
-    // The first offending, still refinable pair in row-major order.  By the
-    // same argument, a row whose atom misses the off union has none.
+    // The first offending, still refinable pair in row-major order.
     std::size_t oi = 0, oj = 0;
     bool found = false;
-    for (std::size_t i = 0; i < on.atoms.size() && !found; ++i) {
+    for (std::size_t i = first_row; i < on.atoms.size() && !found; ++i) {
       const Cover& row = on.atoms[i].cover;
-      if (!row.intersects(off_union)) continue;
+      if (!row.intersects(off_start)) continue;
       for (std::size_t j = 0; j < off.atoms.size(); ++j) {
         if (!row.intersects(off.atoms[j].cover) || stuck.contains({i, j})) continue;
         oi = i;
@@ -373,7 +409,15 @@ RefineStats refine_until_disjoint(const unf::Unfolding& unf, ApproxCover& on,
         break;
       }
     }
-    if (!found) return stats;  // every offending pair is stuck: caller falls back
+    if (!found) {
+      // Disjoint unless some pair still intersects, every such pair stuck
+      // (the caller then falls back).  Some on/off atom pair intersects iff
+      // the two unions do: single-cube containment keeps only atom cubes and
+      // drops only cubes that lie inside a kept one (DESIGN.md §5).
+      stats.disjoint = !on.combined(n).intersects(off.combined(n));
+      return stats;
+    }
+    first_row = oi;
 
     ++stats.iterations;
     const bool a = refine_atom(unf, on, on.atoms[oi], off.signal);

@@ -64,7 +64,7 @@ struct ApproxCover {
   stg::SignalId signal;
   bool value = true;
   std::vector<Slice> slices;
-  std::vector<std::vector<unf::EventId>> slice_event_sets;  // parallel to slices
+  std::vector<Bitset> slice_event_sets;  // slice_events of each slice
   std::vector<CoverAtom> atoms;
 
   /// Union of all atom covers (single-cube containment removed).
@@ -78,11 +78,18 @@ struct ApproxCover {
 /// a d' g').
 logic::Cube excitation_cover(const unf::Unfolding& unf, unf::EventId entry);
 
+/// For each condition of `conditions`, the signals owning a slice instance
+/// concurrent with it — the DC signals of its MR cover — as a bitset over
+/// signal indices.
+std::vector<Bitset> concurrent_signals(const unf::Unfolding& unf,
+                                       const std::vector<unf::ConditionId>& conditions,
+                                       const Bitset& slice_events);
+
 /// Plain MR cover of condition `c`: the code of its producer's local
 /// configuration with DC at signals owning a slice instance concurrent with
 /// `c` (Fig. 4(b): C*mr(p7) = a d g').
 logic::Cube mr_cover(const unf::Unfolding& unf, unf::ConditionId c,
-                     const std::vector<unf::EventId>& slice_events);
+                     const Bitset& slice_events);
 
 /// Restricted MR cover for a condition `c` that can be marked while the
 /// bounding instance `bound` is enabled (c feeds the bound, or is concurrent
@@ -93,8 +100,7 @@ logic::Cube mr_cover(const unf::Unfolding& unf, unf::ConditionId c,
 /// can be pinned (every marking of `c` may excite the bound, so `c`
 /// contributes nothing to this set); the caller then drops the condition.
 logic::Cover restricted_next_cover(const unf::Unfolding& unf, unf::ConditionId c,
-                                   unf::EventId bound,
-                                   const std::vector<unf::EventId>& slice_events);
+                                   unf::EventId bound, const Bitset& slice_events);
 
 /// The refining set P'r for `element` (paper §4.3): every slice condition
 /// concurrent with it.
@@ -106,8 +112,7 @@ std::vector<unf::ConditionId> refining_set(const unf::Unfolding& unf,
 /// slice instance concurrent with `c` *and* causally after `element`
 /// (Fig. 4(c): C^r_mr(p2) = {1001-}).
 logic::Cube refinement_mr_cover(const unf::Unfolding& unf, unf::ConditionId c,
-                                const SliceElement& element,
-                                const std::vector<unf::EventId>& slice_events);
+                                const SliceElement& element, const Bitset& slice_events);
 
 /// One refinement step: intersects the atom's cover with the sum of
 /// restricted MR covers over P'r (Fig. 4(c): refining the d e' cover of p5

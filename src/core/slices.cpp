@@ -18,7 +18,6 @@ std::vector<Slice> signal_slices(const unf::Unfolding& unf, stg::SignalId signal
     Slice slice;
     slice.entry = e;
     slice.bounds = unf.next_instances(e);
-    slice.min_cut = unf.min_excitation_cut(e);
     slice.on_value = value;
     out.push_back(std::move(slice));
   }
@@ -29,38 +28,34 @@ std::vector<Slice> signal_slices(const unf::Unfolding& unf, stg::SignalId signal
     Slice slice;
     slice.entry = unf::Unfolding::initial_event();
     slice.bounds = unf.first_instances(signal);
-    slice.min_cut = unf.min_stable_cut(slice.entry);
     slice.on_value = value;
     out.push_back(std::move(slice));
   }
   return out;
 }
 
-std::vector<unf::EventId> slice_events(const unf::Unfolding& unf, const Slice& slice) {
-  std::vector<unf::EventId> out;
-  for (std::size_t i = 0; i < unf.event_count(); ++i) {
-    const unf::EventId f(static_cast<std::uint32_t>(i));
-    if (!unf.precedes(slice.entry, f) && !unf.co(slice.entry, f)) continue;
-    bool past_bound = false;
-    for (const unf::EventId g : slice.bounds) {
-      if (unf.precedes(g, f)) {
-        past_bound = true;
-        break;
-      }
-    }
-    if (!past_bound) out.push_back(f);
-  }
-  return out;
+Bitset slice_min_cut(const unf::Unfolding& unf, const Slice& slice) {
+  return unf.is_initial(slice.entry) ? unf.min_stable_cut(slice.entry)
+                                     : unf.min_excitation_cut(slice.entry);
+}
+
+Bitset slice_events(const unf::Unfolding& unf, const Slice& slice) {
+  Bitset events = unf.co_events(slice.entry);
+  events |= unf.successors(slice.entry);
+  for (const unf::EventId g : slice.bounds) events.subtract(unf.successors(g));
+  return events;
 }
 
 std::vector<unf::ConditionId> slice_conditions(const unf::Unfolding& unf,
-                                               const Slice& slice,
-                                               const std::vector<unf::EventId>& events) {
+                                               const Slice& slice, const Bitset& events) {
+  Bitset sequential = events;  // sequential to the entry only
+  sequential &= unf.successors(slice.entry);
   std::vector<unf::ConditionId> out;
-  for (const unf::EventId f : events) {
-    if (!unf.precedes(slice.entry, f)) continue;  // sequential to the entry only
-    for (const unf::ConditionId c : unf.postset(f)) out.push_back(c);
-  }
+  sequential.for_each([&](std::size_t f) {
+    for (const unf::ConditionId c : unf.postset(unf::EventId(static_cast<std::uint32_t>(f)))) {
+      out.push_back(c);
+    }
+  });
   return out;
 }
 
@@ -118,7 +113,7 @@ SliceStates enumerate_slice(const unf::Unfolding& unf, stg::SignalId signal,
     queue.emplace_back(cut, code);
   };
 
-  try_enqueue(slice.min_cut, min_code);
+  try_enqueue(slice_min_cut(unf, slice), min_code);
   while (!queue.empty()) {
     auto [cut, code] = std::move(queue.front());
     queue.pop_front();

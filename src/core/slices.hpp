@@ -28,9 +28,6 @@ struct Slice {
   /// next(entry): the same-signal instances bounding the slice (empty when
   /// every continuation deadlocks or leaves through a cutoff).
   std::vector<unf::EventId> bounds;
-  /// The slice's min-cut: the entry's minimal excitation cut (its minimal
-  /// stable cut when entry is ⊥).
-  Bitset min_cut;
   /// Value the signal's implementation must produce inside the slice.
   bool on_value = true;
 };
@@ -41,19 +38,22 @@ struct Slice {
 std::vector<Slice> signal_slices(const unf::Unfolding& unf, stg::SignalId signal,
                                  bool value);
 
-/// Events belonging to the slice: instances that can fire between the
-/// min-cut and a max-cut — concurrent with or causally after the entry and
-/// not past any bounding instance.  The entry itself is included; bounds are
-/// not.
-std::vector<unf::EventId> slice_events(const unf::Unfolding& unf, const Slice& slice);
+/// The slice's min-cut: the entry's minimal excitation cut, or its minimal
+/// stable cut when the entry is ⊥.
+Bitset slice_min_cut(const unf::Unfolding& unf, const Slice& slice);
+
+/// Events belonging to the slice, as a bitset over event ids: instances that
+/// can fire between the min-cut and a max-cut — concurrent with or causally
+/// after the entry and not past any bounding instance.  The entry itself is
+/// included; bounds are not.
+Bitset slice_events(const unf::Unfolding& unf, const Slice& slice);
 
 /// Conditions of the slice that are *sequential to the entry*: produced by a
-/// slice event causally at-or-after the entry.  These are the candidates for
-/// the approximation set P'a (paper §4.2).  `events` is slice_events(unf,
-/// slice), which callers compute once per slice.
+/// slice event causally at-or-after the entry, in ascending producer order.
+/// These are the candidates for the approximation set P'a (paper §4.2).
+/// `events` is slice_events(unf, slice), which callers compute once per slice.
 std::vector<unf::ConditionId> slice_conditions(const unf::Unfolding& unf,
-                                               const Slice& slice,
-                                               const std::vector<unf::EventId>& events);
+                                               const Slice& slice, const Bitset& events);
 
 /// Result of exact cut enumeration over one slice.
 struct SliceStates {

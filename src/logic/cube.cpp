@@ -50,6 +50,35 @@ Cube Cube::from_code(const std::vector<std::uint8_t>& code) {
   return out;
 }
 
+namespace {
+
+/// Bit i of the low 32 bits of x, moved to bit 2i.
+std::uint64_t spread_pairs(std::uint64_t x) {
+  x &= 0x00000000FFFFFFFFULL;
+  x = (x | (x << 16)) & 0x0000FFFF0000FFFFULL;
+  x = (x | (x << 8)) & 0x00FF00FF00FF00FFULL;
+  x = (x | (x << 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  x = (x | (x << 2)) & 0x3333333333333333ULL;
+  return (x | (x << 1)) & 0x5555555555555555ULL;
+}
+
+}  // namespace
+
+Cube Cube::from_bits(std::span<const std::uint64_t> values, std::span<const std::uint64_t> dc,
+                     std::size_t variable_count) {
+  Cube out(variable_count);
+  std::uint64_t* w = out.words();
+  for (std::size_t first = 0; first < variable_count; first += kPairsPerWord) {
+    const std::uint64_t v = values[first / 64] >> (first % 64);
+    std::uint64_t d = dc[first / 64] >> (first % 64);
+    // Pairs past the last variable stay DC.
+    if (variable_count - first < kPairsPerWord) d |= ~std::uint64_t{0} << (variable_count - first);
+    // A pair's high bit is set for One and DC, its low bit for Zero and DC.
+    w[first / kPairsPerWord] = (spread_pairs(v | d) << 1) | spread_pairs(~v | d);
+  }
+  return out;
+}
+
 std::optional<Cube> Cube::intersect(const Cube& other) const {
   if (!intersects(other)) return std::nullopt;
   Cube out(*this);

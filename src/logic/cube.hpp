@@ -15,6 +15,7 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,6 +59,11 @@ class Cube {
 
   /// The minterm cube of a binary code (every variable a constant).
   static Cube from_code(const std::vector<std::uint8_t>& code);
+  /// The minterm cube of the code whose variable v is bit v%64 of
+  /// values[v/64], with every variable set in `dc` (same layout) raised to
+  /// DC.  Both spans hold at least (variable_count + 63) / 64 words.
+  static Cube from_bits(std::span<const std::uint64_t> values,
+                        std::span<const std::uint64_t> dc, std::size_t variable_count);
 
   std::size_t size() const { return size_; }
 

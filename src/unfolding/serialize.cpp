@@ -272,7 +272,7 @@ Unfolding read_unfolding(util::BinaryReader& in, std::shared_ptr<const stg::Stg>
       }
     }
   }
-  unf.build_co_rows();  // derived from co_, so not part of the payload
+  unf.build_rows();  // derived data, so not part of the payload
   return unf;
 }
 

@@ -140,30 +140,22 @@ class Unfolder {
       unf_.consumers_[c.index()].push_back(e);
     }
 
-    // Binary code of [e] — also verifies consistency along this run.
-    stg::Code code = unf_.code_of_config(unf_.configs_[e.index()]);
+    // One pass over [e] in ascending id, a topological order (DESIGN.md §5):
+    // firing each event's transition gives the code of [e] (and verifies
+    // consistency along this run), and the token game on conditions gives
+    // its cut, less e's postset, which does not exist yet.
+    stg::Code code = stg_.initial_code();
+    Bitset cut(unf_.condition_count());
+    unf_.configs_[e.index()].for_each([&](std::size_t f) {
+      for (const ConditionId c : unf_.e_pre_[f]) cut.reset(c.index());
+      for (const ConditionId c : unf_.e_post_[f]) cut.set(c.index());
+      if (f != 0) stg_.apply(unf_.transitions_[f], code);
+    });
     unf_.codes_.push_back(code);
-
-    // Conditions concurrent with e: concurrent with every input of e.
-    Bitset co_base(unf_.condition_count());
-    if (!cand.preset.empty()) {
-      const ConditionId first = cand.preset.front();
-      for (std::size_t d = 0; d < unf_.condition_count(); ++d) {
-        const ConditionId cd(static_cast<std::uint32_t>(d));
-        bool ok = true;
-        for (const ConditionId x : cand.preset) {
-          if (!unf_.co(cd, x)) {
-            ok = false;
-            break;
-          }
-        }
-        (void)first;
-        if (ok) co_base.set(d);
-      }
-    }
 
     // Postset conditions (cutoff events keep theirs: their final cuts bound
     // slices, per paper §4.1).
+    Bitset co_base = concurrent_with(cand.preset);
     std::vector<ConditionId> created;
     for (const pn::PlaceId p : stg_.net().post(cand.transition)) {
       co_base.resize(unf_.condition_count());
@@ -173,7 +165,8 @@ class Unfolder {
     }
 
     // Final state of [e] and safeness check.
-    const Bitset cut = unf_.cut_of_config(unf_.configs_[e.index()]);
+    cut.resize(unf_.condition_count());
+    for (const ConditionId c : created) cut.set(c.index());
     pn::Marking marking = unf_.marking_of_cut(cut);
     if (options_.capacity != 0 && marking.max_tokens() > options_.capacity) {
       throw CapacityError("the cut of instance " + unf_.event_name(e) +
@@ -212,6 +205,29 @@ class Unfolder {
       return;  // postset exists but generates no extensions
     }
     for (const ConditionId c : created) index_and_scan(c);
+  }
+
+  /// The conditions concurrent with every condition of `preset` (sorted
+  /// ascending, non-empty).  Below the oldest input x that is the AND of the
+  /// inputs' triangular rows; the few conditions created after x are tested
+  /// one by one.
+  Bitset concurrent_with(const std::vector<ConditionId>& preset) const {
+    const ConditionId oldest = preset.front();
+    std::vector<std::uint64_t> words = unf_.co_[oldest.index()].words();
+    for (std::size_t k = 1; k < preset.size(); ++k) {
+      const std::vector<std::uint64_t>& row = unf_.co_[preset[k].index()].words();
+      for (std::size_t w = 0; w < words.size(); ++w) words[w] &= row[w];
+    }
+    Bitset out = Bitset::from_words(oldest.index(), std::move(words));
+    out.resize(unf_.condition_count());
+    for (std::size_t d = oldest.index() + 1; d < unf_.condition_count(); ++d) {
+      const ConditionId cd(static_cast<std::uint32_t>(d));
+      if (std::all_of(preset.begin(), preset.end(),
+                      [&](ConditionId x) { return unf_.co(cd, x); })) {
+        out.set(d);
+      }
+    }
+    return out;
   }
 
   /// Adds `b` to the per-place index and registers every possible extension
@@ -263,11 +279,14 @@ class Unfolder {
     std::sort(sorted.begin(), sorted.end());
     if (!known_presets_.emplace(t, sorted).second) return;
 
-    Bitset config(unf_.event_count());
+    // [e] \ {e}: the union of the producers' local configurations, each
+    // over the events that existed when its producer was added.
+    std::vector<std::uint64_t> words((unf_.event_count() + 63) / 64, 0);
     for (const ConditionId c : sorted) {
-      const Bitset& pc = unf_.configs_[unf_.producer(c).index()];
-      pc.for_each([&config](std::size_t bit) { config.set(bit); });
+      const std::vector<std::uint64_t>& pc = unf_.configs_[unf_.producer(c).index()].words();
+      for (std::size_t w = 0; w < pc.size(); ++w) words[w] |= pc[w];
     }
+    Bitset config = Bitset::from_words(unf_.event_count(), std::move(words));
     const std::size_t size = config.count();  // includes ⊥, excludes e itself
     queue_.push(Candidate{size, t, std::move(sorted), std::move(config)});
   }
@@ -284,7 +303,7 @@ class Unfolder {
 
 Unfolding Unfolding::build(const stg::Stg& stg, const UnfoldOptions& options) {
   Unfolding unf = Unfolder(stg, options).run();
-  unf.build_co_rows();
+  unf.build_rows();
   return unf;
 }
 

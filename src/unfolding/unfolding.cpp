@@ -65,14 +65,32 @@ bool Unfolding::co(EventId e, EventId f) const {
   return true;
 }
 
-void Unfolding::build_co_rows() {
+Bitset Unfolding::co_events(EventId e) const {
+  std::vector<std::uint64_t> words(row_words_, 0);
+  const auto& pre = e_pre_[e.index()];
+  if (!pre.empty()) {
+    const std::span<const std::uint64_t> first = co_events(pre.front());
+    words.assign(first.begin(), first.end());
+    for (std::size_t k = 1; k < pre.size(); ++k) {
+      const std::span<const std::uint64_t> row = co_events(pre[k]);
+      for (std::size_t w = 0; w < row_words_; ++w) words[w] &= row[w];
+    }
+  }
+  return Bitset::from_words(event_count(), std::move(words));
+}
+
+void Unfolding::build_rows() {
   const std::size_t conditions = condition_count();
-  co_row_words_ = (event_count() + 63) / 64;
-  co_rows_.assign(conditions * co_row_words_, 0);
-  // One block of 64 conditions at a time: block[x] holds co(x, c) for the
-  // block's conditions c, so the conditions of the block concurrent with an
-  // event are the AND of block[x] over its preset, one word per event.
+  const std::size_t events = event_count();
+  row_words_ = (events + 63) / 64;
+  code_words_ = (stg_->signal_count() + 63) / 64;
+  rows_.assign((conditions + events) * row_words_ + events * code_words_, 0);
+
+  // co rows, one block of 64 conditions at a time: block[x] holds co(x, c)
+  // for the block's conditions c, so the conditions of the block concurrent
+  // with an event are the AND of block[x] over its preset, one word per event.
   std::vector<std::uint64_t> block(conditions);
+  std::uint64_t tile[64];
   for (std::size_t w = 0; w * 64 < conditions; ++w) {
     const std::size_t lo = w * 64;
     const std::size_t hi = std::min(lo + 64, conditions);
@@ -81,19 +99,53 @@ void Unfolding::build_co_rows() {
       const std::vector<std::uint64_t>& row = co_[x].words();
       block[x] = w < row.size() ? row[w] : 0;
     }
-    for (std::size_t c = lo; c < hi; ++c) {
-      // ...and for c > x in c's.
-      co_[c].for_each([&](std::size_t x) { block[x] |= std::uint64_t{1} << (c - lo); });
+    // ...and for c > x in c's: transposing the block's rows 64 columns at a
+    // time moves bit x of row c to bit c - lo of block[x].
+    for (std::size_t u = 0; u <= w; ++u) {
+      for (std::size_t c = lo; c < lo + 64; ++c) {
+        tile[c - lo] = c < hi && u < co_[c].words().size() ? co_[c].words()[u] : 0;
+      }
+      transpose64(tile);
+      for (std::size_t x = u * 64; x < std::min(u * 64 + 64, conditions); ++x) {
+        block[x] |= tile[x - u * 64];
+      }
     }
-    for (std::size_t e = 1; e < event_count(); ++e) {
+    for (std::size_t e = 1; e < events; ++e) {
       if (e_pre_[e].empty()) continue;
       std::uint64_t concurrent = ~std::uint64_t{0};
       for (const ConditionId x : e_pre_[e]) concurrent &= block[x.index()];
       for (; concurrent != 0; concurrent &= concurrent - 1) {
         const std::size_t c = lo + static_cast<std::size_t>(__builtin_ctzll(concurrent));
-        co_rows_[c * co_row_words_ + e / 64] |= std::uint64_t{1} << (e & 63);
+        rows_[c * row_words_ + e / 64] |= std::uint64_t{1} << (e & 63);
       }
     }
+  }
+
+  // Successor rows, from the last event back: e's successors are e and the
+  // successors of every consumer of its postset.  A consumer has a larger id
+  // than e (ascending id is a topological order), so its row is complete.
+  for (std::size_t e = events; e-- > 0;) {
+    std::uint64_t* row = rows_.data() + (conditions + e) * row_words_;
+    row[e / 64] |= std::uint64_t{1} << (e & 63);
+    for (const ConditionId c : e_post_[e]) {
+      for (const EventId g : consumers_[c.index()]) {
+        const std::span<const std::uint64_t> after = successors(g);
+        for (std::size_t w = 0; w < row_words_; ++w) row[w] |= after[w];
+      }
+    }
+  }
+
+  std::uint64_t* codes = rows_.data() + (conditions + events) * row_words_;
+  for (std::size_t e = 0; e < events; ++e) {
+    for (std::size_t s = 0; s < codes_[e].size(); ++s) {
+      if (codes_[e][s] != 0) codes[e * code_words_ + s / 64] |= std::uint64_t{1} << (s % 64);
+    }
+  }
+
+  signals_.assign(events, stg::SignalId());
+  for (std::size_t e = 1; e < events; ++e) {
+    const stg::Label& l = stg_->label(transitions_[e]);
+    if (!l.dummy) signals_[e] = l.signal;
   }
 }
 
@@ -104,9 +156,7 @@ bool Unfolding::in_conflict(EventId e, EventId f) const {
 std::vector<EventId> Unfolding::instances_of_signal(stg::SignalId signal) const {
   std::vector<EventId> out;
   for (std::size_t i = 1; i < event_count(); ++i) {
-    const EventId e(static_cast<std::uint32_t>(i));
-    const stg::Label* l = label(e);
-    if (l != nullptr && !l->dummy && l->signal == signal) out.push_back(e);
+    if (signals_[i] == signal) out.push_back(EventId(static_cast<std::uint32_t>(i)));
   }
   return out;
 }
@@ -164,19 +214,6 @@ pn::Marking Unfolding::marking_of_cut(const Bitset& cut) const {
   pn::Marking m(stg_->net().place_count());
   cut.for_each([&](std::size_t c) { m.add_token(places_[c]); });
   return m;
-}
-
-stg::Code Unfolding::code_of_config(const Bitset& config_events) const {
-  std::vector<EventId> events;
-  config_events.for_each([&](std::size_t ev) {
-    if (ev != 0) events.push_back(EventId(static_cast<std::uint32_t>(ev)));
-  });
-  std::sort(events.begin(), events.end(), [this](EventId a, EventId b) {
-    return config_sizes_[a.index()] < config_sizes_[b.index()];
-  });
-  stg::Code code = stg_->initial_code();
-  for (const EventId e : events) stg_->apply(transitions_[e.index()], code);
-  return code;
 }
 
 Bitset Unfolding::min_excitation_cut(EventId e) const {

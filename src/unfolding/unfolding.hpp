@@ -132,16 +132,36 @@ class Unfolding {
   /// Concurrency between a condition and an event: c can be marked while e
   /// fires (c co every input of e).
   bool co(ConditionId c, EventId e) const;
-  /// co(c, e) for every event e at once: the words of a bitset over event
-  /// ids (bit e%64 of word e/64), so callers can AND it with other event
-  /// sets word by word.
-  std::span<const std::uint64_t> co_events(ConditionId c) const {
-    return {co_rows_.data() + c.index() * co_row_words_, co_row_words_};
-  }
   /// Concurrency between events (both can fire in one run, unordered).
   bool co(EventId e, EventId f) const;
   /// Conflict: no single run fires both.
   bool in_conflict(EventId e, EventId f) const;
+
+  // --- Relations as word rows (DESIGN.md §5) ------------------------------
+  //
+  // An event set is a row of event_words() 64-bit words: bit f%64 of word
+  // f/64 is event f, so callers combine sets word by word.
+
+  std::size_t event_words() const { return row_words_; }
+  /// co(c, e) for every event e at once.
+  std::span<const std::uint64_t> co_events(ConditionId c) const {
+    return {rows_.data() + c.index() * row_words_, row_words_};
+  }
+  /// co(e, f) for every event f at once: the AND of co_events(x) over e's
+  /// preset (empty for ⊥).  Computed on each call, not stored.
+  Bitset co_events(EventId e) const;
+  /// The causal successors of e, {f : e ≤ f}; e's own bit is set.
+  std::span<const std::uint64_t> successors(EventId e) const {
+    return {rows_.data() + (condition_count() + e.index()) * row_words_, row_words_};
+  }
+  /// The signal e's label drives; invalid for ⊥ and dummy events.
+  stg::SignalId signal_of(EventId e) const { return signals_[e.index()]; }
+  /// code(e) packed one bit per signal: bit s%64 of word s/64 is signal s.
+  std::span<const std::uint64_t> code_bits(EventId e) const {
+    return {rows_.data() + (condition_count() + event_count()) * row_words_ +
+                e.index() * code_words_,
+            code_words_};
+  }
 
   // --- STG-specific queries ---------------------------------------------
 
@@ -164,10 +184,6 @@ class Unfolding {
   /// Maps a cut onto a marking of the original STG.
   pn::Marking marking_of_cut(const Bitset& cut) const;
 
-  /// Fires the configuration from the initial state (topological order);
-  /// throws ImplementabilityError on an inconsistent edge.
-  stg::Code code_of_config(const Bitset& config_events) const;
-
   /// Minimal stable cut of e: the cut of [e] (paper §3.2).
   Bitset min_stable_cut(EventId e) const { return cut_of_config(configs_[e.index()]); }
 
@@ -184,9 +200,9 @@ class Unfolding {
                                   std::shared_ptr<const stg::Stg> stg);
   Unfolding() = default;
 
-  /// Derives co_rows_ from co_ and the event presets.  Called once the
-  /// segment is complete, by build() and by read_unfolding.
-  void build_co_rows();
+  /// Derives rows_ and signals_ from the segment.  Called once the segment
+  /// is complete, by build() and by read_unfolding.
+  void build_rows();
 
   std::shared_ptr<const stg::Stg> stg_;
   UnfoldStats stats_;
@@ -210,11 +226,15 @@ class Unfolding {
   // ids < c; co(a, b) is looked up in the row of the larger id.
   std::vector<Bitset> co_;
 
-  // Condition × event concurrency rows (co_events), co_row_words_ words per
-  // condition in one flat allocation of whole pages (page_allocator.hpp).
-  // Derived from co_, never persisted.
-  std::size_t co_row_words_ = 0;
-  std::vector<std::uint64_t, util::PageAllocator<std::uint64_t>> co_rows_;
+  // Derived rows, never persisted, in one flat allocation of whole pages
+  // (page_allocator.hpp): the condition co rows (co_events) and the event
+  // successor rows (successors), row_words_ words each, then the packed
+  // codes (code_bits), code_words_ words each.
+  std::size_t row_words_ = 0;
+  std::size_t code_words_ = 0;
+  std::vector<std::uint64_t, util::PageAllocator<std::uint64_t>> rows_;
+  // Per event: the signal of its label (signal_of).
+  std::vector<stg::SignalId> signals_;
 };
 
 /// A persistency (semi-modularity) violation found on the segment: firing

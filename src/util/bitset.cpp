@@ -102,6 +102,24 @@ Bitset& Bitset::subtract(const Bitset& other) {
   return *this;
 }
 
+Bitset& Bitset::operator&=(std::span<const std::uint64_t> other) {
+  assert(words_.size() == other.size());
+  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other[i];
+  return *this;
+}
+
+Bitset& Bitset::operator|=(std::span<const std::uint64_t> other) {
+  assert(words_.size() == other.size());
+  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other[i];
+  return *this;
+}
+
+Bitset& Bitset::subtract(std::span<const std::uint64_t> other) {
+  assert(words_.size() == other.size());
+  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other[i];
+  return *this;
+}
+
 bool Bitset::intersects(const Bitset& other) const {
   assert(size_ == other.size_);
   for (std::size_t i = 0; i < words_.size(); ++i) {
@@ -150,6 +168,18 @@ std::size_t Bitset::hash() const {
   h ^= size_;
   h *= 1099511628211ull;
   return static_cast<std::size_t>(h);
+}
+
+void transpose64(std::uint64_t* rows) {
+  // Swap ever smaller off-diagonal blocks: 32×32, then 16×16, down to 1×1.
+  std::uint64_t mask = 0x00000000FFFFFFFFULL;
+  for (int j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (int k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((rows[k] >> j) ^ rows[k | j]) & mask;
+      rows[k | j] ^= t;
+      rows[k] ^= t << j;
+    }
+  }
 }
 
 }  // namespace punt

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,12 @@ class Bitset {
   Bitset& operator^=(const Bitset& other);
   /// this := this AND NOT other.
   Bitset& subtract(const Bitset& other);
+
+  /// The same operations with the words of a bitset of the same size, such
+  /// as a row of a word table.
+  Bitset& operator&=(std::span<const std::uint64_t> other);
+  Bitset& operator|=(std::span<const std::uint64_t> other);
+  Bitset& subtract(std::span<const std::uint64_t> other);
 
   friend Bitset operator&(Bitset a, const Bitset& b) { return a &= b; }
   friend Bitset operator|(Bitset a, const Bitset& b) { return a |= b; }
@@ -105,6 +112,10 @@ class Bitset {
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
 };
+
+/// Transposes a 64×64 bit matrix held as 64 words: bit j of rows[i] trades
+/// places with bit i of rows[j].
+void transpose64(std::uint64_t* rows);
 
 struct BitsetHash {
   std::size_t operator()(const Bitset& b) const { return b.hash(); }

@@ -51,7 +51,7 @@ struct Fig4Fixture {
   Unfolding unf = Unfolding::build(stg);
   SignalId a = *stg.find_signal("a");
   std::vector<Slice> slices = signal_slices(unf, a, true);
-  std::vector<EventId> events;
+  Bitset events;
 
   Fig4Fixture() {
     EXPECT_EQ(slices.size(), 1u);

@@ -78,7 +78,7 @@ TEST(Slices, Fig1MinCutsMatchPaper) {
   std::set<std::set<std::string>> min_cut_places;
   for (const Slice& s : signal_slices(unf, b, true)) {
     std::set<std::string> places;
-    s.min_cut.for_each([&](std::size_t c) {
+    slice_min_cut(unf, s).for_each([&](std::size_t c) {
       places.insert(stg.net().place_name(
           unf.place(unf::ConditionId(static_cast<std::uint32_t>(c)))));
     });
@@ -95,7 +95,7 @@ TEST(Slices, Fig1SliceStatesOfBranchB) {
   const SignalId b = *stg.find_signal("b");
   for (const Slice& s : signal_slices(unf, b, true)) {
     std::set<std::string> places;
-    s.min_cut.for_each([&](std::size_t c) {
+    slice_min_cut(unf, s).for_each([&](std::size_t c) {
       places.insert(stg.net().place_name(
           unf.place(unf::ConditionId(static_cast<std::uint32_t>(c)))));
     });

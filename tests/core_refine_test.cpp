@@ -4,8 +4,8 @@
 //
 // The equivalence suites below pin the word-level derive layer to scalar
 // references: refine_until_disjoint against the all-pairs loop, the
-// concurrency rows against Unfolding::co(c, e), and the approximation
-// primitives against their per-event definitions.
+// segment's word rows against Unfolding::co, precedes and label(), and the
+// approximation primitives against their per-event definitions.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -61,7 +62,7 @@ struct Fig4cFixture {
   Unfolding unf = Unfolding::build(stg);
   SignalId d = *stg.find_signal("d");
   std::vector<Slice> slices = signal_slices(unf, d, true);
-  std::vector<EventId> events;
+  Bitset events;
 
   Fig4cFixture() {
     EXPECT_EQ(slices.size(), 1u);
@@ -288,18 +289,40 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) == ApproxSetPolicy::Full ? "_Full" : "_PaperChains");
     });
 
-/// Number of (condition, event) pairs where the concurrency row disagrees
-/// with the scalar co(c, e).
-std::size_t co_row_mismatches(const Unfolding& unf) {
+bool in_row(std::span<const std::uint64_t> row, std::size_t i) {
+  return ((row[i / 64] >> (i % 64)) & 1u) != 0;
+}
+
+/// Number of entries where a word row disagrees with its scalar definition:
+/// condition co rows against co(c, e), successor rows against precedes(e, f),
+/// event co rows against co(e, f), and signal_of against label().
+std::size_t row_mismatches(const Unfolding& unf) {
   std::size_t mismatches = 0;
+  const std::size_t words = (unf.event_count() + 63) / 64;
+  EXPECT_EQ(unf.event_words(), words);
   for (std::size_t ci = 0; ci < unf.condition_count(); ++ci) {
     const ConditionId c(static_cast<std::uint32_t>(ci));
     const auto row = unf.co_events(c);
-    EXPECT_EQ(row.size(), (unf.event_count() + 63) / 64);
-    for (std::size_t ei = 0; ei < unf.event_count(); ++ei) {
-      const bool in_row = ((row[ei / 64] >> (ei % 64)) & 1u) != 0;
-      if (in_row != unf.co(c, EventId(static_cast<std::uint32_t>(ei)))) ++mismatches;
+    EXPECT_EQ(row.size(), words);
+    for (std::size_t fi = 0; fi < unf.event_count(); ++fi) {
+      if (in_row(row, fi) != unf.co(c, EventId(static_cast<std::uint32_t>(fi)))) ++mismatches;
     }
+  }
+  for (std::size_t ei = 0; ei < unf.event_count(); ++ei) {
+    const EventId e(static_cast<std::uint32_t>(ei));
+    const auto successors = unf.successors(e);
+    const Bitset co = unf.co_events(e);
+    EXPECT_EQ(successors.size(), words);
+    EXPECT_EQ(co.size(), unf.event_count());
+    for (std::size_t fi = 0; fi < unf.event_count(); ++fi) {
+      const EventId f(static_cast<std::uint32_t>(fi));
+      if (in_row(successors, fi) != unf.precedes(e, f)) ++mismatches;
+      if (co.test(fi) != unf.co(e, f)) ++mismatches;
+    }
+    const stg::Label* label = unf.label(e);
+    const stg::SignalId want =
+        label == nullptr || label->dummy ? stg::SignalId() : label->signal;
+    if (unf.signal_of(e) != want) ++mismatches;
   }
   return mismatches;
 }
@@ -311,7 +334,7 @@ TEST_P(CoRows, MatchScalarCoAfterBuildAndAfterDiskLoad) {
   const SynthesisOptions options;
   const auto model = SemanticModel::build(stg, options);
   ASSERT_NE(model->unfolding, nullptr);
-  EXPECT_EQ(co_row_mismatches(*model->unfolding), 0u) << name;
+  EXPECT_EQ(row_mismatches(*model->unfolding), 0u) << name;
 
   // The disk tier does not persist the rows; loading rebuilds them.
   const std::filesystem::path dir =
@@ -328,13 +351,20 @@ TEST_P(CoRows, MatchScalarCoAfterBuildAndAfterDiskLoad) {
   std::filesystem::remove_all(dir);
   ASSERT_NE(loaded, nullptr) << name;
   ASSERT_NE(loaded->unfolding, nullptr);
-  EXPECT_EQ(co_row_mismatches(*loaded->unfolding), 0u) << name;
+  EXPECT_EQ(row_mismatches(*loaded->unfolding), 0u) << name;
   for (std::size_t ci = 0; ci < model->unfolding->condition_count(); ++ci) {
     const ConditionId c(static_cast<std::uint32_t>(ci));
     const auto built = model->unfolding->co_events(c);
     const auto read = loaded->unfolding->co_events(c);
     ASSERT_TRUE(std::equal(built.begin(), built.end(), read.begin(), read.end()))
         << name << " row " << ci;
+  }
+  for (std::size_t ei = 0; ei < model->unfolding->event_count(); ++ei) {
+    const EventId e(static_cast<std::uint32_t>(ei));
+    const auto built = model->unfolding->successors(e);
+    const auto read = loaded->unfolding->successors(e);
+    ASSERT_TRUE(std::equal(built.begin(), built.end(), read.begin(), read.end()))
+        << name << " successors of " << ei;
   }
 }
 
@@ -356,11 +386,61 @@ logic::Cube scalar_mr_cube(const Unfolding& unf, ConditionId c,
   return cube;
 }
 
+/// Scalar concurrent_signals: the signal of every event of `events`
+/// concurrent with c, one co(c, f) query and one label() per event.
+Bitset scalar_concurrent_signals(const Unfolding& unf, ConditionId c,
+                                 const std::vector<EventId>& events) {
+  Bitset out(unf.stg().signal_count());
+  for (const EventId f : events) {
+    const stg::Label* label = unf.label(f);
+    if (label != nullptr && !label->dummy && unf.co(c, f)) out.set(label->signal.index());
+  }
+  return out;
+}
+
 /// Scalar "f fires strictly after `element`".
 bool scalar_after(const Unfolding& unf, const SliceElement& element, EventId f) {
   if (element.is_event) return f != element.event && unf.precedes(element.event, f);
   const EventId producer = unf.producer(element.condition);
   return f != producer && unf.precedes(producer, f) && !unf.co(element.condition, f);
+}
+
+/// Scalar slice_events: every event concurrent with or causally after the
+/// entry and after no bound, one precedes/co query per pair.
+std::vector<EventId> scalar_slice_events(const Unfolding& unf, const Slice& slice) {
+  std::vector<EventId> out;
+  for (std::size_t i = 0; i < unf.event_count(); ++i) {
+    const EventId f(static_cast<std::uint32_t>(i));
+    if (!unf.precedes(slice.entry, f) && !unf.co(slice.entry, f)) continue;
+    bool past_bound = false;
+    for (const EventId g : slice.bounds) {
+      if (unf.precedes(g, f)) {
+        past_bound = true;
+        break;
+      }
+    }
+    if (!past_bound) out.push_back(f);
+  }
+  return out;
+}
+
+/// Scalar excitation_cover: DC at the signal of every event concurrent with
+/// the entry, one co(entry, f) query and one label() per event.
+logic::Cube scalar_excitation_cover(const Unfolding& unf, EventId entry) {
+  logic::Cube cube = logic::Cube::from_code(unf.excitation_code(entry));
+  for (std::size_t i = 1; i < unf.event_count(); ++i) {
+    const EventId f(static_cast<std::uint32_t>(i));
+    const stg::Label* label = unf.label(f);
+    if (label == nullptr || label->dummy) continue;
+    if (unf.co(entry, f)) cube.set(label->signal.index(), logic::Lit::DC);
+  }
+  return cube;
+}
+
+std::vector<EventId> events_of(const Bitset& bits) {
+  std::vector<EventId> out;
+  bits.for_each([&](std::size_t i) { out.push_back(EventId(static_cast<std::uint32_t>(i))); });
+  return out;
 }
 
 class PrimitiveEquivalence : public ::testing::TestWithParam<int> {};
@@ -373,16 +453,31 @@ TEST_P(PrimitiveEquivalence, WordLevelPrimitivesMatchScalarDefinitions) {
       for (const Slice& slice : signal_slices(unf, s, value)) {
         const std::string where = name + "/" + stg.signal_name(s) + " entry " +
                                   unf.event_name(slice.entry);
-        const std::vector<EventId> events = slice_events(unf, slice);
-        const std::vector<ConditionId> conditions = slice_conditions(unf, slice, events);
+        const Bitset event_set = slice_events(unf, slice);
+        const std::vector<EventId> events = events_of(event_set);
+        EXPECT_EQ(events, scalar_slice_events(unf, slice)) << where;
+        if (!unf.is_initial(slice.entry)) {
+          EXPECT_EQ(excitation_cover(unf, slice.entry),
+                    scalar_excitation_cover(unf, slice.entry))
+              << where;
+        }
+        const std::vector<ConditionId> conditions = slice_conditions(unf, slice, event_set);
         std::vector<SliceElement> elements;
         if (!unf.is_initial(slice.entry)) elements.push_back(SliceElement::of(slice.entry));
         // A few condition elements per slice keep the sweep linear in size.
         for (std::size_t k = 0; k < conditions.size(); k += 1 + conditions.size() / 3) {
           elements.push_back(SliceElement::of(conditions[k]));
         }
+        // All of a slice's conditions at once, as approximate_cover folds
+        // them (more than 64 in the larger pipelines' slices).
+        const std::vector<Bitset> dc = concurrent_signals(unf, conditions, event_set);
+        ASSERT_EQ(dc.size(), conditions.size()) << where;
+        for (std::size_t k = 0; k < conditions.size(); ++k) {
+          EXPECT_EQ(dc[k], scalar_concurrent_signals(unf, conditions[k], events))
+              << where << " concurrent signals of " << unf.condition_name(conditions[k]);
+        }
         for (const ConditionId c : conditions) {
-          EXPECT_EQ(mr_cover(unf, c, events),
+          EXPECT_EQ(mr_cover(unf, c, event_set),
                     scalar_mr_cube(unf, c, events, [](EventId) { return true; }))
               << where << " mr " << unf.condition_name(c);
         }
@@ -395,7 +490,7 @@ TEST_P(PrimitiveEquivalence, WordLevelPrimitivesMatchScalarDefinitions) {
           }
           EXPECT_EQ(refining_set(unf, element, slice), scalar_refining) << where;
           for (const ConditionId c : scalar_refining) {
-            EXPECT_EQ(refinement_mr_cover(unf, c, element, events),
+            EXPECT_EQ(refinement_mr_cover(unf, c, element, event_set),
                       scalar_mr_cube(unf, c, events, [&](EventId f) {
                         return scalar_after(unf, element, f);
                       }))

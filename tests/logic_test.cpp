@@ -77,6 +77,30 @@ TEST(Cube, CoversPoint) {
   EXPECT_FALSE(c.covers_point(point({0, 1, 0})));
 }
 
+TEST(Cube, FromBitsMatchesFromCodeWithDcRaised) {
+  // Widths around the word boundaries of both layouts: 32 pairs per cube
+  // word, 64 bits per code word, inline cubes up to 64 variables.
+  XorShift rng(7);
+  for (const std::size_t n : {0, 1, 31, 32, 33, 63, 64, 65, 96, 128, 130}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<std::uint8_t> code(n);
+      std::vector<std::uint64_t> values((n + 63) / 64), dc((n + 63) / 64);
+      for (std::size_t v = 0; v < n; ++v) {
+        code[v] = static_cast<std::uint8_t>(rng.next() & 1u);
+        if (code[v] != 0) values[v / 64] |= std::uint64_t{1} << (v % 64);
+      }
+      Cube want = Cube::from_code(code);
+      for (std::size_t v = 0; v < n; ++v) {
+        if ((rng.next() & 3u) == 0) {
+          dc[v / 64] |= std::uint64_t{1} << (v % 64);
+          want.set(v, Lit::DC);
+        }
+      }
+      EXPECT_EQ(Cube::from_bits(values, dc, n), want) << n << " variables";
+    }
+  }
+}
+
 TEST(Cube, ExprRendering) {
   const std::vector<std::string> names{"a", "b", "c"};
   EXPECT_EQ(Cube::from_string("10-").to_expr(names), "a b'");

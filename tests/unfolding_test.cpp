@@ -4,11 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "src/benchmarks/registry.hpp"
 #include "src/sg/state_graph.hpp"
 #include "src/stg/generators.hpp"
+#include "src/unfolding/serialize.hpp"
 #include "src/unfolding/unfolding.hpp"
+#include "src/util/binio.hpp"
 #include "src/util/error.hpp"
 
 namespace punt::unf {
@@ -351,6 +358,61 @@ TEST(Unfolding, EventNamesReadable) {
   EXPECT_NE(unf.event_name(a_up).find("a+@"), std::string::npos);
   const ConditionId c0(0);
   EXPECT_NE(unf.condition_name(c0).find("@0"), std::string::npos);
+}
+
+/// FNV-1a 64 of write_unfolding's bytes.  The payload holds every event's
+/// transition, pre/postset, local configuration, code, marking and cutoff
+/// image, and the triangular condition co matrix, so equal hashes mean the
+/// unfolder built the same segment.
+std::uint64_t segment_hash(const Unfolding& unf) {
+  util::BinaryWriter out;
+  write_unfolding(unf, out);
+  return util::fnv1a64(out.data());
+}
+
+TEST(Unfolding, SegmentBytesArePinned) {
+  std::vector<std::pair<std::string, Stg>> specs;
+  for (const benchmarks::Benchmark& bench : benchmarks::table1()) {
+    specs.emplace_back(bench.name, bench.make());
+  }
+  specs.emplace_back("muller29", stg::make_muller_pipeline(29));
+  specs.emplace_back("muller44", stg::make_muller_pipeline(44));
+  specs.emplace_back("muller59", stg::make_muller_pipeline(59));
+  specs.emplace_back("cfpp34", stg::make_counterflow_pipeline(16));
+  // Generated before the unfolder computed co_base, codes and markings from
+  // word rows; any change to the segment shows up here.
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"imec-master-read.csc", 0xf13e730fc539ae92u},
+      {"nowick.asn", 0xef813f8bd6f110d2u},
+      {"nowick", 0x1c94a63b4e52ff93u},
+      {"par_4.csc", 0x19a9955481d93109u},
+      {"sis-master-read.csc", 0x3ba3d1a73736ab45u},
+      {"tsbmSIBRK", 0xf1788788e1a7e286u},
+      {"pn_stg_example", 0x02dc9ece30c26f2bu},
+      {"forever_ordered", 0xa35894e94564706eu},
+      {"alloc-outbound", 0x8ace1788b5769065u},
+      {"mp-forward-pkt", 0x2507369e05523c1au},
+      {"nak-pa", 0x8826bdeb2c526204u},
+      {"pe-send-ifc", 0x8548f75cf86cce7bu},
+      {"ram-read-sbuf", 0xae8223a848294185u},
+      {"rcv-setup", 0xc6fba2995b10781bu},
+      {"sbuf-ram-write", 0xfe200221cfb514ccu},
+      {"sbuf-read-ctl.old", 0x4d92020d05080e05u},
+      {"sbuf-read-ctl", 0x2398e9bcd72fdbe1u},
+      {"sbuf-send-ctl", 0x6cd50c8b11bfe9e4u},
+      {"sbuf-send-pkt2", 0x99f626cb13776608u},
+      {"sbuf-send-pkt2.yun", 0x6f5ca261886fcb65u},
+      {"sendr-done", 0xeef36c793737c3b9u},
+      {"muller29", 0x2e4d7132ce317db3u},
+      {"muller44", 0x5d0a07dc2e03c232u},
+      {"muller59", 0xdb845ef7807bff73u},
+      {"cfpp34", 0x72f40f87fe372bdcu},
+  };
+  ASSERT_EQ(pinned.size(), specs.size());
+  for (const auto& [name, stg] : specs) {
+    const std::uint64_t hash = segment_hash(Unfolding::build(stg));
+    EXPECT_EQ(hash, pinned.at(name)) << name << " now hashes to 0x" << std::hex << hash;
+  }
 }
 
 }  // namespace
