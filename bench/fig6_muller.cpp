@@ -8,11 +8,17 @@
 // growth is summarised by the least-squares slope of log(time) against
 // log(signals) over the points it ran.
 //
+// PUNT runs past the paper's 60 signals, up to 120, and the sweep stops
+// after the first point whose PUNT time exceeds a fixed budget.  Each point
+// prints the segment's events and the unfold and derive times, and the
+// sweep ends with the slope of log(derive) against log(events) from 29
+// stages up, where the quadratic terms dominate.
+//
 // The circled dot of Fig. 6 — the 34-signal counterflow pipeline — is
-// reproduced as the final rows.  Set PUNT_BENCH_FULL=1 for larger sweeps.
+// reproduced as the final rows.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,12 +37,27 @@ using punt::core::SynthesisOptions;
 /// states.
 constexpr std::size_t kSgStateThreshold = 5000;
 
-double punt_time(const punt::stg::Stg& stg) {
+/// The sweep stops after the first point whose PUNT time exceeds this.
+constexpr double kPuntBudgetSeconds = 5.0;
+
+/// The derive exponent is fitted over the points with at least this many
+/// stages.
+constexpr std::size_t kFitFromStages = 29;
+
+struct PuntPoint {
+  std::size_t events = 0;
+  double unfold_seconds = 0;
+  double derive_seconds = 0;
+  double total_seconds = 0;
+};
+
+PuntPoint punt_run(const punt::stg::Stg& stg) {
   punt::Stopwatch sw;
   SynthesisOptions options;
   options.method = Method::UnfoldingApprox;
-  (void)punt::core::synthesize(stg, options);
-  return sw.seconds();
+  const punt::core::SynthesisResult result = punt::core::synthesize(stg, options);
+  return {result.unfold_stats.events, result.unfold_seconds, result.derive_seconds,
+          sw.seconds()};
 }
 
 /// Returns negative when the probe found more than kSgStateThreshold states
@@ -59,81 +80,89 @@ double sg_time(const punt::stg::Stg& stg, std::size_t* states) {
   return sw.seconds();
 }
 
-/// Least-squares slope of log(seconds) against log(signals), or NaN with
-/// fewer than two points.
+/// Least-squares slope of log(y) against log(x), or NaN with fewer than
+/// two points.
 double log_log_exponent(const std::vector<std::pair<double, double>>& points) {
   if (points.size() < 2) return std::nan("");
   double mean_x = 0, mean_y = 0;
-  for (const auto& [signals, seconds] : points) {
-    mean_x += std::log(signals);
-    mean_y += std::log(seconds);
+  for (const auto& [x, y] : points) {
+    mean_x += std::log(x);
+    mean_y += std::log(y);
   }
   mean_x /= static_cast<double>(points.size());
   mean_y /= static_cast<double>(points.size());
   double sxy = 0, sxx = 0;
-  for (const auto& [signals, seconds] : points) {
-    const double dx = std::log(signals) - mean_x;
-    sxy += dx * (std::log(seconds) - mean_y);
+  for (const auto& [x, y] : points) {
+    const double dx = std::log(x) - mean_x;
+    sxy += dx * (std::log(y) - mean_y);
     sxx += dx * dx;
   }
   return sxy / sxx;
 }
 
-void print_exponent(const char* flow, const std::vector<std::pair<double, double>>& points) {
+void print_exponent(const char* what, const char* against,
+                    const std::vector<std::pair<double, double>>& points) {
   if (points.size() < 2) {
-    std::printf("%s: %zu point(s) ran, too few to fit\n", flow, points.size());
+    std::printf("%s: %zu point(s) ran, too few to fit\n", what, points.size());
     return;
   }
-  std::printf("%s: time ~ signals^%.2f (least squares over %zu points, %.0f-%.0f signals)\n",
-              flow, log_log_exponent(points), points.size(), points.front().first,
-              points.back().first);
+  std::printf("%s ~ %s^%.2f (least squares over %zu points, %.0f-%.0f %s)\n", what, against,
+              log_log_exponent(points), points.size(), points.front().first,
+              points.back().first, against);
+}
+
+void print_row(const char* label, std::size_t signals, const PuntPoint& punt, double sg_seconds,
+               std::size_t sg_states) {
+  std::printf("%8s %8zu %8zu | %8.3f %8.3f %8.3f | ", label, signals, punt.events,
+              punt.unfold_seconds, punt.derive_seconds, punt.total_seconds);
+  if (sg_seconds >= 0) {
+    std::printf("%22.3f %10zu\n", sg_seconds, sg_states);
+  } else {
+    std::printf("%22s %10s\n", "skipped (>5000 states)", "");
+  }
 }
 
 }  // namespace
 
 int main() {
-  const bool full = std::getenv("PUNT_BENCH_FULL") != nullptr;
   std::printf("Figure 6 — Muller pipeline scalability (time in seconds)\n\n");
-  std::printf("%8s %8s | %10s | %22s %10s\n", "stages", "signals", "PUNT", "SG-flow",
-              "SG-states");
-  std::printf("--------------------------------------------------------------------\n");
+  std::printf("%8s %8s %8s | %8s %8s %8s | %22s %10s\n", "stages", "signals", "events",
+              "unfold", "derive", "PUNT", "SG-flow", "SG-states");
+  std::printf("---------------------------------------------------------------------------"
+              "---------------\n");
 
-  std::vector<std::size_t> stage_counts{4, 9, 14, 19, 24, 29};
-  if (full) stage_counts.insert(stage_counts.end(), {39, 49});
   std::vector<std::pair<double, double>> punt_points;
   std::vector<std::pair<double, double>> sg_points;
+  std::vector<std::pair<double, double>> derive_points;  // (events, derive seconds)
+  const std::vector<std::size_t> stage_counts{4, 9, 14, 19, 24, 29, 44, 59, 89, 119};
   for (const std::size_t n : stage_counts) {
     const punt::stg::Stg stg = punt::stg::make_muller_pipeline(n);
     const double signals = static_cast<double>(stg.signal_count());
-    const double punt_seconds = punt_time(stg);
-    punt_points.emplace_back(signals, punt_seconds);
+    const PuntPoint punt = punt_run(stg);
+    punt_points.emplace_back(signals, punt.total_seconds);
+    if (n >= kFitFromStages) {
+      derive_points.emplace_back(static_cast<double>(punt.events), punt.derive_seconds);
+    }
     std::size_t states = 0;
     const double sg_seconds = sg_time(stg, &states);
-    if (sg_seconds >= 0) {
-      sg_points.emplace_back(signals, sg_seconds);
-      std::printf("%8zu %8zu | %10.3f | %22.3f %10zu\n", n, stg.signal_count(), punt_seconds,
-                  sg_seconds, states);
-    } else {
-      std::printf("%8zu %8zu | %10.3f | %22s %10s\n", n, stg.signal_count(), punt_seconds,
-                  "skipped (>5000 states)", "");
+    if (sg_seconds >= 0) sg_points.emplace_back(signals, sg_seconds);
+    print_row(std::to_string(n).c_str(), stg.signal_count(), punt, sg_seconds, states);
+    if (punt.total_seconds > kPuntBudgetSeconds && n != stage_counts.back()) {
+      std::printf("(stopped: this point took more than %.0f s)\n", kPuntBudgetSeconds);
+      break;
     }
   }
   std::printf("\n");
-  print_exponent("PUNT", punt_points);
-  print_exponent("SG-flow", sg_points);
+  print_exponent("PUNT time", "signals", punt_points);
+  print_exponent("SG-flow time", "signals", sg_points);
+  print_exponent("PUNT derive", "events", derive_points);
 
   std::printf("\nCounterflow pipeline (the paper's circled dot: 34 signals;\n"
               "Petrify needed >24h, PUNT <2h — an order of magnitude):\n\n");
   const punt::stg::Stg cf = punt::stg::make_counterflow_pipeline(16);
-  const double cf_punt = punt_time(cf);
   std::size_t cf_states = 0;
+  const PuntPoint cf_punt = punt_run(cf);
   const double cf_sg = sg_time(cf, &cf_states);
-  if (cf_sg >= 0) {
-    std::printf("%8s %8zu | %10.3f | %22.3f %10zu\n", "cfpp", cf.signal_count(), cf_punt, cf_sg,
-                cf_states);
-  } else {
-    std::printf("%8s %8zu | %10.3f | %22s %10s\n", "cfpp", cf.signal_count(), cf_punt,
-                "skipped (>5000 states)", "");
-  }
+  print_row("cfpp", cf.signal_count(), cf_punt, cf_sg, cf_states);
   return 0;
 }

@@ -17,30 +17,15 @@ bool has_event(std::span<const std::uint64_t> row, std::size_t f) {
   return ((row[f >> 6] >> (f & 63)) & 1u) != 0;
 }
 
-/// Signals owning an event of the set whose w-th word is word(w), as a
-/// bitset over signal indices (⊥ and dummies own none).
-template <typename Word>
-Bitset signals_of(const unf::Unfolding& unf, Word word) {
-  const std::size_t n = unf.stg().signal_count();
-  std::vector<std::uint64_t> out((n + 63) / 64, 0);
-  // Each pass folds 128 signals into two registers, without a branch: a
-  // signal outside the pass, and the invalid id of ⊥ and dummies, wraps to
-  // an offset past both words.
-  for (std::size_t base = 0; base < n; base += 128) {
-    std::uint64_t lo = 0, hi = 0;
-    for (std::size_t w = 0; w < unf.event_words(); ++w) {
-      for (std::uint64_t bits = word(w); bits != 0; bits &= bits - 1) {
-        const unf::EventId f(static_cast<std::uint32_t>(w * 64 + __builtin_ctzll(bits)));
-        const std::size_t s = unf.signal_of(f).index() - base;
-        const std::uint64_t bit = std::uint64_t{1} << (s % 64);
-        lo |= s < 64 ? bit : 0;
-        hi |= s - 64 < 64 ? bit : 0;
-      }
-    }
-    out[base / 64] = lo;
-    if (base / 64 + 1 < out.size()) out[base / 64 + 1] = hi;
-  }
-  return Bitset::from_words(n, std::move(out));
+/// Signals owning an event of `events`, as a bitset over signal indices
+/// (⊥ and dummies own none).
+Bitset signals_of(const unf::Unfolding& unf, const Bitset& events) {
+  Bitset out(unf.stg().signal_count());
+  events.for_each([&](std::size_t f) {
+    const stg::SignalId s = unf.signal_of(unf::EventId(static_cast<std::uint32_t>(f)));
+    if (s.valid()) out.set(s.index());
+  });
+  return out;
 }
 
 /// The code of `e` with the signals in `dc` dashed out.
@@ -121,12 +106,14 @@ Bitset refinement_candidates(const unf::Unfolding& unf, const SliceElement& elem
 std::vector<Bitset> concurrent_signals(const unf::Unfolding& unf,
                                        const std::vector<unf::ConditionId>& conditions,
                                        const Bitset& events) {
-  // Up to 64 conditions at a time: for each word of events, transposing the
-  // conditions' co words gives, per event of the word, the batch's
-  // conditions concurrent with it; OR-ing those into the event's signal
-  // gives, per signal, the conditions it is a DC of, and transposing back
-  // gives each condition's signal set.  ⊥ and dummies carry the invalid
-  // signal id, which min() maps to bit n, a sink past the last signal.
+  // A batch of up to 64 conditions at a time, as a bit matrix with a row
+  // per condition and a column per event.  Transposing it one word of
+  // events at a time gives each event's column, the batch's conditions
+  // concurrent with it; OR-ing each column into its event's signal gives a
+  // row per signal, the conditions that signal is a DC of; transposing
+  // those back gives a row per condition again.  ⊥ and dummies carry the
+  // invalid signal id, which min() maps to bit n, a sink past the last
+  // signal.
   const std::size_t n = unf.stg().signal_count();
   const std::size_t signal_words = (n + 63) / 64;
   const std::vector<std::uint64_t>& in = events.words();
@@ -174,8 +161,7 @@ logic::Cover ApproxCover::combined(std::size_t variable_count) const {
 Cube excitation_cover(const unf::Unfolding& unf, unf::EventId entry) {
   // Everything concurrent with the entry can fire while it stays excited, so
   // the ER slice's instances are exactly the events concurrent with it.
-  const Bitset co = unf.co_events(entry);
-  const Bitset dc = signals_of(unf, [&](std::size_t w) { return co.words()[w]; });
+  const Bitset dc = signals_of(unf, unf.co_events(entry));
   // The code at the minimal excitation cut: the entry's own edge undone.
   const std::span<const std::uint64_t> code = unf.code_bits(entry);
   std::vector<std::uint64_t> before(code.begin(), code.end());
@@ -392,7 +378,8 @@ RefineStats refine_until_disjoint(const unf::Unfolding& unf, ApproxCover& on,
   // moves back, and the union of the off atoms as they were at the start
   // still contains the union of the current ones.  A row that misses the
   // old union therefore misses every current off atom.
-  const Cover off_start = off.combined(n);
+  Cover off_union = off.combined(n);
+  bool off_refined = false;  // off_union may then hold more than the atoms
   std::size_t first_row = 0;
   while (stats.iterations < max_iterations) {
     // The first offending, still refinable pair in row-major order.
@@ -400,7 +387,7 @@ RefineStats refine_until_disjoint(const unf::Unfolding& unf, ApproxCover& on,
     bool found = false;
     for (std::size_t i = first_row; i < on.atoms.size() && !found; ++i) {
       const Cover& row = on.atoms[i].cover;
-      if (!row.intersects(off_start)) continue;
+      if (!row.intersects(off_union)) continue;
       for (std::size_t j = 0; j < off.atoms.size(); ++j) {
         if (!row.intersects(off.atoms[j].cover) || stuck.contains({i, j})) continue;
         oi = i;
@@ -414,7 +401,8 @@ RefineStats refine_until_disjoint(const unf::Unfolding& unf, ApproxCover& on,
       // (the caller then falls back).  Some on/off atom pair intersects iff
       // the two unions do: single-cube containment keeps only atom cubes and
       // drops only cubes that lie inside a kept one (DESIGN.md §5).
-      stats.disjoint = !on.combined(n).intersects(off.combined(n));
+      if (off_refined) off_union = off.combined(n);
+      stats.disjoint = !on.combined(n).intersects(off_union);
       return stats;
     }
     first_row = oi;
@@ -423,7 +411,10 @@ RefineStats refine_until_disjoint(const unf::Unfolding& unf, ApproxCover& on,
     const bool a = refine_atom(unf, on, on.atoms[oi], off.signal);
     const bool b = refine_atom(unf, off, off.atoms[oj], on.signal);
     if (a) ++stats.refined_atoms;
-    if (b) ++stats.refined_atoms;
+    if (b) {
+      ++stats.refined_atoms;
+      off_refined = true;
+    }
     if (!a && !b) stuck.insert({oi, oj});
   }
   return stats;

@@ -155,7 +155,7 @@ class Unfolder {
 
     // Postset conditions (cutoff events keep theirs: their final cuts bound
     // slices, per paper §4.1).
-    Bitset co_base = concurrent_with(cand.preset);
+    Bitset co_base = concurrent_with(cand.preset);  // the conditions concurrent with e
     std::vector<ConditionId> created;
     for (const pn::PlaceId p : stg_.net().post(cand.transition)) {
       co_base.resize(unf_.condition_count());
@@ -208,9 +208,9 @@ class Unfolder {
   }
 
   /// The conditions concurrent with every condition of `preset` (sorted
-  /// ascending, non-empty).  Below the oldest input x that is the AND of the
-  /// inputs' triangular rows; the few conditions created after x are tested
-  /// one by one.
+  /// ascending, non-empty).  Among the conditions older than the oldest
+  /// input x, they are the AND of the inputs' triangular rows; the few
+  /// created after x are tested one by one.
   Bitset concurrent_with(const std::vector<ConditionId>& preset) const {
     const ConditionId oldest = preset.front();
     std::vector<std::uint64_t> words = unf_.co_[oldest.index()].words();

@@ -172,12 +172,17 @@ std::size_t Bitset::hash() const {
 
 void transpose64(std::uint64_t* rows) {
   // Swap ever smaller off-diagonal blocks: 32×32, then 16×16, down to 1×1.
+  // The innermost loop runs over consecutive rows, so it vectorises.
   std::uint64_t mask = 0x00000000FFFFFFFFULL;
   for (int j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-    for (int k = 0; k < 64; k = ((k | j) + 1) & ~j) {
-      const std::uint64_t t = ((rows[k] >> j) ^ rows[k | j]) & mask;
-      rows[k | j] ^= t;
-      rows[k] ^= t << j;
+    for (int base = 0; base < 64; base += 2 * j) {
+      std::uint64_t* low = rows + base;
+      std::uint64_t* high = rows + base + j;
+      for (int k = 0; k < j; ++k) {
+        const std::uint64_t t = ((low[k] >> j) ^ high[k]) & mask;
+        high[k] ^= t;
+        low[k] ^= t << j;
+      }
     }
   }
 }

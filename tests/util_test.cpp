@@ -2,7 +2,9 @@
 // strings, xorshift.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,6 +75,40 @@ TEST(Bitset, BooleanOperators) {
   Bitset d = a;
   d.subtract(b);
   EXPECT_EQ(d.to_indices(), (std::vector<std::size_t>{1}));
+}
+
+TEST(Bitset, WordRowOperatorsMatchBitsetOperators) {
+  XorShift rng(11);
+  for (int trial = 0; trial < 20; ++trial) {
+    Bitset a(130), b(130);
+    for (std::size_t i = 0; i < 130; ++i) {
+      if ((rng.next() & 1u) != 0) a.set(i);
+      if ((rng.next() & 1u) != 0) b.set(i);
+    }
+    const std::span<const std::uint64_t> row = b.words();
+    Bitset x = a, y = a, z = a;
+    x &= row;
+    y |= row;
+    z.subtract(row);
+    EXPECT_EQ(x, a & b);
+    EXPECT_EQ(y, a | b);
+    Bitset want = a;
+    want.subtract(b);
+    EXPECT_EQ(z, want);
+  }
+}
+
+TEST(Bitset, Transpose64SwapsRowsAndColumns) {
+  XorShift rng(5);
+  std::uint64_t rows[64];
+  std::uint64_t original[64];
+  for (std::size_t i = 0; i < 64; ++i) original[i] = rows[i] = rng.next();
+  transpose64(rows);
+  for (std::size_t i = 0; i < 64; ++i) {
+    for (std::size_t j = 0; j < 64; ++j) {
+      EXPECT_EQ((rows[i] >> j) & 1u, (original[j] >> i) & 1u) << i << "," << j;
+    }
+  }
 }
 
 TEST(Bitset, SubsetAndIntersects) {
