@@ -74,7 +74,7 @@ Cover restricted_cover(const unf::Unfolding& unf, unf::ConditionId c, unf::Event
     cube.set(signal.index(), base[signal.index()] != 0 ? Lit::One : Lit::Zero);
     out.add(std::move(cube));
   }
-  out.make_irredundant_scc();
+  if (out.cube_count() > 1) out.make_irredundant_scc();
   return out;
 }
 

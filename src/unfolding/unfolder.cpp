@@ -140,17 +140,28 @@ class Unfolder {
       unf_.consumers_[c.index()].push_back(e);
     }
 
-    // One pass over [e] in ascending id, a topological order (DESIGN.md §5):
-    // firing each event's transition gives the code of [e] (and verifies
-    // consistency along this run), and the token game on conditions gives
-    // its cut, less e's postset, which does not exist yet.
-    stg::Code code = stg_.initial_code();
-    Bitset cut(unf_.condition_count());
-    unf_.configs_[e.index()].for_each([&](std::size_t f) {
-      for (const ConditionId c : unf_.e_pre_[f]) cut.reset(c.index());
-      for (const ConditionId c : unf_.e_post_[f]) cut.set(c.index());
-      if (f != 0) stg_.apply(unf_.transitions_[f], code);
-    });
+    // Code and final marking of [e]: [e] is the local configuration of the
+    // input producer p with the largest one, plus a few more events.  Firing
+    // those in ascending id, a topological order (DESIGN.md §5), from p's
+    // code and marking gives them, and verifies consistency along this run.
+    EventId base = unf_.producer(cand.preset.front());
+    for (const ConditionId c : cand.preset) {
+      const EventId p = unf_.producer(c);
+      if (unf_.config_sizes_[p.index()] > unf_.config_sizes_[base.index()]) base = p;
+    }
+    stg::Code code = unf_.codes_[base.index()];
+    pn::Marking marking = unf_.markings_[base.index()];
+    const std::vector<std::uint64_t>& mine = unf_.configs_[e.index()].words();
+    const std::vector<std::uint64_t>& theirs = unf_.configs_[base.index()].words();
+    for (std::size_t w = 0; w < mine.size(); ++w) {
+      std::uint64_t rest = mine[w] & ~(w < theirs.size() ? theirs[w] : 0);
+      for (; rest != 0; rest &= rest - 1) {
+        const pn::TransitionId t = unf_.transitions_[w * 64 + __builtin_ctzll(rest)];
+        stg_.apply(t, code);
+        for (const pn::PlaceId p : stg_.net().pre(t)) marking.remove_token(p);
+        for (const pn::PlaceId p : stg_.net().post(t)) marking.add_token(p);
+      }
+    }
     unf_.codes_.push_back(code);
 
     // Postset conditions (cutoff events keep theirs: their final cuts bound
@@ -164,10 +175,7 @@ class Unfolder {
       unf_.e_post_[e.index()].push_back(c);
     }
 
-    // Final state of [e] and safeness check.
-    cut.resize(unf_.condition_count());
-    for (const ConditionId c : created) cut.set(c.index());
-    pn::Marking marking = unf_.marking_of_cut(cut);
+    // Safeness check on the final state of [e].
     if (options_.capacity != 0 && marking.max_tokens() > options_.capacity) {
       throw CapacityError("the cut of instance " + unf_.event_name(e) +
                           " marks a place with more than " +

@@ -143,22 +143,17 @@ void Unfolding::build_rows() {
   }
 
   signals_.assign(events, stg::SignalId());
+  instances_.assign(stg_->signal_count(), {});
   for (std::size_t e = 1; e < events; ++e) {
     const stg::Label& l = stg_->label(transitions_[e]);
-    if (!l.dummy) signals_[e] = l.signal;
+    if (l.dummy) continue;
+    signals_[e] = l.signal;
+    instances_[l.signal.index()].push_back(EventId(static_cast<std::uint32_t>(e)));
   }
 }
 
 bool Unfolding::in_conflict(EventId e, EventId f) const {
   return e != f && !precedes(e, f) && !precedes(f, e) && !co(e, f);
-}
-
-std::vector<EventId> Unfolding::instances_of_signal(stg::SignalId signal) const {
-  std::vector<EventId> out;
-  for (std::size_t i = 1; i < event_count(); ++i) {
-    if (signals_[i] == signal) out.push_back(EventId(static_cast<std::uint32_t>(i)));
-  }
-  return out;
 }
 
 std::vector<EventId> Unfolding::next_instances(EventId e) const {
@@ -184,7 +179,7 @@ std::vector<EventId> Unfolding::next_instances(EventId e) const {
 }
 
 std::vector<EventId> Unfolding::first_instances(stg::SignalId signal) const {
-  const std::vector<EventId> all = instances_of_signal(signal);
+  const std::vector<EventId>& all = instances_of_signal(signal);
   std::vector<EventId> out;
   for (const EventId f : all) {
     bool minimal = true;

@@ -166,7 +166,9 @@ class Unfolding {
   // --- STG-specific queries ---------------------------------------------
 
   /// Non-⊥ instances of any transition of `signal`, ascending.
-  std::vector<EventId> instances_of_signal(stg::SignalId signal) const;
+  const std::vector<EventId>& instances_of_signal(stg::SignalId signal) const {
+    return instances_[signal.index()];
+  }
 
   /// next(e): instances of e's signal causally after e with no intermediate
   /// instance of that signal (paper §3.1).
@@ -200,8 +202,8 @@ class Unfolding {
                                   std::shared_ptr<const stg::Stg> stg);
   Unfolding() = default;
 
-  /// Derives rows_ and signals_ from the segment.  Called once the segment
-  /// is complete, by build() and by read_unfolding.
+  /// Derives rows_, signals_ and instances_ from the segment.  Called once
+  /// the segment is complete, by build() and by read_unfolding.
   void build_rows();
 
   std::shared_ptr<const stg::Stg> stg_;
@@ -233,8 +235,10 @@ class Unfolding {
   std::size_t row_words_ = 0;
   std::size_t code_words_ = 0;
   std::vector<std::uint64_t, util::PageAllocator<std::uint64_t>> rows_;
-  // Per event: the signal of its label (signal_of).
+  // Per event: the signal of its label (signal_of); per signal: its
+  // instances (instances_of_signal).  Derived, never persisted.
   std::vector<stg::SignalId> signals_;
+  std::vector<std::vector<EventId>> instances_;
 };
 
 /// A persistency (semi-modularity) violation found on the segment: firing

@@ -295,7 +295,8 @@ bool in_row(std::span<const std::uint64_t> row, std::size_t i) {
 
 /// Number of entries where a word row disagrees with its scalar definition:
 /// condition co rows against co(c, e), successor rows against precedes(e, f),
-/// event co rows against co(e, f), and signal_of against label().
+/// event co rows against co(e, f), code_bits against code(e), and signal_of
+/// and instances_of_signal against label().
 std::size_t row_mismatches(const Unfolding& unf) {
   std::size_t mismatches = 0;
   const std::size_t words = (unf.event_count() + 63) / 64;
@@ -323,6 +324,22 @@ std::size_t row_mismatches(const Unfolding& unf) {
     const stg::SignalId want =
         label == nullptr || label->dummy ? stg::SignalId() : label->signal;
     if (unf.signal_of(e) != want) ++mismatches;
+    const auto code = unf.code_bits(e);
+    for (std::size_t s = 0; s < unf.stg().signal_count(); ++s) {
+      if (in_row(code, s) != (unf.code(e)[s] != 0)) ++mismatches;
+    }
+  }
+  for (std::size_t s = 0; s < unf.stg().signal_count(); ++s) {
+    std::vector<EventId> instances;
+    for (std::size_t ei = 1; ei < unf.event_count(); ++ei) {
+      const stg::Label* label = unf.label(EventId(static_cast<std::uint32_t>(ei)));
+      if (!label->dummy && label->signal.index() == s) {
+        instances.push_back(EventId(static_cast<std::uint32_t>(ei)));
+      }
+    }
+    if (unf.instances_of_signal(stg::SignalId(static_cast<std::uint32_t>(s))) != instances) {
+      ++mismatches;
+    }
   }
   return mismatches;
 }
