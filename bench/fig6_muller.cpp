@@ -12,7 +12,7 @@
 // after the first point whose PUNT time exceeds a fixed budget.  Each point
 // prints the segment's events and the unfold and derive times, and the
 // sweep ends with the slope of log(derive) against log(events) from 29
-// stages up, where the quadratic terms dominate.
+// stages up; the smaller points take milliseconds, too little to fit.
 //
 // The circled dot of Fig. 6 — the 34-signal counterflow pipeline — is
 // reproduced as the final rows.

@@ -379,8 +379,6 @@ TEST(Unfolding, SegmentBytesArePinned) {
   specs.emplace_back("muller44", stg::make_muller_pipeline(44));
   specs.emplace_back("muller59", stg::make_muller_pipeline(59));
   specs.emplace_back("cfpp34", stg::make_counterflow_pipeline(16));
-  // Generated before the unfolder computed co_base, codes and markings from
-  // word rows; any change to the segment shows up here.
   const std::map<std::string, std::uint64_t> pinned = {
       {"imec-master-read.csc", 0xf13e730fc539ae92u},
       {"nowick.asn", 0xef813f8bd6f110d2u},
