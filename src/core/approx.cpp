@@ -33,12 +33,6 @@ Cube code_cube(const unf::Unfolding& unf, unf::EventId e, const Bitset& dc) {
   return Cube::from_bits(unf.code_bits(e), dc.words(), unf.stg().signal_count());
 }
 
-/// The MR cube of `c`: its producer's code with DC at the signals owning an
-/// event in `events` concurrent with `c`.
-Cube mr_cube(const unf::Unfolding& unf, unf::ConditionId c, const Bitset& events) {
-  return code_cube(unf, unf.producer(c), concurrent_signals(unf, {c}, events).front());
-}
-
 /// Events that fire strictly after `element` in every run containing both:
 /// the causal successors of an entry event, or of a condition's producer
 /// minus those that can fire while the condition is still marked.
@@ -172,7 +166,7 @@ Cube excitation_cover(const unf::Unfolding& unf, unf::EventId entry) {
 }
 
 Cube mr_cover(const unf::Unfolding& unf, unf::ConditionId c, const Bitset& slice_events) {
-  return mr_cube(unf, c, slice_events);
+  return code_cube(unf, unf.producer(c), concurrent_signals(unf, {c}, slice_events).front());
 }
 
 Cover restricted_next_cover(const unf::Unfolding& unf, unf::ConditionId c,
@@ -189,7 +183,7 @@ std::vector<unf::ConditionId> refining_set(const unf::Unfolding& unf,
 
 Cube refinement_mr_cover(const unf::Unfolding& unf, unf::ConditionId c,
                          const SliceElement& element, const Bitset& slice_events) {
-  return mr_cube(unf, c, refinement_candidates(unf, element, slice_events));
+  return mr_cover(unf, c, refinement_candidates(unf, element, slice_events));
 }
 
 bool refine_atom(const unf::Unfolding& unf, const ApproxCover& owner, CoverAtom& atom,
