@@ -28,7 +28,6 @@
 
 #include "src/benchmarks/registry.hpp"
 #include "src/benchmarks/report.hpp"
-#include "src/core/cost_ledger.hpp"
 #include "src/core/model_cache.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/synthesis.hpp"
@@ -131,10 +130,8 @@ int main() {
   }
 
   // The Table-1 core columns (with the paper's 1997 reference values) come
-  // from the shared report helper — the same table `punt bench run` and
-  // `punt bench merge` print.
-  const punt::benchmarks::Table1Report report =
-      punt::benchmarks::make_report(punt::benchmarks::Shard{0, 1}, batch1);
+  // from the shared report helper — the same table `punt bench run` prints.
+  const punt::benchmarks::Table1Report report = punt::benchmarks::make_report(batch1);
   std::printf("%s", punt::benchmarks::format_table1(report).c_str());
   std::printf("(paperTot/papLit: the 1997 paper's TotTim and literal count)\n");
 
@@ -201,86 +198,6 @@ int main() {
                 width.batch->critical_path_seconds > 0
                     ? width.batch->wall_seconds / width.batch->critical_path_seconds
                     : 0.0);
-  }
-
-  // Cost-model-guided dispatch (DESIGN.md §10): the registry twice at 8 jobs
-  // through ONE CostLedger.  The cold pass runs with an empty table — no
-  // estimates, plain id-order dispatch — and folds its measured node costs
-  // in; the warm pass then dispatches ready nodes longest-first from those
-  // learned costs.  Gates: both passes byte-identical to the no-ledger
-  // batch1 (estimates reorder within priority bands only, so the circuits
-  // cannot change), the warm trace actually carries estimates, and the warm
-  // wall/critical-path ratio does not regress past a noise tolerance — the
-  // whole point of LPT dispatch is to close that gap, never to widen it.
-  {
-    punt::core::CostLedger ledger;
-    punt::util::TaskTrace cold_trace, warm_trace;
-    BatchOptions cold;
-    cold.synthesis.method = Method::UnfoldingApprox;
-    cold.jobs = 8;
-    cold.ledger = &ledger;
-    cold.trace = &cold_trace;
-    BatchOptions warm = cold;
-    warm.trace = &warm_trace;
-    const BatchResult cold_batch = punt::core::synthesize_batch(stgs, cold);
-    const BatchResult warm_batch = punt::core::synthesize_batch(stgs, warm);
-    for (std::size_t i = 0; i < registry.size(); ++i) {
-      for (const BatchResult* batch : {&cold_batch, &warm_batch}) {
-        if (!batch->entries[i].ok) {
-          std::printf("ERROR: %s failed under the cost ledger: %s\n",
-                      registry[i].name.c_str(), batch->entries[i].error.c_str());
-          return 1;
-        }
-      }
-      if (!identical(batch1.entries[i].result, cold_batch.entries[i].result) ||
-          !identical(batch1.entries[i].result, warm_batch.entries[i].result)) {
-        std::printf("ERROR: ledger-guided runs disagree with the plain run on %s; "
-                    "estimates must reorder within bands, never change results\n",
-                    registry[i].name.c_str());
-        return 1;
-      }
-    }
-    std::size_t cold_estimated = 0, warm_estimated = 0;
-    for (const auto& node : cold_trace.nodes) cold_estimated += node.est_cost > 0;
-    for (const auto& node : warm_trace.nodes) warm_estimated += node.est_cost > 0;
-    const double cold_ratio = cold_batch.critical_path_seconds > 0
-                                  ? cold_batch.wall_seconds /
-                                        cold_batch.critical_path_seconds
-                                  : 0.0;
-    const double warm_ratio = warm_batch.critical_path_seconds > 0
-                                  ? warm_batch.wall_seconds /
-                                        warm_batch.critical_path_seconds
-                                  : 0.0;
-    std::printf(
-        "\nCost-model-guided dispatch (8 jobs, %zu ledger entr%s learned):\n"
-        "  cold ledger: wall %.3fs, critical path %.3fs (ratio %.2fx), "
-        "%zu/%zu nodes estimated\n"
-        "  warm ledger: wall %.3fs, critical path %.3fs (ratio %.2fx), "
-        "%zu/%zu nodes estimated\n",
-        ledger.size(), ledger.size() == 1 ? "y" : "ies", cold_batch.wall_seconds,
-        cold_batch.critical_path_seconds, cold_ratio, cold_estimated,
-        cold_trace.nodes.size(), warm_batch.wall_seconds,
-        warm_batch.critical_path_seconds, warm_ratio, warm_estimated,
-        warm_trace.nodes.size());
-    if (cold_estimated != 0) {
-      std::printf("ERROR: the cold pass saw estimates before anything was measured\n");
-      return 1;
-    }
-    if (warm_estimated == 0 || ledger.size() == 0) {
-      std::printf("ERROR: the warm pass dispatched without learned costs; the "
-                  "cold pass's measurements were not folded into the ledger\n");
-      return 1;
-    }
-    // Wall-clock on a fast suite is noisy, so the no-regression gate compares
-    // the wall/critical ratios (normalised for run-to-run critical-path
-    // drift) with generous headroom rather than raw seconds.
-    if (cold_ratio > 0 && warm_ratio > cold_ratio * 1.5 + 0.5) {
-      std::printf("ERROR: warm-ledger dispatch regressed the wall/critical ratio "
-                  "(%.2fx warm vs %.2fx cold); longest-first ordering should "
-                  "never schedule worse than id order\n",
-                  warm_ratio, cold_ratio);
-      return 1;
-    }
   }
 
   // Cache-aware scheduling: a batch repeating ONE STG (a parameter sweep's

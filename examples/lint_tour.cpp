@@ -1,4 +1,4 @@
-// Tour of the lint subsystem (DESIGN.md §11): run the structural rules
+// Tour of the lint subsystem (DESIGN.md §10): run the structural rules
 // over a deliberately defective spec and show the compiler-style report,
 // then confirm the whole Table-1 registry lints clean — the same pass the
 // serve daemon runs before admitting a request.

@@ -18,8 +18,8 @@ using punt::printf_string;
 
 constexpr const char* kDocument = "schedule trace JSON";
 
-/// Optional numeric field: the additive v1 fields (est_cost, wall_ready,
-/// queue_wait) default to zero so pre-cost-model dumps still parse.
+/// Optional numeric field: the additive v1 field wall_ready defaults to zero
+/// so dumps written before it existed still parse.
 double optional_number(const util::JsonValue& object, const std::string& key) {
   const util::JsonValue* value = object.find(key);
   if (value == nullptr) return 0.0;
@@ -110,16 +110,6 @@ std::string gantt_lane(const util::TaskTrace& trace,
   return lane;
 }
 
-/// Per-kind accumulation for the estimated-vs-measured table.
-struct KindRow {
-  std::string kind;
-  std::size_t nodes = 0;
-  std::size_t estimated = 0;  // nodes that carried a nonzero estimate
-  double est_seconds = 0;
-  double measured_seconds = 0;
-  double abs_error = 0;  // sum |est - measured| over estimated nodes
-};
-
 }  // namespace
 
 util::TaskTrace trace_from_json(std::string_view text) {
@@ -178,7 +168,6 @@ util::TaskTrace trace_from_json(std::string_view text) {
       node.deps.push_back(static_cast<std::size_t>(dep.number));
     }
     node.priority = static_cast<int>(util::json_number(entry, "priority", kDocument));
-    node.est_cost = optional_number(entry, "est_cost");
     node.status = status_of(util::json_string(entry, "status", kDocument));
     node.worker = static_cast<int>(util::json_number(entry, "worker", kDocument));
     node.wall_ready = optional_number(entry, "wall_ready");
@@ -234,9 +223,7 @@ std::string format_trace(const util::TaskTrace& trace) {
   }
   out += ", .=idle\n";
 
-  // Queue-wait: how long ready nodes sat before a worker picked them up —
-  // the statistic longest-task-first dispatch is meant to shrink for the
-  // nodes that gate the critical path.
+  // Queue-wait: how long ready nodes sat before a worker picked them up.
   double wait_total = 0, wait_max = 0;
   std::size_t wait_count = 0;
   for (const util::TraceNode& node : trace.nodes) {
@@ -252,51 +239,6 @@ std::string format_trace(const util::TaskTrace& trace) {
     out += printf_string(
         "queue wait: mean %.4fs, max %.4fs over %zu executed node(s)\n",
         wait_total / static_cast<double>(wait_count), wait_max, wait_count);
-  }
-
-  // Estimated vs measured, by kind: the report card for the cost ledger.  A
-  // cold trace (no estimates) prints measured columns and says so.
-  std::vector<KindRow> rows;
-  for (const util::TraceNode& node : trace.nodes) {
-    if (node.status != util::TaskStatus::Done && node.status != util::TaskStatus::Failed) {
-      continue;
-    }
-    auto it = std::find_if(rows.begin(), rows.end(),
-                           [&](const KindRow& row) { return row.kind == node.kind; });
-    if (it == rows.end()) {
-      rows.push_back(KindRow{node.kind});
-      it = rows.end() - 1;
-    }
-    ++it->nodes;
-    it->measured_seconds += node.wall_duration();
-    if (node.est_cost > 0) {
-      ++it->estimated;
-      it->est_seconds += node.est_cost;
-      it->abs_error += std::fabs(node.est_cost - node.wall_duration());
-    }
-  }
-  out += "\nledger estimate vs measured (per kind):\n";
-  out += "  kind        nodes  est'd   est(s)    meas(s)   err\n";
-  std::size_t estimated_total = 0;
-  for (const KindRow& row : rows) {
-    estimated_total += row.estimated;
-    if (row.estimated > 0) {
-      // Mean |error| relative to mean measured time of the *estimated*
-      // nodes would need their measured subtotal; sum-vs-sum keeps the
-      // column meaningful for a glance: how far off the ledger's total is.
-      const double err = row.measured_seconds > 0
-                             ? 100.0 * row.abs_error / row.measured_seconds
-                             : 0.0;
-      out += printf_string("  %-12s %4zu  %4zu  %9.4f  %9.4f  %5.1f%%\n",
-                           row.kind.c_str(), row.nodes, row.estimated, row.est_seconds,
-                           row.measured_seconds, err);
-    } else {
-      out += printf_string("  %-12s %4zu  %4zu  %9s  %9.4f  %5s\n", row.kind.c_str(),
-                           row.nodes, row.estimated, "-", row.measured_seconds, "-");
-    }
-  }
-  if (estimated_total == 0) {
-    out += "  (no cost estimates in this trace: a cold-ledger or pre-ledger run)\n";
   }
   return out;
 }

@@ -7,9 +7,7 @@
 // guarantees (dense ids, backward deps, known status names) so a truncated
 // or hand-edited file fails loudly instead of rendering nonsense — and
 // renders the scheduling picture the raw JSON buries: per-worker occupancy,
-// an ASCII Gantt lane per worker, the critical path, and an
-// estimated-vs-measured cost table grading the cost ledger's predictions
-// (DESIGN.md §10) against what the run actually measured.
+// an ASCII Gantt lane per worker, queue waits and the critical path.
 #pragma once
 
 #include <string>
@@ -20,18 +18,17 @@
 namespace punt::benchmarks {
 
 /// Parses a "punt-schedule-trace" version-1 document (the `--trace-schedule`
-/// output).  The additive v1 fields (est_cost, wall_ready, queue_wait) are
-/// optional, so dumps written before they existed still parse — they read as
-/// zero.  Throws ParseError on malformed JSON, a different schema/version,
-/// non-dense node ids, forward or out-of-range deps, or an unknown status.
+/// output).  The additive v1 fields (wall_ready, queue_wait) are optional,
+/// so dumps written before they existed still parse — they read as zero;
+/// fields this build does not read are ignored.  Throws ParseError on
+/// malformed JSON, a different schema/version, non-dense node ids, forward
+/// or out-of-range deps, or an unknown status.
 util::TaskTrace trace_from_json(std::string_view text);
 
 /// The human rendering `punt trace` prints: the schedule summary (node
 /// counts, wall vs critical path), per-worker occupancy percentages, one
-/// ASCII Gantt lane per worker (a letter per node kind, '.' for idle),
-/// queue-wait statistics, and a per-kind table comparing the dispatch-time
-/// cost estimates against measured wall time — the column that says whether
-/// the cost ledger has converged.
+/// ASCII Gantt lane per worker (a letter per node kind, '.' for idle) and
+/// queue-wait statistics.
 std::string format_trace(const util::TaskTrace& trace);
 
 }  // namespace punt::benchmarks

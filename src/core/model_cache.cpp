@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/core/model_store.hpp"
 #include "src/stg/g_format.hpp"
 #include "src/util/strings.hpp"
 
@@ -16,11 +15,6 @@ ModelCacheStats delta_stats(const ModelCacheStats& before, const ModelCacheStats
   delta.evictions = after.evictions - before.evictions;
   delta.failed_builds = after.failed_builds - before.failed_builds;
   delta.saved_seconds = after.saved_seconds - before.saved_seconds;
-  delta.disk_hits = after.disk_hits - before.disk_hits;
-  delta.disk_misses = after.disk_misses - before.disk_misses;
-  delta.disk_load_errors = after.disk_load_errors - before.disk_load_errors;
-  delta.disk_stores = after.disk_stores - before.disk_stores;
-  delta.disk_store_failures = after.disk_store_failures - before.disk_store_failures;
   delta.in_flight = after.in_flight;  // gauges: a difference is meaningless
   delta.resident = after.resident;
   return delta;
@@ -30,16 +24,12 @@ std::string summarize(const ModelCacheStats& s) {
   const std::string failed =
       s.failed_builds == 0 ? std::string()
                            : " (" + std::to_string(s.failed_builds) + " failed)";
-  return printf_string(
-      "model cache: %zu lookup(s): %zu memory hit(s), %zu disk hit(s), "
-      "%zu rebuild(s)%s; saved %.3fs; disk: %zu stored, %zu load error(s), "
-      "%zu store failure(s)\n",
-      s.hits + s.misses, s.hits, s.disk_hits, s.builds, failed.c_str(),
-      s.saved_seconds, s.disk_stores, s.disk_load_errors, s.disk_store_failures);
+  return printf_string("model cache: %zu lookup(s): %zu memory hit(s), %zu rebuild(s)%s; "
+                       "saved %.3fs\n",
+                       s.hits + s.misses, s.hits, s.builds, failed.c_str(), s.saved_seconds);
 }
 
-ModelCache::ModelCache(std::size_t capacity, std::shared_ptr<ModelStore> store)
-    : capacity_(capacity == 0 ? 1 : capacity), store_(std::move(store)) {}
+ModelCache::ModelCache(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
 std::string ModelCache::key_of(const stg::Stg& stg, const SynthesisOptions& options) {
   // write_g pins .init_values, so the text is a complete, canonical digest of
@@ -118,49 +108,32 @@ std::shared_ptr<const SemanticModel> ModelCache::lookup_or_build_keyed(
     return model;
   }
 
-  // Resolve outside the lock: disk loads and model construction are the
-  // expensive part and other keys must stay usable meanwhile.
+  // Build outside the lock: model construction is the expensive part and
+  // other keys must stay usable meanwhile.
+  if (built != nullptr) *built = true;
   std::shared_ptr<const SemanticModel> model;
-  bool from_disk = false;
-  if (store_ != nullptr) {
-    model = store_->load(key);
-    from_disk = model != nullptr;
-  }
-  if (!from_disk) {
-    if (built != nullptr) *built = true;
-    try {
-      model = build();
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.failed_builds;
-        slots_.erase(key);  // later lookups retry instead of caching the error
-      }
-      promise.set_exception(std::current_exception());
-      throw;
+  try {
+    model = build();
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.failed_builds;
+      slots_.erase(key);  // later lookups retry instead of caching the error
     }
+    promise.set_exception(std::current_exception());
+    throw;
   }
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (from_disk) {
-      // A disk hit skips the whole phase-1 build — credit what it saved.
-      stats_.saved_seconds += model->build_seconds;
-    } else {
-      ++stats_.builds;
-    }
+    ++stats_.builds;
     Slot& slot = slots_[key];
     lru_.push_front(key);
     slot.lru = lru_.begin();
     slot.ready = true;
     evict_to_capacity_locked(&key);
   }
-  // Unblock the waiters before touching the disk: the model is usable the
-  // moment it exists, and the persist is best-effort bookkeeping (an
-  // unwritable directory just forfeits the disk tier for this model).
-  // The builder pays the write, exactly as it paid the build.
   promise.set_value(model);
-  if (!from_disk && store_ != nullptr) (void)store_->store(key, *model);
   return model;
 }
 
@@ -169,14 +142,6 @@ ModelCacheStats ModelCache::stats() const {
   ModelCacheStats stats = stats_;
   stats.resident = slots_.size();
   stats.in_flight = slots_.size() - lru_.size();
-  if (store_ != nullptr) {
-    const ModelStoreStats disk = store_->stats();
-    stats.disk_hits = disk.hits;
-    stats.disk_misses = disk.misses;
-    stats.disk_load_errors = disk.load_errors;
-    stats.disk_stores = disk.stores;
-    stats.disk_store_failures = disk.store_failures;
-  }
   return stats;
 }
 

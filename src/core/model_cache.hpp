@@ -12,13 +12,8 @@
 // one key build the model exactly once (the losers wait on the winner's
 // future), and an LRU bound keeps residency predictable on long sweeps.
 //
-// Two tiers.  The memory tier above is per process; an optional disk tier
-// (ModelStore, model_store.hpp) persists models under the same key, so a
-// memory miss consults the store before building — successive CLI
-// invocations and CI bench shards sharing one `--model-cache-dir` skip
-// phase 1 after the first warm run.  Disk problems of any kind (corrupt
-// file, version mismatch, unwritable directory) degrade to a rebuild,
-// never to an error.
+// The cache lives in one process.  `punt serve` keeps one resident, which
+// is how models stay warm across requests; nothing is kept on disk.
 //
 // Keying.  The digest is the canonical `.g` serialisation of the STG
 // (stg::write_g, which pins the initial code) concatenated with
@@ -45,36 +40,24 @@
 
 namespace punt::core {
 
-class ModelStore;  // model_store.hpp
-
 /// Lookup statistics, folded into the timing reports of the benches.
 /// Mostly monotonic counters; `in_flight` and `resident` are gauges
-/// snapshotted when stats() is called, and the disk_* fields mirror the
-/// attached ModelStore's counters (all zero without a store).
+/// snapshotted when stats() is called.
 struct ModelCacheStats {
   /// Lookups served without building: completed-entry hits plus successful
   /// joins of an in-flight build (a join that ends in a build failure is
   /// counted by the builder's failed_builds, not as a hit).
   std::size_t hits = 0;
-  std::size_t misses = 0;         // lookups that had to leave the memory tier
-  std::size_t builds = 0;         // models actually constructed (memory AND
-                                  // disk both missed); phase-1 rebuilds
+  std::size_t misses = 0;         // lookups that found no slot
+  std::size_t builds = 0;         // models actually constructed; phase-1 rebuilds
   std::size_t evictions = 0;      // completed entries dropped by the LRU bound
   std::size_t failed_builds = 0;  // builds that threw (slot removed, retried)
   std::size_t in_flight = 0;      // gauge: builds running right now
   std::size_t resident = 0;       // gauge: slots held (ready + in-flight)
-  /// Sum of build_seconds over completed-entry hits and disk hits: the
-  /// wall-clock model construction the cache saved its callers.  Joins of an
-  /// in-flight build are not credited — the joiner waits the build out
-  /// rather than skips it.
+  /// Sum of build_seconds over completed-entry hits: the wall-clock model
+  /// construction the cache saved its callers.  Joins of an in-flight build
+  /// are not credited — the joiner waits the build out rather than skips it.
   double saved_seconds = 0;
-
-  // Disk tier (mirrors ModelStore::stats() of the attached store).
-  std::size_t disk_hits = 0;
-  std::size_t disk_misses = 0;
-  std::size_t disk_load_errors = 0;
-  std::size_t disk_stores = 0;
-  std::size_t disk_store_failures = 0;
 
   /// hits / (hits + misses); 0 when the cache was never consulted.
   double hit_rate() const {
@@ -90,13 +73,13 @@ struct ModelCacheStats {
 /// human, not an exact per-request ledger.
 ModelCacheStats delta_stats(const ModelCacheStats& before, const ModelCacheStats& after);
 
-/// The one-line human summary ("model cache: N lookup(s): ...\n") printed
-/// to stderr by the CLI after a cached run and appended to the daemon's
-/// per-request log.  One definition so the acceptance grep ("0 rebuild(s)")
-/// matches both surfaces.
+/// The one-line human summary ("model cache: N lookup(s): ...\n") appended
+/// to the daemon's per-request log (a `--connect` client prints it to
+/// stderr) and printed by `punt serve` when it drains.  One definition so
+/// the acceptance grep ("0 rebuild(s)") matches both surfaces.
 std::string summarize(const ModelCacheStats& stats);
 
-/// Hash-keyed, LRU-bounded, thread-safe, two-tier cache of semantic models.
+/// Hash-keyed, LRU-bounded, thread-safe cache of semantic models.
 class ModelCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 128;
@@ -110,10 +93,8 @@ class ModelCache {
   /// completed models and in-flight builds count — N concurrent distinct-key
   /// builds occupy N slots — but only completed entries can be *evicted*, so
   /// residency exceeds the bound transiently while more than `capacity`
-  /// builds are genuinely running at once.  `store` attaches the optional
-  /// disk tier (shared so several caches may use one directory).
-  explicit ModelCache(std::size_t capacity = kDefaultCapacity,
-                      std::shared_ptr<ModelStore> store = nullptr);
+  /// builds are genuinely running at once.
+  explicit ModelCache(std::size_t capacity = kDefaultCapacity);
 
   ModelCache(const ModelCache&) = delete;
   ModelCache& operator=(const ModelCache&) = delete;
@@ -124,15 +105,13 @@ class ModelCache {
   /// A build failure propagates to the builder *and* every waiter, and the
   /// slot is removed so later lookups retry rather than cache the error.
   /// When `built` is given it is set to true iff *this* call constructed
-  /// the model (false on memory AND disk hits).
+  /// the model (false on hits).
   std::shared_ptr<const SemanticModel> lookup_or_build(const stg::Stg& stg,
                                                        const SynthesisOptions& options,
                                                        bool* built = nullptr);
 
   /// The underlying lookup: same semantics, but the caller supplies the key
-  /// and the builder.  On a memory miss the disk tier is consulted first;
-  /// only when both tiers miss does `build` run (and its result is then
-  /// persisted to the store, best-effort).
+  /// and the builder.
   std::shared_ptr<const SemanticModel> lookup_or_build_keyed(const std::string& key,
                                                              const Builder& build,
                                                              bool* built = nullptr);
@@ -140,7 +119,6 @@ class ModelCache {
   ModelCacheStats stats() const;
   std::size_t size() const;  // resident slots: completed + in-flight
   std::size_t capacity() const { return capacity_; }
-  ModelStore* store() const { return store_.get(); }
   void clear();
 
   /// The exact cache key: canonical `.g` text + model-options fingerprint.
@@ -163,7 +141,6 @@ class ModelCache {
 
   mutable std::mutex mutex_;
   std::size_t capacity_;
-  std::shared_ptr<ModelStore> store_;  // disk tier; may be null
   std::unordered_map<std::string, Slot> slots_;
   std::list<std::string> lru_;  // most recently used first; completed only
   ModelCacheStats stats_;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/core/approx.hpp"
-#include "src/core/cost_ledger.hpp"
 #include "src/core/model_cache.hpp"
 #include "src/core/slices.hpp"
 #include "src/sg/analysis.hpp"
@@ -116,14 +115,10 @@ PipelineContext PipelineContext::build(const stg::Stg& stg,
   PipelineContext context;
   context.options = options;
   if (cache != nullptr) {
-    bool built = false;
-    if (key != nullptr) {
-      context.model = cache->lookup_or_build_keyed(
-          *key, [&] { return SemanticModel::build(stg, options); }, &built);
-    } else {
-      context.model = cache->lookup_or_build(stg, options, &built);
-    }
-    context.model_from_cache = !built;
+    context.model = key != nullptr
+                        ? cache->lookup_or_build_keyed(
+                              *key, [&] { return SemanticModel::build(stg, options); })
+                        : cache->lookup_or_build(stg, options);
   } else {
     context.model = SemanticModel::build(stg, options);
   }
@@ -318,18 +313,11 @@ namespace {
 /// built) and must not move while the graph runs.
 struct EntryPlan {
   const stg::Stg* stg = nullptr;
-  std::string cache_key;               // ModelCache::key_of ("" when neither a
-                                       // cache nor a ledger needs it)
+  std::string cache_key;               // ModelCache::key_of ("" without a cache)
   PipelineContext context;             // filled by the model node
   std::vector<DeriveTask> derive;      // one slot per target signal
   std::vector<MinimizeTask> minimize;  // parallel to `derive`
   SynthesisResult result;              // filled by the assembly node
-
-  // Ledger identities of this entry's nodes (filled only with a ledger):
-  // looked up for dispatch estimates before the run, observed into after it.
-  std::string model_cost_key;
-  std::vector<std::string> derive_cost_keys;    // parallel to `derive`
-  std::vector<std::string> minimize_cost_keys;  // parallel to `minimize`
 
   util::TaskGraph::NodeId model_node = 0;
   std::vector<util::TaskGraph::NodeId> derive_nodes;
@@ -344,14 +332,10 @@ struct EntryPlan {
 };
 
 /// Emits one entry's nodes: model → per-signal derive → per-signal minimize
-/// → assembly.  `model_dep` chains an in-batch key repeat behind the first
-/// builder's model node (distinct-key-first scheduling).  With a ledger, each
-/// node carries its learned cost estimate — longest-task-first within its
-/// priority band; without one (or on a cold ledger) every estimate is 0 and
-/// the order is exactly the static (priority, id) schedule.
+/// → assembly.  `model_deps` chains an in-batch key repeat behind the first
+/// builder's model node (distinct-key-first scheduling).
 void emit_entry(util::TaskGraph& graph, EntryPlan& plan,
-                const SynthesisOptions& options, ModelCache* cache,
-                const CostLedger* ledger, bool repeat_key,
+                const SynthesisOptions& options, ModelCache* cache, bool repeat_key,
                 std::vector<util::TaskGraph::NodeId> model_deps) {
   const stg::Stg& stg = *plan.stg;
   const std::string name = stg.name();
@@ -363,27 +347,9 @@ void emit_entry(util::TaskGraph& graph, EntryPlan& plan,
   plan.minimize_nodes.reserve(targets.size());
   for (std::size_t k = 0; k < targets.size(); ++k) plan.derive[k].signal = targets[k];
 
-  if (ledger != nullptr) {
-    // plan.cache_key was computed by the caller whenever a ledger is given.
-    const std::uint64_t model = CostLedger::model_digest_from_key(plan.cache_key);
-    const std::uint64_t entry = CostLedger::entry_digest_from_key(plan.cache_key, options);
-    plan.model_cost_key = CostLedger::key_of("model", model);
-    plan.derive_cost_keys.reserve(targets.size());
-    plan.minimize_cost_keys.reserve(targets.size());
-    for (const stg::SignalId s : targets) {
-      plan.derive_cost_keys.push_back(CostLedger::key_of("derive", entry, stg.signal_name(s)));
-      plan.minimize_cost_keys.push_back(
-          CostLedger::key_of("minimize", entry, stg.signal_name(s)));
-    }
-  }
-  const auto cost = [&](const std::string& key) {
-    return ledger != nullptr ? ledger->estimate(key) : 0.0;
-  };
-
   plan.model_node = graph.add(
       "model", name, repeat_key ? kPriorityModelRepeat : kPriorityModel,
-      cost(plan.model_cost_key), std::move(model_deps),
-      [&plan, &stg, options, cache] {
+      std::move(model_deps), [&plan, &stg, options, cache] {
         plan.context = PipelineContext::build(
             stg, options, cache, plan.cache_key.empty() ? nullptr : &plan.cache_key);
       });
@@ -395,15 +361,12 @@ void emit_entry(util::TaskGraph& graph, EntryPlan& plan,
     const std::string signal_label = name + "/" + stg.signal_name(targets[k]);
     DeriveTask& derive = plan.derive[k];
     MinimizeTask& minimize = plan.minimize[k];
-    const auto derive_node = graph.add(
-        "derive", signal_label, kPriorityDerive,
-        ledger != nullptr ? cost(plan.derive_cost_keys[k]) : 0.0,
-        {plan.model_node}, [&plan, &derive] { derive.run(plan.context); });
-    const auto minimize_node = graph.add(
-        "minimize", signal_label, kPriorityMinimize,
-        ledger != nullptr ? cost(plan.minimize_cost_keys[k]) : 0.0,
-        {derive_node},
-        [&plan, &derive, &minimize] { minimize.run(plan.context, derive); });
+    const auto derive_node =
+        graph.add("derive", signal_label, kPriorityDerive, {plan.model_node},
+                  [&plan, &derive] { derive.run(plan.context); });
+    const auto minimize_node =
+        graph.add("minimize", signal_label, kPriorityMinimize, {derive_node},
+                  [&plan, &derive, &minimize] { minimize.run(plan.context, derive); });
     plan.derive_nodes.push_back(derive_node);
     plan.minimize_nodes.push_back(minimize_node);
     assembly_deps.push_back(minimize_node);
@@ -488,13 +451,10 @@ BatchResult synthesize_batch(std::span<const BatchRequest> requests,
     plans[i].stg = requests[i].stg;
     bool repeat_key = false;
     std::vector<util::TaskGraph::NodeId> model_deps;
-    if (options.cache != nullptr || options.ledger != nullptr) {
-      // Computed once per entry: the same text keys the in-batch dedup here,
-      // the model node's cache lookup (via EntryPlan), and the ledger's
-      // cost-identity digests.
-      plans[i].cache_key = ModelCache::key_of(*requests[i].stg, requests[i].synthesis);
-    }
     if (options.cache != nullptr) {
+      // Computed once per entry: the same text keys the in-batch dedup here
+      // and the model node's cache lookup (via EntryPlan).
+      plans[i].cache_key = ModelCache::key_of(*requests[i].stg, requests[i].synthesis);
       const std::string& key = plans[i].cache_key;
       const auto [it, inserted] = first_by_key.try_emplace(key, 0);
       if (!inserted) {
@@ -503,41 +463,15 @@ BatchResult synthesize_batch(std::span<const BatchRequest> requests,
         plans[i].has_primary = true;
         plans[i].primary_model_node = it->second;
       }
-      emit_entry(graph, plans[i], requests[i].synthesis, options.cache, options.ledger,
-                 repeat_key, std::move(model_deps));
+      emit_entry(graph, plans[i], requests[i].synthesis, options.cache, repeat_key,
+                 std::move(model_deps));
       if (inserted) it->second = plans[i].model_node;
     } else {
-      emit_entry(graph, plans[i], requests[i].synthesis, options.cache, options.ledger,
-                 false, {});
+      emit_entry(graph, plans[i], requests[i].synthesis, nullptr, false, {});
     }
   }
 
   executor.run(graph);
-
-  if (options.ledger != nullptr) {
-    // Fold the measured schedule back into the ledger — the learning half of
-    // the loop.  Only Done nodes have meaningful clocks; model observations
-    // are further gated on this run having *built* the model (a cache hit's
-    // ~0 resolution time is not a build cost and would erode the estimate).
-    const util::TaskTrace& trace = graph.trace();
-    for (const EntryPlan& plan : plans) {
-      if (trace.nodes[plan.model_node].status == util::TaskStatus::Done &&
-          !plan.context.model_from_cache) {
-        options.ledger->observe(plan.model_cost_key,
-                                trace.nodes[plan.model_node].cpu_seconds);
-      }
-      for (std::size_t k = 0; k < plan.derive_nodes.size(); ++k) {
-        if (trace.nodes[plan.derive_nodes[k]].status == util::TaskStatus::Done) {
-          options.ledger->observe(plan.derive_cost_keys[k],
-                                  trace.nodes[plan.derive_nodes[k]].cpu_seconds);
-        }
-        if (trace.nodes[plan.minimize_nodes[k]].status == util::TaskStatus::Done) {
-          options.ledger->observe(plan.minimize_cost_keys[k],
-                                  trace.nodes[plan.minimize_nodes[k]].cpu_seconds);
-        }
-      }
-    }
-  }
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     BatchEntry& entry = batch.entries[i];

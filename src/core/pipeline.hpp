@@ -47,7 +47,6 @@
 namespace punt::core {
 
 class ModelCache;  // model_cache.hpp; forward-declared to avoid a cycle
-class CostLedger;  // cost_ledger.hpp; likewise
 
 /// The *model-affecting* subset of SynthesisOptions: exactly the fields that
 /// change what SemanticModel::build() produces.  Everything else in
@@ -108,7 +107,6 @@ struct PipelineContext {
   /// cache miss (or without a cache), near zero on a cache hit.  The run's
   /// share of TotTim — NOT the model's build_seconds, which a hit reuses.
   double model_seconds = 0;
-  bool model_from_cache = false;
 
   /// Resolves the model — through `cache` when given (lookup-or-build),
   /// otherwise by building it fresh — and stamps the derivation options.
@@ -207,14 +205,6 @@ struct BatchOptions {
   /// When set, receives the executed schedule (node timings, workers,
   /// critical path) — what `--trace-schedule` serialises.  Not owned.
   util::TaskTrace* trace = nullptr;
-  /// Optional cost ledger (cost_ledger.hpp).  Before the run, each node's
-  /// dispatch-cost estimate is looked up by its stable identity; after it,
-  /// the measured cpu_seconds are folded back in (model nodes only when this
-  /// run actually *built* the model — a cache hit is not a build, and its
-  /// ~0 resolution cost must not erode the build-cost estimate).  Estimates
-  /// reorder dispatch within priority bands only, so results are
-  /// byte-identical with and without a ledger.  Not owned.
-  CostLedger* ledger = nullptr;
   /// Optional resident executor.  When set, the batch runs over *its* pool
   /// (the `jobs` field above is ignored) instead of a per-call one — the
   /// serve daemon passes the executor it keeps warm across requests, so

@@ -61,8 +61,7 @@ const SignalImplementation& SynthesisResult::implementation(stg::SignalId signal
 }
 
 SynthesisResult synthesize(const stg::Stg& stg, const SynthesisOptions& options,
-                           ModelCache* cache, util::TaskTrace* trace,
-                           CostLedger* ledger) {
+                           ModelCache* cache, util::TaskTrace* trace) {
   // A one-entry batch: the same graph emission and executor as
   // synthesize_batch, with the per-signal derive/minimize nodes spread over
   // options.jobs workers.  The entry's failure — captured as the
@@ -73,7 +72,6 @@ SynthesisResult synthesize(const stg::Stg& stg, const SynthesisOptions& options,
   batch_options.jobs = options.jobs;
   batch_options.cache = cache;
   batch_options.trace = trace;
-  batch_options.ledger = ledger;
   BatchResult batch = synthesize_batch(std::span<const stg::Stg>(&stg, 1), batch_options);
   BatchEntry& entry = batch.entries.front();
   if (!entry.ok) {

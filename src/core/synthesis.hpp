@@ -132,7 +132,6 @@ struct SynthesisResult {
 };
 
 class ModelCache;  // model_cache.hpp
-class CostLedger;  // cost_ledger.hpp
 
 /// Synthesises every output/internal signal of `stg` through the task-graph
 /// executor (one model node, then separately schedulable derive and
@@ -146,14 +145,9 @@ class CostLedger;  // cost_ledger.hpp
 /// differ only in derivation options such as the architecture — skip model
 /// construction entirely.  Results are byte-identical with and without a
 /// cache (the model is immutable either way).  When `trace` is given it
-/// receives the executed schedule (`punt synth --trace-schedule`).  When
-/// `ledger` is given, dispatch is ordered longest-task-first within each
-/// priority band by its learned costs and the run's measured costs are
-/// folded back in afterwards; results are byte-identical with and without
-/// one (estimates only reorder dispatch — DESIGN.md §10).
+/// receives the executed schedule (`punt synth --trace-schedule`).
 SynthesisResult synthesize(const stg::Stg& stg, const SynthesisOptions& options = {},
                            ModelCache* cache = nullptr,
-                           util::TaskTrace* trace = nullptr,
-                           CostLedger* ledger = nullptr);
+                           util::TaskTrace* trace = nullptr);
 
 }  // namespace punt::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/core/cost_ledger.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/lint/rules.hpp"
 #include "src/lint/semantic_rules.hpp"
@@ -88,21 +87,13 @@ std::vector<FileLint> lint_files(const std::vector<FileInput>& files,
                                  const LintOptions& options) {
   std::vector<FileLint> results(files.size());
   util::TaskGraph graph;
-  std::vector<std::string> keys(files.size());
   for (std::size_t i = 0; i < files.size(); ++i) {
-    double estimate = 0;
-    if (options.ledger != nullptr) {
-      keys[i] = core::CostLedger::key_of(
-          "lint", core::CostLedger::text_digest(files[i].text));
-      estimate = options.ledger->estimate(keys[i]);
-    }
     // Each node writes only its own slot of the pre-sized results vector, so
     // the nodes are trivially safe to run concurrently; the shared
-    // ModelCache/CostLedger behind `options` are thread-safe by contract.
-    graph.add("lint", files[i].filename, 0, estimate, {},
-              [&results, &files, &options, i] {
-                results[i] = lint_text(files[i].text, files[i].filename, options);
-              });
+    // ModelCache behind `options` is thread-safe by contract.
+    graph.add("lint", files[i].filename, 0, {}, [&results, &files, &options, i] {
+      results[i] = lint_text(files[i].text, files[i].filename, options);
+    });
   }
   if (options.executor != nullptr) {
     options.executor->run(graph);
@@ -114,9 +105,6 @@ std::vector<FileLint> lint_files(const std::vector<FileInput>& files,
     // (bad_alloc, logic error) and must surface.
     if (graph.status(i) == util::TaskStatus::Failed) {
       std::rethrow_exception(graph.error(i));
-    }
-    if (options.ledger != nullptr) {
-      options.ledger->observe(keys[i], graph.trace().nodes[i].cpu_seconds);
     }
   }
   return results;

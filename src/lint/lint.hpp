@@ -12,8 +12,7 @@
 //
 // lint_files() is the multi-spec front end: one TaskGraph node per file,
 // executed on options.executor (the daemon's resident pool, or a per-call
-// one under `punt lint --jobs=N`), with per-file costs estimated from and
-// observed into options.ledger under "lint:<text digest>" keys.
+// one under `punt lint --jobs=N`).
 //
 // lint_errors() is the admission fast path: it runs the parser plus ONLY
 // the error-capable structural rules (rules.hpp run_error_rules) and keeps
@@ -44,7 +43,6 @@
 
 namespace punt::core {
 class ModelCache;   // model_cache.hpp
-class CostLedger;   // cost_ledger.hpp
 class Executor;     // pipeline.hpp
 }  // namespace punt::core
 
@@ -66,9 +64,6 @@ struct LintOptions {
   /// lint_files() only: run the per-file nodes on this executor (not owned;
   /// null = inline on the calling thread).
   core::Executor* executor = nullptr;
-  /// lint_files() only: estimate node costs from / observe measured costs
-  /// into this ledger (not owned; may be null).
-  core::CostLedger* ledger = nullptr;
 };
 
 /// The lint result for one spec.

@@ -62,7 +62,7 @@ struct SemanticOptions {
   /// Forwarded to sg::StateGraph::build (0 = unlimited).
   std::size_t state_budget = 2000000;
   /// Resolve the phase-1 model through this cache (lookup-or-build) instead
-  /// of building it fresh; the daemon passes its resident two-tier cache so
+  /// of building it fresh; the daemon passes its resident cache so
   /// warm specs deep-lint with zero rebuilds.  Not owned; may be null.
   core::ModelCache* cache = nullptr;
 };

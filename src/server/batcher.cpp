@@ -24,9 +24,8 @@ struct Batcher::Item {
   std::promise<Response> promise;
 };
 
-Batcher::Batcher(BatcherOptions options, core::ModelCache* cache,
-                 core::Executor* executor, core::CostLedger* ledger)
-    : options_(options), cache_(cache), executor_(executor), ledger_(ledger) {
+Batcher::Batcher(BatcherOptions options, core::ModelCache* cache, core::Executor* executor)
+    : options_(options), cache_(cache), executor_(executor) {
   dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
 
@@ -168,7 +167,6 @@ void Batcher::run_batch(std::vector<std::unique_ptr<Item>>& batch) {
   options.jobs = 1;  // executor (when given) supersedes this
   options.cache = cache_;
   options.executor = executor_;
-  options.ledger = ledger_;  // learned-cost dispatch + online cost fold
   core::BatchResult result;
   std::string batch_error;
   try {

@@ -35,7 +35,6 @@
 #include "src/server/service.hpp"
 
 namespace punt::core {
-class CostLedger;
 class Executor;
 class ModelCache;
 }  // namespace punt::core
@@ -84,13 +83,9 @@ struct BatcherStats {
 
 class Batcher {
  public:
-  /// `cache`, `ledger` (both nullable) and `executor` are the daemon's
-  /// residents; not owned, must outlive the Batcher.  Every fused batch
-  /// dispatches by the ledger's learned costs and folds its measured costs
-  /// back in, so the resident daemon self-tunes across requests.  Starts
-  /// the dispatcher thread.
-  Batcher(BatcherOptions options, core::ModelCache* cache,
-          core::Executor* executor, core::CostLedger* ledger = nullptr);
+  /// `cache` (nullable) and `executor` are the daemon's residents; not
+  /// owned, must outlive the Batcher.  Starts the dispatcher thread.
+  Batcher(BatcherOptions options, core::ModelCache* cache, core::Executor* executor);
   ~Batcher();  // drain()s
 
   Batcher(const Batcher&) = delete;
@@ -131,7 +126,6 @@ class Batcher {
   BatcherOptions options_;
   core::ModelCache* cache_ = nullptr;
   core::Executor* executor_ = nullptr;
-  core::CostLedger* ledger_ = nullptr;
 
   mutable std::mutex mutex_;
   std::condition_variable wake_;

@@ -21,7 +21,7 @@
 //   {"op":"lint","files":[{"name":<label>,"g":<.g text>},...],
 //    "deep":bool, "json":bool, "werror":bool,
 //    "werror_rules":["STG006",...]}      (all but "files" optional)
-//   {"op":"cache-stats"}     resident two-tier cache counters, as JSON
+//   {"op":"cache-stats"}     resident cache counters, as JSON
 //   {"op":"ping"}            liveness probe
 //   {"op":"shutdown"}        acknowledge, then drain and exit
 //

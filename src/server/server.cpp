@@ -12,7 +12,6 @@
 #include <cstring>
 #include <utility>
 
-#include "src/core/model_store.hpp"
 #include "src/server/protocol.hpp"
 #include "src/server/service.hpp"
 #include "src/util/error.hpp"
@@ -30,26 +29,17 @@ std::string errno_text() { return std::string(std::strerror(errno)); }
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      cache_(std::make_shared<core::ModelCache>(
-          options_.cache_capacity == 0 ? core::ModelCache::kDefaultCapacity
-                                       : options_.cache_capacity,
-          options_.model_cache_dir.empty()
-              ? nullptr
-              : std::make_shared<core::ModelStore>(options_.model_cache_dir))),
+      cache_(std::make_shared<core::ModelCache>(options_.cache_capacity == 0
+                                                    ? core::ModelCache::kDefaultCapacity
+                                                    : options_.cache_capacity)),
       executor_(options_.jobs),
       listener_(make_listener(options_.endpoint)) {
-  // Seed the resident cost table from the ledger published beside the model
-  // cache (best-effort: a missing or corrupt file just starts it cold); it
-  // then self-tunes online as requests are served.
-  if (!options_.model_cache_dir.empty()) {
-    ledger_.load(core::CostLedger::path_in(options_.model_cache_dir));
-  }
   if (options_.batch_window_ms > 0) {
     BatcherOptions batcher;
     batcher.window_seconds = options_.batch_window_ms / 1000.0;
     batcher.max_queue = options_.max_queue;
     batcher.max_per_connection = options_.max_inflight_per_connection;
-    batcher_ = std::make_unique<Batcher>(batcher, cache_.get(), &executor_, &ledger_);
+    batcher_ = std::make_unique<Batcher>(batcher, cache_.get(), &executor_);
   }
   // Self-pipe for the accept loop: non-blocking (a full pipe must not block
   // a finishing handler — one unread byte is wake enough) and CLOEXEC.
@@ -166,12 +156,6 @@ void Server::serve() {
   if (batcher_ != nullptr) batcher_->begin_drain();
   reap_connections(true);
   if (batcher_ != nullptr) batcher_->drain();
-  // Republish whatever the daemon learned about node costs while it served
-  // (atomic rename; racing daemons sharing the dir last-writer-win) so the
-  // next process — daemon or direct CLI — starts with a warm cost model.
-  if (!options_.model_cache_dir.empty()) {
-    ledger_.save(core::CostLedger::path_in(options_.model_cache_dir));
-  }
   listener_->cleanup();
 }
 
@@ -278,21 +262,20 @@ void Server::handle_connection(int fd, bool authenticate) {
             // below closes the connection, per the protocol contract.
             response = batcher_->submit(prepare_synth(std::move(request)), connection);
           } else {
-            response = run_synth(request, cache_.get(), &executor_, &ledger_);
+            response = run_synth(request, cache_.get(), &executor_);
           }
           break;
         case Op::Check:
           // Deliberately inline, not fused: the check's stdout embeds its
           // own request-scoped cache delta ("built N time(s)"), which a
           // shared batch delta would corrupt.
-          response = run_check(request, *cache_, &executor_, /*summarize_cache=*/true,
-                               &ledger_);
+          response = run_check(request, *cache_, &executor_);
           break;
         case Op::Lint:
           // Inline like check (the request carries a whole client batch
           // already — its files fan out on the resident executor inside the
           // handler, and the appended cache delta is request-scoped).
-          response = run_lint(request, *cache_, &executor_, &ledger_);
+          response = run_lint(request, *cache_, &executor_);
           break;
         case Op::CacheStats: {
           response.ok = true;
@@ -300,7 +283,6 @@ void Server::handle_connection(int fd, bool authenticate) {
           ServeInfo info;
           info.requests_served = requests_served();
           info.jobs = executor_.jobs();
-          info.model_cache_dir = options_.model_cache_dir;
           info.transport =
               options_.endpoint.transport == Transport::Tcp ? "tcp" : "unix";
           info.listen = listener_->local_endpoint().describe();

@@ -1,10 +1,9 @@
 // The `punt serve` daemon (DESIGN.md §9): a stream-socket server — Unix
 // domain or authenticated TCP, selected by the Endpoint in its options —
-// that keeps one two-tier ModelCache and one Executor (thread pool)
-// resident across requests, so repeated synthesis of the same STG pays
-// neither process startup nor phase-1 reconstruction nor even disk
-// deserialisation — the regime where the unfolding-segment approach
-// amortises best.  TCP connections must pass the HMAC-SHA256
+// that keeps one ModelCache and one Executor (thread pool) resident across
+// requests, so repeated synthesis of the same STG pays neither process
+// startup nor phase-1 reconstruction — the regime where the
+// unfolding-segment approach amortises best.  TCP connections must pass the HMAC-SHA256
 // challenge–response handshake (protocol.hpp) before their first request
 // and live under per-connection handshake/idle receive deadlines; Unix
 // connections skip both, so existing local clients are untouched.
@@ -42,7 +41,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/cost_ledger.hpp"
 #include "src/core/model_cache.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/server/batcher.hpp"
@@ -57,8 +55,7 @@ struct ServerOptions {
   /// Shared auth secret (`--token-file` contents).  Required for TCP —
   /// start() refuses an unauthenticated network listener; ignored for Unix.
   std::string token;
-  std::size_t jobs = 1;         // executor width; 0 = hardware default
-  std::string model_cache_dir;  // optional disk tier under the resident cache
+  std::size_t jobs = 1;  // executor width; 0 = hardware default
   std::size_t cache_capacity = core::ModelCache::kDefaultCapacity;
   /// Request-fusion accumulation window (`--batch-window`).  0 disables the
   /// Batcher entirely: synth requests execute inline on their connection
@@ -114,11 +111,6 @@ class Server {
   /// clients (and the self-spawned bench) should connect to.
   const Endpoint& endpoint() const { return listener_->local_endpoint(); }
   core::ModelCache& cache() { return *cache_; }
-  /// The resident cost table: seeded from `costs.puntledger` beside the
-  /// model-cache dir (when one is configured), updated online by every
-  /// served request, republished on shutdown — the self-tuning half of the
-  /// warm daemon.
-  core::CostLedger& ledger() { return ledger_; }
   std::size_t jobs() const { return executor_.jobs(); }
 
   /// Snapshot of the request-fusion counters (zeros when the daemon runs
@@ -180,11 +172,6 @@ class Server {
 
   ServerOptions options_;
   std::shared_ptr<core::ModelCache> cache_;
-  /// Measured node costs driving dispatch order (DESIGN.md §10).  Always
-  /// resident — online self-tuning needs no disk — and additionally
-  /// persisted beside the model cache when a cache dir is configured.
-  /// Declared before the Batcher that borrows it.
-  core::CostLedger ledger_;
   core::Executor executor_;
   /// Created only when batch_window_ms > 0.  Declared after the cache and
   /// executor it borrows, so it is destroyed (and drained) first.

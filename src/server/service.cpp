@@ -50,14 +50,12 @@ core::SynthesisOptions options_of(const Request& request) {
 core::SynthesisResult synthesize_on(const stg::Stg& stg,
                                     const core::SynthesisOptions& options,
                                     core::ModelCache* cache,
-                                    core::Executor* executor,
-                                    core::CostLedger* ledger) {
+                                    core::Executor* executor) {
   core::BatchOptions batch_options;
   batch_options.synthesis = options;
   batch_options.jobs = 1;  // executor (when given) supersedes this
   batch_options.cache = cache;
   batch_options.executor = executor;
-  batch_options.ledger = ledger;
   const std::span<const stg::Stg> one(&stg, 1);
   core::BatchResult batch = core::synthesize_batch(one, batch_options);
   core::BatchEntry& entry = batch.entries.front();
@@ -154,7 +152,7 @@ Response render_synth(const SynthJob& job, const core::BatchEntry& entry) {
 }
 
 Response run_synth(const Request& request, core::ModelCache* cache,
-                   core::Executor* executor, core::CostLedger* ledger) {
+                   core::Executor* executor) {
   const core::ModelCacheStats before = snapshot(cache);
   SynthJob job = prepare_synth(request);
   Response response;
@@ -165,7 +163,6 @@ Response run_synth(const Request& request, core::ModelCache* cache,
     batch_options.jobs = 1;  // executor (when given) supersedes this
     batch_options.cache = cache;
     batch_options.executor = executor;
-    batch_options.ledger = ledger;
     const core::BatchRequest one{&job.stg, job.options};
     const core::BatchResult batch = core::synthesize_batch(
         std::span<const core::BatchRequest>(&one, 1), batch_options);
@@ -176,8 +173,7 @@ Response run_synth(const Request& request, core::ModelCache* cache,
 }
 
 Response run_check(const Request& request, core::ModelCache& cache,
-                   core::Executor* executor, bool summarize_cache,
-                   core::CostLedger* ledger) {
+                   core::Executor* executor, bool summarize_cache) {
   Response response;
   response.ok = true;
   const core::ModelCacheStats before = cache.stats();
@@ -198,8 +194,7 @@ Response run_check(const Request& request, core::ModelCache& cache,
     response.output += printf_string(
         "output persistency          : %s\n",
         persistency.empty() ? "yes" : persistency.front().describe(unfolding).c_str());
-    const core::SynthesisResult result =
-        synthesize_on(stg, options, &cache, executor, ledger);
+    const core::SynthesisResult result = synthesize_on(stg, options, &cache, executor);
     bool csc_ok = true;
     for (const auto& impl : result.signals) {
       if (impl.csc_conflict) {
@@ -212,18 +207,12 @@ Response run_check(const Request& request, core::ModelCache& cache,
     // This *request's* share of the resident cache: on a cold daemon the
     // delta equals what a direct `punt check` reports; on a warm one it
     // truthfully reads "built 0 time(s)" — the saving the daemon exists to
-    // deliver.  (The displayed rate counts disk hits as reuse, matching
-    // cmd_check.)
+    // deliver.
     const core::ModelCacheStats stats = core::delta_stats(before, cache.stats());
-    const std::size_t lookups = stats.hits + stats.misses;
-    const double reuse_rate =
-        lookups == 0 ? 0.0
-                     : static_cast<double>(stats.hits + stats.disk_hits) /
-                           static_cast<double>(lookups);
     response.output += printf_string(
         "semantic model              : built %zu time(s), reused %zu time(s) "
         "(%.0f%% cache hit rate)\n",
-        stats.builds, stats.hits + stats.disk_hits, reuse_rate * 100.0);
+        stats.builds, stats.hits, stats.hit_rate() * 100.0);
     response.exit_code = csc_ok && persistency.empty() ? 0 : 2;
   } catch (const Error& e) {
     response.log += printf_string("error: %s\n", e.what());
@@ -234,7 +223,7 @@ Response run_check(const Request& request, core::ModelCache& cache,
 }
 
 Response run_lint(const Request& request, core::ModelCache& cache,
-                  core::Executor* executor, core::CostLedger* ledger) {
+                  core::Executor* executor) {
   Response response;
   response.ok = true;
   const core::ModelCacheStats before = cache.stats();
@@ -244,7 +233,6 @@ Response run_lint(const Request& request, core::ModelCache& cache,
   options.deep = request.lint_deep;
   options.cache = &cache;
   options.executor = executor;
-  options.ledger = ledger;
   std::vector<lint::FileInput> inputs;
   inputs.reserve(request.lint_files.size());
   for (const Request::LintFile& file : request.lint_files) {
@@ -280,10 +268,9 @@ std::string cache_stats_json(const core::ModelCacheStats& stats,
   const BatcherStats fused = batcher != nullptr ? *batcher : BatcherStats{};
   std::string out = "{\n";
   out += "  \"schema\": \"punt-serve-stats\",\n";
-  out += "  \"version\": 3,\n";
+  out += "  \"version\": 4,\n";
   out += printf_string("  \"requests\": %zu,\n", info.requests_served);
   out += printf_string("  \"jobs\": %zu,\n", info.jobs);
-  out += "  \"model_cache_dir\": \"" + util::json_escape(info.model_cache_dir) + "\",\n";
   out += "  \"transport\": \"" + util::json_escape(info.transport) + "\",\n";
   out += "  \"listen\": \"" + util::json_escape(info.listen) + "\",\n";
   out += printf_string("  \"connections\": %zu,\n", info.connections);
@@ -297,11 +284,6 @@ std::string cache_stats_json(const core::ModelCacheStats& stats,
   out += printf_string("  \"in_flight\": %zu,\n", stats.in_flight);
   out += printf_string("  \"resident\": %zu,\n", stats.resident);
   out += printf_string("  \"saved_seconds\": %.17g,\n", stats.saved_seconds);
-  out += printf_string("  \"disk_hits\": %zu,\n", stats.disk_hits);
-  out += printf_string("  \"disk_misses\": %zu,\n", stats.disk_misses);
-  out += printf_string("  \"disk_load_errors\": %zu,\n", stats.disk_load_errors);
-  out += printf_string("  \"disk_stores\": %zu,\n", stats.disk_stores);
-  out += printf_string("  \"disk_store_failures\": %zu,\n", stats.disk_store_failures);
   out += printf_string("  \"batch_window_ms\": %.17g,\n", info.batch_window_ms);
   out += printf_string("  \"admitted\": %zu,\n", fused.admitted);
   out += printf_string("  \"batches\": %zu,\n", fused.batches);

@@ -19,7 +19,6 @@
 #include "src/stg/stg.hpp"
 
 namespace punt::core {
-class CostLedger;
 class Executor;
 class ModelCache;
 struct ModelCacheStats;
@@ -34,11 +33,9 @@ struct BatcherStats;  // batcher.hpp; forward-declared to avoid a cycle
 /// the per-request cache delta summary is appended to the response log —
 /// the line a `--connect` client streams to its stderr.  `executor`
 /// (nullable) runs the graph; the daemon passes its resident one, a null
-/// falls back to an inline single-job run.  `ledger` (nullable) orders
-/// dispatch by learned node costs and absorbs this request's measured ones —
-/// the daemon passes its resident, self-tuning table.
+/// falls back to an inline single-job run.
 Response run_synth(const Request& request, core::ModelCache* cache,
-                   core::Executor* executor, core::CostLedger* ledger = nullptr);
+                   core::Executor* executor);
 
 /// One synth request decoded as far as it can be *before* batch execution:
 /// the parsed STG and its per-entry SynthesisOptions — the
@@ -78,11 +75,10 @@ Response render_synth(const SynthJob& job, const core::BatchEntry& entry);
 /// single-build guarantee `punt check` has); the "semantic model" verdict
 /// line reports this *request's* cache delta, so a warm daemon truthfully
 /// prints "built 0 time(s)".  `summarize_cache` controls the trailing
-/// per-request summary line in the log: the daemon always wants it, the
-/// direct CLI only when `--model-cache-dir` was given.
+/// per-request summary line in the log: the daemon wants it, the direct CLI
+/// does not.
 Response run_check(const Request& request, core::ModelCache& cache,
-                   core::Executor* executor, bool summarize_cache = true,
-                   core::CostLedger* ledger = nullptr);
+                   core::Executor* executor, bool summarize_cache = true);
 
 /// Handles {"op":"lint"} — the whole client batch in one request, linted
 /// as one TaskGraph on the daemon's resident executor so multi-file deep
@@ -97,7 +93,7 @@ Response run_check(const Request& request, core::ModelCache& cache,
 /// structural tier never touches the cache, so structural-only lints report
 /// an all-zero delta.
 Response run_lint(const Request& request, core::ModelCache& cache,
-                  core::Executor* executor, core::CostLedger* ledger = nullptr);
+                  core::Executor* executor);
 
 /// The daemon-identity slice of the {"op":"cache-stats"} payload: who is
 /// serving (transport, listen address, worker count) and the connection
@@ -106,7 +102,6 @@ Response run_lint(const Request& request, core::ModelCache& cache,
 struct ServeInfo {
   std::size_t requests_served = 0;
   std::size_t jobs = 0;
-  std::string model_cache_dir;
   std::string transport = "unix";  // "unix" | "tcp"
   std::string listen;              // Endpoint::describe() of the listener
   std::size_t connections = 0;     // accepted since start()
@@ -115,11 +110,11 @@ struct ServeInfo {
   double batch_window_ms = 0;
 };
 
-/// The {"op":"cache-stats"} payload: resident two-tier counters plus the
+/// The {"op":"cache-stats"} payload: resident cache counters plus the
 /// server identity/connection fields and the request-fusion counters
-/// ("punt-serve-stats" schema, version 3 — v3 added transport, listen,
-/// connections, auth_failures and idle_timeouts; every v2 field is
-/// unchanged, so v2 consumers keep working by ignoring the additions).
+/// ("punt-serve-stats" schema, version 4 — v4 dropped the disk-tier
+/// directory and counters; v3 added transport, listen, connections,
+/// auth_failures and idle_timeouts).
 /// `batcher` is null when the daemon runs with `--batch-window=0` (no
 /// fusion); the fusion fields are then emitted as zeros so the schema is
 /// stable for consumers like `punt bench serve`.

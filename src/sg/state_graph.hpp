@@ -20,11 +20,6 @@
 #include "src/pn/marking.hpp"
 #include "src/stg/stg.hpp"
 
-namespace punt::util {
-class BinaryReader;  // binio.hpp
-class BinaryWriter;
-}  // namespace punt::util
-
 namespace punt::sg {
 
 /// One SG arc: firing `transition` leads to state `target`.
@@ -77,11 +72,6 @@ class StateGraph {
                                              const stg::Stg& stg) const;
 
  private:
-  // Binary (de)serialisation (serialize.hpp) — the disk tier of the model
-  // cache persists the SG verbatim instead of re-exploring the state space.
-  friend void write_state_graph(const StateGraph& graph, util::BinaryWriter& out);
-  friend StateGraph read_state_graph(util::BinaryReader& in, const stg::Stg& stg);
-
   std::size_t signal_count_ = 0;
   std::vector<pn::Marking> markings_;
   std::vector<stg::Code> codes_;

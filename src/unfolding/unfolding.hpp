@@ -31,11 +31,6 @@
 #include "src/util/bitset.hpp"
 #include "src/util/page_allocator.hpp"
 
-namespace punt::util {
-class BinaryReader;  // binio.hpp
-class BinaryWriter;
-}  // namespace punt::util
-
 namespace punt::unf {
 
 struct UnfoldOptions {
@@ -195,15 +190,10 @@ class Unfolding {
 
  private:
   friend class Unfolder;
-  // Binary (de)serialisation (serialize.hpp) — the disk tier of the model
-  // cache persists the segment verbatim instead of re-unfolding.
-  friend void write_unfolding(const Unfolding& unf, util::BinaryWriter& out);
-  friend Unfolding read_unfolding(util::BinaryReader& in,
-                                  std::shared_ptr<const stg::Stg> stg);
   Unfolding() = default;
 
   /// Derives rows_, signals_ and instances_ from the segment.  Called once
-  /// the segment is complete, by build() and by read_unfolding.
+  /// the segment is complete, by build().
   void build_rows();
 
   std::shared_ptr<const stg::Stg> stg_;
@@ -228,7 +218,7 @@ class Unfolding {
   // ids < c; co(a, b) is looked up in the row of the larger id.
   std::vector<Bitset> co_;
 
-  // Derived rows, never persisted, in one flat allocation of whole pages
+  // Derived rows, in one flat allocation of whole pages
   // (page_allocator.hpp): the condition co rows (co_events) and the event
   // successor rows (successors), row_words_ words each, then the packed
   // codes (code_bits), code_words_ words each.
@@ -236,7 +226,7 @@ class Unfolding {
   std::size_t code_words_ = 0;
   std::vector<std::uint64_t, util::PageAllocator<std::uint64_t>> rows_;
   // Per event: the signal of its label (signal_of); per signal: its
-  // instances (instances_of_signal).  Derived, never persisted.
+  // instances (instances_of_signal).  Derived.
   std::vector<stg::SignalId> signals_;
   std::vector<std::vector<EventId>> instances_;
 };

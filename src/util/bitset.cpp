@@ -12,13 +12,13 @@ Bitset Bitset::from_words(std::size_t size, std::vector<std::uint64_t> words) {
   if (words.size() != word_count(size)) {
     throw ValidationError("Bitset::from_words: " + std::to_string(words.size()) +
                           " word(s) cannot carry a bitset of " + std::to_string(size) +
-                          " bit(s); the serialisation is corrupt");
+                          " bit(s)");
   }
   const std::size_t used = size & 63;
   if (!words.empty() && used != 0 &&
       (words.back() & ~((std::uint64_t{1} << used) - 1)) != 0) {
     throw ValidationError("Bitset::from_words: a bit beyond the declared size of " +
-                          std::to_string(size) + " is set; the serialisation is corrupt");
+                          std::to_string(size) + " is set");
   }
   Bitset bits;
   bits.size_ = size;

@@ -93,14 +93,14 @@ class Bitset {
   std::size_t hash() const;
 
   /// Raw payload words (bit i lives in word i/64 at position i%64); exposed
-  /// for binary serialisation, which round-trips words verbatim instead of
-  /// re-setting bits one by one.
+  /// for word-level row operations, which combine whole words instead of
+  /// testing bits one by one.
   const std::vector<std::uint64_t>& words() const { return words_; }
 
   /// Rebuilds a bitset from `size` and the payload produced by words().
   /// Throws ValidationError when the word count does not match the size or a
-  /// bit beyond `size` is set (both indicate a corrupt serialisation, and
-  /// silently masking them would hide the corruption).
+  /// bit beyond `size` is set (both indicate a caller bug, and silently
+  /// masking them would hide it).
   static Bitset from_words(std::size_t size, std::vector<std::uint64_t> words);
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);

@@ -4,7 +4,7 @@
 // (util/task_graph.cpp), the Table-1 report writer (benchmarks/report.cpp),
 // `punt cache stats` and the serve protocol (server/protocol.cpp) — and each
 // needs the same escaping of quotes, backslashes and control characters.
-// Two readers parse it back — the report merger and the serve protocol — and
+// Two readers parse it back — `punt trace` and the serve protocol — and
 // both need only objects, arrays, strings, numbers and booleans, so a
 // ~100-line recursive-descent parser keeps the repo free of a JSON
 // dependency.  One definition keeps escapes and parse behaviour (and their
@@ -25,7 +25,7 @@ namespace punt::util {
 std::string json_escape(const std::string& text);
 
 /// One parsed JSON value.  A tagged struct rather than a variant: the two
-/// consumers (report merge, serve protocol) walk small documents and the
+/// consumers (`punt trace`, serve protocol) walk small documents and the
 /// flat layout keeps the accessors trivial.
 struct JsonValue {
   enum class Type { Null, Bool, Number, String, Array, Object };

@@ -74,4 +74,13 @@ std::vector<std::string> logical_lines(std::string_view text) {
   return out;
 }
 
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 }  // namespace punt

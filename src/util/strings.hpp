@@ -1,6 +1,7 @@
 // Small string utilities shared by the `.g` parser and the report writers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,5 +25,8 @@ std::vector<std::string> logical_lines(std::string_view text);
 /// stack buffer is measured and formatted again at exact size (truncation
 /// would corrupt the JSON and CLI-parity lines this backs).
 std::string printf_string(const char* format, ...) __attribute__((format(printf, 1, 2)));
+
+/// FNV-1a 64-bit over a byte range — the digest the golden tests pin.
+std::uint64_t fnv1a64(std::string_view bytes);
 
 }  // namespace punt

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <queue>
 #include <stdexcept>
@@ -22,26 +22,13 @@ double seconds_since(const Clock::time_point& base) {
   return std::chrono::duration<double>(Clock::now() - base).count();
 }
 
-/// Min-heap entry: dispatch order is ascending (priority, -cost, id) — the
-/// priority band first, the costliest node within the band first, id as the
-/// deterministic tiebreak (and the whole order, when no costs are known).
-struct ReadyEntry {
-  int priority;
-  double cost;
-  std::size_t id;
-  bool operator>(const ReadyEntry& other) const {
-    if (priority != other.priority) return priority > other.priority;
-    if (cost != other.cost) return cost < other.cost;
-    return id > other.id;
-  }
-};
-
-/// The one dispatch-order definition, shared by the inline heap (via
-/// ReadyEntry) and the pool paths: ascending (priority, -cost, id).
-bool dispatches_before(const ReadyEntry& a, const ReadyEntry& b) { return b > a; }
+/// The one dispatch-order definition, shared by the inline heap and the
+/// pool paths: ascending (priority, id) — the priority band first, id as the
+/// deterministic tiebreak.
+using ReadyKey = std::pair<int, std::size_t>;
 
 using ReadyQueue =
-    std::priority_queue<ReadyEntry, std::vector<ReadyEntry>, std::greater<ReadyEntry>>;
+    std::priority_queue<ReadyKey, std::vector<ReadyKey>, std::greater<ReadyKey>>;
 
 const char* status_name(TaskStatus status) {
   switch (status) {
@@ -155,13 +142,13 @@ std::string TaskTrace::to_json() const {
       if (d > 0) out += ", ";
       out += std::to_string(node.deps[d]);
     }
-    // est_cost / wall_ready / queue_wait are additive fields of schema
-    // version 1 — readers of older dumps treat their absence as zero.
+    // wall_ready / queue_wait are additive fields of schema version 1 —
+    // readers of older dumps treat their absence as zero.
     std::snprintf(buffer, sizeof buffer,
-                  "], \"priority\": %d, \"est_cost\": %.9f, \"status\": \"%s\", "
+                  "], \"priority\": %d, \"status\": \"%s\", "
                   "\"worker\": %d, \"wall_ready\": %.9f, \"wall_start\": %.9f, "
                   "\"wall_end\": %.9f, \"queue_wait\": %.9f, \"cpu_seconds\": %.9f}%s\n",
-                  node.priority, node.est_cost, status_name(node.status), node.worker,
+                  node.priority, status_name(node.status), node.worker,
                   node.wall_ready, node.wall_start, node.wall_end, node.queue_wait(),
                   node.cpu_seconds, i + 1 < nodes.size() ? "," : "");
     out += buffer;
@@ -174,13 +161,6 @@ std::string TaskTrace::to_json() const {
 
 TaskGraph::NodeId TaskGraph::add(std::string kind, std::string label, int priority,
                                  std::vector<NodeId> deps, std::function<void()> fn) {
-  return add(std::move(kind), std::move(label), priority, /*estimated_cost=*/0,
-             std::move(deps), std::move(fn));
-}
-
-TaskGraph::NodeId TaskGraph::add(std::string kind, std::string label, int priority,
-                                 double estimated_cost, std::vector<NodeId> deps,
-                                 std::function<void()> fn) {
   if (executed_) {
     throw std::invalid_argument("TaskGraph::add called after execute()");
   }
@@ -200,13 +180,16 @@ TaskGraph::NodeId TaskGraph::add(std::string kind, std::string label, int priori
   node.trace.kind = std::move(kind);
   node.trace.label = std::move(label);
   node.trace.priority = priority;
-  // A non-finite or negative estimate must not scramble the heap order.
-  node.trace.est_cost =
-      std::isfinite(estimated_cost) && estimated_cost > 0 ? estimated_cost : 0;
   node.trace.deps = deps;
   for (const NodeId dep : deps) nodes_[dep].dependents.push_back(id);
   nodes_.push_back(std::move(node));
   return id;
+}
+
+void TaskGraph::sort_for_dispatch(std::vector<NodeId>& ids) const {
+  std::sort(ids.begin(), ids.end(), [this](NodeId a, NodeId b) {
+    return ReadyKey{nodes_[a].trace.priority, a} < ReadyKey{nodes_[b].trace.priority, b};
+  });
 }
 
 std::vector<TaskGraph::NodeId> TaskGraph::cancel_dependents(NodeId id) {
@@ -233,11 +216,11 @@ void TaskGraph::execute_inline() {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].pending_deps == 0) {
       nodes_[i].trace.wall_ready = seconds_since(base);
-      ready.push({nodes_[i].trace.priority, nodes_[i].trace.est_cost, i});
+      ready.push({nodes_[i].trace.priority, i});
     }
   }
   while (!ready.empty()) {
-    const NodeId id = ready.top().id;
+    const NodeId id = ready.top().second;
     ready.pop();
     Node& node = nodes_[id];
     if (node.trace.status != TaskStatus::Pending) continue;  // cancelled meanwhile
@@ -261,7 +244,7 @@ void TaskGraph::execute_inline() {
       Node& next = nodes_[dep];
       if (--next.pending_deps == 0 && next.trace.status == TaskStatus::Pending) {
         next.trace.wall_ready = seconds_since(base);
-        ready.push({next.trace.priority, next.trace.est_cost, dep});
+        ready.push({next.trace.priority, dep});
       }
     }
   }
@@ -327,19 +310,18 @@ void TaskGraph::execute(ThreadPool& pool) {
         finished += newly_finished;
         if (finished == nodes_.size()) all_done.notify_one();
       }
-      // Continuations go out in (priority, -cost, id) order — outside the
-      // lock, so a free worker can start the first one while we enqueue the
-      // rest.
-      std::sort(to_dispatch.begin(), to_dispatch.end(), [&](NodeId a, NodeId b) {
-        return dispatches_before({nodes_[a].trace.priority, nodes_[a].trace.est_cost, a},
-                                 {nodes_[b].trace.priority, nodes_[b].trace.est_cost, b});
-      });
+      // Once the last node finished, execute() may already have returned and
+      // the graph may be gone; only a non-empty `to_dispatch`, which keeps
+      // `finished` below the node count, lets this task touch either again.
+      if (to_dispatch.empty()) return;
+      // Continuations go out in (priority, id) order — outside the lock, so
+      // a free worker can start the first one while we enqueue the rest.
+      sort_for_dispatch(to_dispatch);
       for (const NodeId next : to_dispatch) dispatch(next);
     });
   };
 
-  // Seed the pool with the initially-ready nodes in (priority, -cost, id)
-  // order.
+  // Seed the pool with the initially-ready nodes in (priority, id) order.
   {
     std::vector<NodeId> seeds;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -348,10 +330,7 @@ void TaskGraph::execute(ThreadPool& pool) {
         seeds.push_back(i);
       }
     }
-    std::sort(seeds.begin(), seeds.end(), [&](NodeId a, NodeId b) {
-      return dispatches_before({nodes_[a].trace.priority, nodes_[a].trace.est_cost, a},
-                               {nodes_[b].trace.priority, nodes_[b].trace.est_cost, b});
-    });
+    sort_for_dispatch(seeds);
     for (const NodeId id : seeds) dispatch(id);
   }
 

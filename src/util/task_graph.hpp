@@ -10,16 +10,11 @@
 // restriction the old blocking-future scheduler had to forbid.
 //
 // Semantics:
-//   * Ready nodes are dispatched in ascending (priority, -estimated_cost,
-//     id) order: the priority *band* always wins (models before derives,
-//     widen-before-deepen — DESIGN.md §7), and within a band the node
-//     expected to run longest goes first (longest-processing-time-first,
-//     from costs a CostLedger learned on earlier runs).  Nodes with no
-//     estimate (cost 0) keep the plain id order, so a cold start is exactly
-//     the pre-cost-model schedule.  The inline run (no pool) follows that
-//     order exactly, so single-threaded execution is fully deterministic and
-//     reproducible — and because estimates only reorder *within* a band,
-//     results are bit-identical whatever the ledger holds.
+//   * Ready nodes are dispatched in ascending (priority, id) order: the
+//     priority *band* always wins (models before derives,
+//     widen-before-deepen — DESIGN.md §7), and within a band the older node
+//     goes first.  The inline run (no pool) follows that order exactly, so
+//     single-threaded execution is fully deterministic and reproducible.
 //   * A node that throws is recorded as Failed with its exception_ptr; its
 //     transitive dependents are Cancelled (never run).  Nodes on unrelated
 //     branches still run — failure is contained to the downstream cone.
@@ -60,7 +55,6 @@ struct TraceNode {
   std::string label;  // e.g. "chu150/y", for humans reading the trace
   std::vector<std::size_t> deps;
   int priority = 0;
-  double est_cost = 0;    // predicted seconds (0 = no estimate), from add()
   TaskStatus status = TaskStatus::Pending;
   int worker = -1;        // pool worker index; -1 = inline run or never ran
   double wall_ready = 0;  // when the node became dispatchable (~0 for roots)
@@ -71,8 +65,7 @@ struct TraceNode {
   double wall_duration() const { return wall_end - wall_start; }
 
   /// Ready→start latency: how long the node sat dispatchable before a worker
-  /// picked it up.  The per-node signal that shows whether a dispatch-order
-  /// change actually moved long tasks earlier.  Zero for cancelled nodes.
+  /// picked it up.  Zero for cancelled nodes.
   double queue_wait() const {
     return status == TaskStatus::Cancelled ? 0 : wall_start - wall_ready;
   }
@@ -117,14 +110,6 @@ class TaskGraph {
   NodeId add(std::string kind, std::string label, int priority,
              std::vector<NodeId> deps, std::function<void()> fn);
 
-  /// As above, with a cost estimate (predicted seconds; 0 = unknown).  Among
-  /// simultaneously-ready nodes of one priority band the highest estimate
-  /// dispatches first (longest-processing-time-first); ties — including the
-  /// all-zero cold start — fall back to id order.  Estimates influence
-  /// *order only*, never which nodes run or what they compute.
-  NodeId add(std::string kind, std::string label, int priority, double estimated_cost,
-             std::vector<NodeId> deps, std::function<void()> fn);
-
   std::size_t size() const { return nodes_.size(); }
 
   /// Runs the graph on the calling thread in (priority, id) ready order.
@@ -157,6 +142,9 @@ class TaskGraph {
   /// cancelled ids (callers update their done-counters).  Caller holds the
   /// execution lock when running under a pool.
   std::vector<NodeId> cancel_dependents(NodeId id);
+
+  /// Sorts `ids` into dispatch order, ascending (priority, id).
+  void sort_for_dispatch(std::vector<NodeId>& ids) const;
 
   std::vector<Node> nodes_;
   TaskTrace trace_;

@@ -8,11 +8,8 @@
 // approximation primitives against their per-event definitions.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
-#include <filesystem>
 #include <memory>
 #include <set>
 #include <span>
@@ -22,8 +19,6 @@
 
 #include "src/benchmarks/registry.hpp"
 #include "src/core/approx.hpp"
-#include "src/core/model_cache.hpp"
-#include "src/core/model_store.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/slices.hpp"
 #include "src/logic/espresso.hpp"
@@ -346,43 +341,11 @@ std::size_t row_mismatches(const Unfolding& unf) {
 
 class CoRows : public ::testing::TestWithParam<int> {};
 
-TEST_P(CoRows, MatchScalarCoAfterBuildAndAfterDiskLoad) {
+TEST_P(CoRows, MatchScalarCoAfterBuild) {
   const auto [name, stg] = swept_spec(GetParam());
-  const SynthesisOptions options;
-  const auto model = SemanticModel::build(stg, options);
+  const auto model = SemanticModel::build(stg, SynthesisOptions{});
   ASSERT_NE(model->unfolding, nullptr);
   EXPECT_EQ(row_mismatches(*model->unfolding), 0u) << name;
-
-  // The disk tier does not persist the rows; loading rebuilds them.
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("punt-co-rows-test-" + test_name(name) + "-" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  const std::string key = ModelCache::key_of(stg, options);
-  std::shared_ptr<const SemanticModel> loaded;
-  {
-    ModelStore store(dir.string());
-    EXPECT_TRUE(store.store(key, *model));
-    loaded = store.load(key);
-  }
-  std::filesystem::remove_all(dir);
-  ASSERT_NE(loaded, nullptr) << name;
-  ASSERT_NE(loaded->unfolding, nullptr);
-  EXPECT_EQ(row_mismatches(*loaded->unfolding), 0u) << name;
-  for (std::size_t ci = 0; ci < model->unfolding->condition_count(); ++ci) {
-    const ConditionId c(static_cast<std::uint32_t>(ci));
-    const auto built = model->unfolding->co_events(c);
-    const auto read = loaded->unfolding->co_events(c);
-    ASSERT_TRUE(std::equal(built.begin(), built.end(), read.begin(), read.end()))
-        << name << " row " << ci;
-  }
-  for (std::size_t ei = 0; ei < model->unfolding->event_count(); ++ei) {
-    const EventId e(static_cast<std::uint32_t>(ei));
-    const auto built = model->unfolding->successors(e);
-    const auto read = loaded->unfolding->successors(e);
-    ASSERT_TRUE(std::equal(built.begin(), built.end(), read.begin(), read.end()))
-        << name << " successors of " << ei;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Specs, CoRows, ::testing::Range(0, kSweptSpecs),

@@ -36,7 +36,7 @@
 #include "src/server/service.hpp"
 #include "src/stg/g_format.hpp"
 #include "src/stg/generators.hpp"
-#include "src/util/binio.hpp"
+#include "src/util/strings.hpp"
 #include "tests/dc_espresso_reference.hpp"
 
 namespace punt {
@@ -120,7 +120,7 @@ Rendered render(const Spec& spec, const Flags& run, core::ModelCache& cache,
   char fields[96];
   std::snprintf(fields, sizeof(fields), " exit=%d literals=%zu fnv=%016" PRIx64,
                 response.exit_code, header_literals(rendered.output),
-                util::fnv1a64(rendered.output));
+                fnv1a64(rendered.output));
   rendered.line = spec.name + " " + run.method + " " + run.arch + fields;
   return rendered;
 }

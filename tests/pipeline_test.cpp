@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/benchmarks/registry.hpp"
-#include "src/core/cost_ledger.hpp"
 #include "src/core/model_cache.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/synthesis.hpp"
@@ -143,96 +142,6 @@ TEST(Pipeline, MixedBatchKeepsResultsAndErrorTextIdenticalAcrossJobCounts) {
       }
     }
   }
-}
-
-TEST(Pipeline, WarmLedgerKeepsResultsAndErrorsBitIdenticalAcrossJobCounts) {
-  // The registry plus failing entries (a CSC conflict mid-batch and its
-  // duplicate at the end), run through a CostLedger warmed by a prior full
-  // pass, at jobs ∈ {1, 2, 8}.  Learned costs reorder dispatch *within*
-  // priority bands only, so against the plain no-ledger reference every
-  // result and every failure diagnostic must stay byte-identical — whatever
-  // the ledger holds and however many workers run the graph.
-  const auto& registry = benchmarks::table1();
-  std::vector<Stg> stgs;
-  stgs.push_back(stg::make_vme_bus());  // known CSC conflict
-  for (const auto& bench : registry) stgs.push_back(bench.make());
-  stgs.push_back(stg::make_vme_bus());
-
-  BatchOptions plain;
-  plain.synthesis.throw_on_csc = true;
-  plain.jobs = 1;
-  const BatchResult reference = synthesize_batch(stgs, plain);
-  ASSERT_EQ(reference.failures, 2u);
-
-  // Warm the ledger with one measured pass.  Failing entries still feed it:
-  // their model build and non-conflicting signals measured real costs.
-  CostLedger ledger;
-  BatchOptions warmup = plain;
-  warmup.ledger = &ledger;
-  (void)synthesize_batch(stgs, warmup);
-  ASSERT_GT(ledger.size(), 0u) << "the warmup pass folded nothing into the ledger";
-
-  for (const std::size_t jobs : {1u, 2u, 8u}) {
-    BatchOptions warm = plain;
-    warm.jobs = jobs;
-    warm.ledger = &ledger;
-    util::TaskTrace trace;
-    warm.trace = &trace;
-    const BatchResult batch = synthesize_batch(stgs, warm);
-    // The run genuinely dispatched on estimates — this is not a vacuous
-    // comparison of two cold schedules.
-    std::size_t estimated = 0;
-    for (const util::TraceNode& node : trace.nodes) estimated += node.est_cost > 0;
-    EXPECT_GT(estimated, 0u) << "jobs=" << jobs;
-    ASSERT_EQ(batch.entries.size(), reference.entries.size());
-    EXPECT_EQ(batch.failures, reference.failures);
-    for (std::size_t i = 0; i < reference.entries.size(); ++i) {
-      const std::string label =
-          "entry " + std::to_string(i) + " warm-ledger jobs=" + std::to_string(jobs);
-      ASSERT_EQ(batch.entries[i].ok, reference.entries[i].ok) << label;
-      if (reference.entries[i].ok) {
-        expect_identical(reference.entries[i].result, batch.entries[i].result, label);
-      } else {
-        EXPECT_EQ(batch.entries[i].error, reference.entries[i].error) << label;
-      }
-    }
-  }
-}
-
-TEST(Pipeline, LedgerLearnsFromMeasuredRunsButNotCacheHits) {
-  // One STG through an empty ledger: after the run the model, derive and
-  // minimize estimates are positive (real measured seconds).  A second run
-  // over a warm ModelCache must NOT fold the near-zero cache-hit resolution
-  // into the model entry — the estimate means "cost to build", and eroding
-  // it toward zero would misorder every later cold batch.
-  const Stg stg = benchmarks::table1().front().make();
-  SynthesisOptions options;
-  CostLedger ledger;
-  ModelCache cache;
-  BatchOptions batch_options;
-  batch_options.synthesis = options;
-  batch_options.jobs = 1;
-  batch_options.cache = &cache;
-  batch_options.ledger = &ledger;
-  const std::span<const Stg> one(&stg, 1);
-  ASSERT_EQ(synthesize_batch(one, batch_options).failures, 0u);
-  const std::string model_key = CostLedger::key_of(
-      "model", CostLedger::model_digest(stg, options));
-  const double built_estimate = ledger.estimate(model_key);
-  ASSERT_GT(built_estimate, 0.0) << "the build run must seed the model estimate";
-
-  ASSERT_EQ(synthesize_batch(one, batch_options).failures, 0u);  // cache hit
-  EXPECT_EQ(ledger.estimate(model_key), built_estimate)
-      << "a cache-hit model resolution polluted the build-cost estimate";
-
-  // Derive/minimize estimates exist per non-input signal and keep updating.
-  std::size_t signal_keys = 0;
-  for (const auto signal : stg.non_input_signals()) {
-    const std::string derive_key = CostLedger::key_of(
-        "derive", CostLedger::entry_digest(stg, options), stg.signal_name(signal));
-    signal_keys += ledger.estimate(derive_key) > 0;
-  }
-  EXPECT_GT(signal_keys, 0u);
 }
 
 TEST(Pipeline, ParallelCscFailureMatchesSequentialDiagnostic) {

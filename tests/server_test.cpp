@@ -1,7 +1,7 @@
 // Tests for the `punt serve` daemon: protocol framing and JSON round-trips,
 // byte-identity of daemon responses with direct invocation (N concurrent
 // clients included), the warm-cache property a resident daemon exists for
-// (second request = pure memory hit, zero rebuilds, zero disk loads),
+// (second request = pure memory hit, zero rebuilds),
 // resilience to malformed/oversized frames, graceful shutdown draining
 // in-flight work — and the TCP transport: endpoint-grammar parsing, the
 // HMAC-SHA256 challenge–response handshake (refusals, fresh nonces, replay),
@@ -502,7 +502,6 @@ TEST(Server, SecondRequestOnAWarmDaemonIsAPureMemoryHit) {
   const std::string socket = dir.str() + "/punt.sock";
   ServerOptions options;
   options.endpoint = unix_endpoint(socket);
-  options.model_cache_dir = dir.str() + "/models";  // disk tier attached...
   RunningServer running(options);
 
   const Stg stg = stg::make_paper_fig1();
@@ -515,13 +514,12 @@ TEST(Server, SecondRequestOnAWarmDaemonIsAPureMemoryHit) {
   EXPECT_EQ(second.exit_code, 0);
   EXPECT_EQ(strip_timing(second.output), strip_timing(first.output));
 
-  // The acceptance criterion: zero phase-1 rebuilds AND zero disk loads —
-  // the resident memory tier answered.
+  // The acceptance criterion: zero phase-1 rebuilds — the resident cache
+  // answered.
   const core::ModelCacheStats delta =
       core::delta_stats(after_first, running.server.cache().stats());
   EXPECT_EQ(delta.hits, 1u);
   EXPECT_EQ(delta.builds, 0u) << "a warm daemon must not rebuild phase 1";
-  EXPECT_EQ(delta.disk_hits, 0u) << "...nor deserialise from the disk tier";
   EXPECT_EQ(delta.misses, 0u);
   // The per-request summary the client streams to stderr says the same.
   EXPECT_NE(second.log.find("1 memory hit(s)"), std::string::npos) << second.log;
@@ -766,7 +764,7 @@ TEST(Server, CacheStatsReportsFusionCounters) {
   const Response stats = request_once(socket, stats_request);
   const util::JsonValue root = util::parse_json(stats.output);
   EXPECT_EQ(util::json_string(root, "schema", "stats"), "punt-serve-stats");
-  EXPECT_EQ(util::json_count(root, "version", "stats"), 3u);
+  EXPECT_EQ(util::json_count(root, "version", "stats"), 4u);
   EXPECT_EQ(util::json_number(root, "batch_window_ms", "stats"), 2.0);
   EXPECT_GE(util::json_count(root, "admitted", "stats"), 2u);
   EXPECT_GE(util::json_count(root, "batches", "stats"), 1u);
@@ -795,7 +793,7 @@ TEST(Server, ZeroWindowDisablesFusionButKeepsTheStatsSchema) {
   const util::JsonValue root = util::parse_json(stats.output);
   // Same schema, fusion counters pinned to zero — consumers need not care
   // how the daemon was started.
-  EXPECT_EQ(util::json_count(root, "version", "stats"), 3u);
+  EXPECT_EQ(util::json_count(root, "version", "stats"), 4u);
   EXPECT_EQ(util::json_number(root, "batch_window_ms", "stats"), 0.0);
   EXPECT_EQ(util::json_count(root, "batches", "stats"), 0u);
   EXPECT_EQ(util::json_count(root, "fused_requests", "stats"), 0u);
@@ -927,7 +925,7 @@ TEST(Server, TcpRequiresAuthAndCountsRejects) {
   stats_request.op = Op::CacheStats;
   const Response stats = request_once(bound, options.token, stats_request);
   const util::JsonValue root = util::parse_json(stats.output);
-  EXPECT_EQ(util::json_count(root, "version", "stats"), 3u);
+  EXPECT_EQ(util::json_count(root, "version", "stats"), 4u);
   EXPECT_EQ(util::json_string(root, "transport", "stats"), "tcp");
   EXPECT_EQ(util::json_string(root, "listen", "stats"), bound.describe());
   EXPECT_EQ(util::json_count(root, "auth_failures", "stats"), 2u);

@@ -42,31 +42,6 @@ TEST(TaskGraph, InlineRunsInPriorityThenIdOrder) {
   }
 }
 
-TEST(TaskGraph, CostOrdersWithinAPriorityBandLongestFirst) {
-  TaskGraph graph;
-  std::vector<std::string> order;
-  const auto record = [&order](std::string name) {
-    return [&order, name = std::move(name)] { order.push_back(name); };
-  };
-  // Same band: highest estimated cost dispatches first (LPT), zero-cost
-  // ties fall back to id order.  A lower band still beats any cost.
-  graph.add("n", "small", 1, 0.1, {}, record("small"));
-  graph.add("n", "big", 1, 0.9, {}, record("big"));
-  graph.add("n", "mid", 1, 0.5, {}, record("mid"));
-  graph.add("n", "zero-a", 1, 0.0, {}, record("zero-a"));
-  graph.add("n", "zero-b", 1, 0.0, {}, record("zero-b"));
-  graph.add("n", "urgent", 0, 0.001, {}, record("urgent"));
-  graph.execute_inline();
-  EXPECT_EQ(order, (std::vector<std::string>{"urgent", "big", "mid", "small",
-                                             "zero-a", "zero-b"}));
-  // Estimates are sanitised and recorded in the trace; they change order
-  // only, never results.
-  EXPECT_DOUBLE_EQ(graph.trace().nodes[1].est_cost, 0.9);
-  for (std::size_t id = 0; id < graph.size(); ++id) {
-    EXPECT_EQ(graph.status(id), TaskStatus::Done);
-  }
-}
-
 TEST(TaskGraph, TraceStampsReadyTimesAndQueueWaits) {
   for (const bool inline_run : {true, false}) {
     TaskGraph graph;
@@ -95,7 +70,6 @@ TEST(TaskGraph, TraceStampsReadyTimesAndQueueWaits) {
     EXPECT_EQ(trace.nodes[doomed].queue_wait(), 0.0) << "cancelled nodes never wait";
     // The JSON dump carries the additive v1 fields.
     const std::string json = trace.to_json();
-    EXPECT_NE(json.find("\"est_cost\""), std::string::npos);
     EXPECT_NE(json.find("\"wall_ready\""), std::string::npos);
     EXPECT_NE(json.find("\"queue_wait\""), std::string::npos);
   }

@@ -13,10 +13,9 @@
 #include "src/benchmarks/registry.hpp"
 #include "src/sg/state_graph.hpp"
 #include "src/stg/generators.hpp"
-#include "src/unfolding/serialize.hpp"
 #include "src/unfolding/unfolding.hpp"
-#include "src/util/binio.hpp"
 #include "src/util/error.hpp"
+#include "src/util/strings.hpp"
 
 namespace punt::unf {
 namespace {
@@ -360,14 +359,90 @@ TEST(Unfolding, EventNamesReadable) {
   EXPECT_NE(unf.condition_name(c0).find("@0"), std::string::npos);
 }
 
-/// FNV-1a 64 of write_unfolding's bytes.  The payload holds every event's
-/// transition, pre/postset, local configuration, code, marking and cutoff
-/// image, and the triangular condition co matrix, so equal hashes mean the
+/// Fixed-width little-endian fields; lists carry a u64 length prefix.
+struct ByteStream {
+  std::string bytes;
+
+  void u8(std::uint8_t v) { bytes.push_back(static_cast<char>(v)); }
+  void u32(std::uint32_t v) {
+    for (int shift = 0; shift < 32; shift += 8) u8(static_cast<std::uint8_t>(v >> shift));
+  }
+  void u64(std::uint64_t v) {
+    for (int shift = 0; shift < 64; shift += 8) u8(static_cast<std::uint8_t>(v >> shift));
+  }
+  template <typename Ids>
+  void ids(const Ids& list) {
+    u64(list.size());
+    for (const auto id : list) u32(id.value);
+  }
+  void bits(const Bitset& set) {
+    u64(set.size());
+    for (const std::uint64_t word : set.words()) u64(word);
+  }
+};
+
+/// FNV-1a 64 of the segment as a byte stream read through the public
+/// accessors: every event's transition, pre/postset, local configuration,
+/// configuration size, code, final marking, cutoff flag and image, every
+/// condition's place, producer and consumers, and the triangular condition
+/// co matrix (row c holds co(c, b) for b < c).  Equal hashes mean the
 /// unfolder built the same segment.
 std::uint64_t segment_hash(const Unfolding& unf) {
-  util::BinaryWriter out;
-  write_unfolding(unf, out);
-  return util::fnv1a64(out.data());
+  const std::size_t events = unf.event_count();
+  const std::size_t conditions = unf.condition_count();
+  const auto event = [](std::size_t e) { return EventId(static_cast<std::uint32_t>(e)); };
+  const auto condition = [](std::size_t c) {
+    return ConditionId(static_cast<std::uint32_t>(c));
+  };
+  ByteStream out;
+  out.u64(unf.stats().events);
+  out.u64(unf.stats().conditions);
+  out.u64(unf.stats().cutoffs);
+
+  out.u64(events);
+  for (std::size_t e = 0; e < events; ++e) out.u32(unf.transition(event(e)).value);
+  out.u64(events);
+  for (std::size_t e = 0; e < events; ++e) out.ids(unf.preset(event(e)));
+  out.u64(events);
+  for (std::size_t e = 0; e < events; ++e) out.ids(unf.postset(event(e)));
+  out.u64(events);
+  for (std::size_t e = 0; e < events; ++e) out.bits(unf.local_config(event(e)));
+  out.u64(events);
+  for (std::size_t e = 0; e < events; ++e) out.u64(unf.config_size(event(e)));
+  out.u64(events);
+  for (std::size_t e = 0; e < events; ++e) {
+    const stg::Code& code = unf.code(event(e));
+    out.u64(code.size());
+    for (const std::uint8_t bit : code) out.u8(bit);
+  }
+  out.u64(events);
+  for (std::size_t e = 0; e < events; ++e) {
+    const pn::Marking& marking = unf.final_marking(event(e));
+    out.u64(marking.place_count());
+    for (std::size_t p = 0; p < marking.place_count(); ++p) {
+      out.u32(marking.tokens(pn::PlaceId(static_cast<std::uint32_t>(p))));
+    }
+  }
+  out.u64(events);
+  for (std::size_t e = 0; e < events; ++e) out.u8(unf.is_cutoff(event(e)) ? 1 : 0);
+  out.u64(events);
+  for (std::size_t e = 0; e < events; ++e) out.u32(unf.cutoff_image(event(e)).value);
+
+  out.u64(conditions);
+  for (std::size_t c = 0; c < conditions; ++c) out.u32(unf.place(condition(c)).value);
+  out.u64(conditions);
+  for (std::size_t c = 0; c < conditions; ++c) out.u32(unf.producer(condition(c)).value);
+  out.u64(conditions);
+  for (std::size_t c = 0; c < conditions; ++c) out.ids(unf.consumers(condition(c)));
+  out.u64(conditions);
+  for (std::size_t c = 0; c < conditions; ++c) {
+    Bitset row(c);
+    for (std::size_t b = 0; b < c; ++b) {
+      if (unf.co(condition(c), condition(b))) row.set(b);
+    }
+    out.bits(row);
+  }
+  return fnv1a64(out.bytes);
 }
 
 TEST(Unfolding, SegmentBytesArePinned) {

@@ -1,14 +1,12 @@
-// Unit tests for the util substrate: Bitset, binary I/O, JSON escaping,
-// strings, xorshift.
+// Unit tests for the util substrate: Bitset, JSON escaping, strings,
+// xorshift.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "src/util/binio.hpp"
 #include "src/util/bitset.hpp"
 #include "src/util/error.hpp"
 #include "src/util/hmac.hpp"
@@ -195,48 +193,6 @@ TEST(Bitset, WordsRoundTripThroughFromWords) {
   std::vector<std::uint64_t> tail = b.words();
   tail.back() |= std::uint64_t{1} << 10;  // bit 138 > size 130
   EXPECT_THROW((void)Bitset::from_words(130, std::move(tail)), ValidationError);
-}
-
-TEST(BinIo, FieldsRoundTripExactly) {
-  util::BinaryWriter out;
-  out.u8(0xab);
-  out.u32(0xdeadbeef);
-  out.u64(0x0123456789abcdefull);
-  out.f64(-1234.5678e-9);
-  out.f64(std::numeric_limits<double>::infinity());
-  out.str("hello \x1f world");
-  out.str("");
-
-  util::BinaryReader in(out.data());
-  EXPECT_EQ(in.u8(), 0xab);
-  EXPECT_EQ(in.u32(), 0xdeadbeefu);
-  EXPECT_EQ(in.u64(), 0x0123456789abcdefull);
-  EXPECT_DOUBLE_EQ(in.f64(), -1234.5678e-9);
-  EXPECT_EQ(in.f64(), std::numeric_limits<double>::infinity());
-  EXPECT_EQ(in.str(), "hello \x1f world");
-  EXPECT_EQ(in.str(), "");
-  EXPECT_TRUE(in.at_end());
-  EXPECT_EQ(in.remaining(), 0u);
-}
-
-TEST(BinIo, ReadsPastTheEndThrowParseError) {
-  util::BinaryWriter out;
-  out.u32(7);
-  util::BinaryReader in(out.data());
-  (void)in.u32();
-  EXPECT_THROW((void)in.u8(), ParseError);
-
-  // A length prefix overrunning the payload is truncation, not a crash.
-  util::BinaryWriter bad;
-  bad.u64(1000);  // claims a 1000-byte string, provides none
-  util::BinaryReader str_in(bad.data());
-  EXPECT_THROW((void)str_in.str(), ParseError);
-
-  // count() bounds corrupt container lengths before any allocation.
-  util::BinaryWriter huge;
-  huge.u64(std::numeric_limits<std::uint64_t>::max());
-  util::BinaryReader count_in(huge.data());
-  EXPECT_THROW((void)count_in.count(1 << 20, "element"), ParseError);
 }
 
 TEST(Json, EscapeHandlesQuotesBackslashesAndControls) {

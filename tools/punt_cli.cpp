@@ -2,11 +2,9 @@
 //
 //   punt synth <file.g> [--method=approx|exact|sg] [--arch=acg|c|rs]
 //              [--eqn] [--verilog] [--dot] [--unfolding-dot] [--no-minimize]
-//              [--jobs=N] [--trace-schedule=<file>] [--model-cache-dir=<dir>]
-//   punt check <file.g> [--model-cache-dir=<dir>]
-//                                  verify the general correctness criteria
-//   punt lint <file.g ...> [--json] [--Werror[=STG006,...]] [--deep]
-//             [--jobs=N] [--model-cache-dir=<dir>]
+//              [--jobs=N] [--trace-schedule=<file>]
+//   punt check <file.g>            verify the general correctness criteria
+//   punt lint <file.g ...> [--json] [--Werror[=STG006,...]] [--deep] [--jobs=N]
 //             [--connect=<endpoint> [--token-file=<file>]] [--rules]
 //                                  static analysis: every finding carries a
 //                                  stable rule id, severity, line:column span
@@ -23,29 +21,20 @@
 //                                  pre-screens they decide.  Files lint as
 //                                  task-graph nodes (--jobs parallelises the
 //                                  batch); deep models resolve through the
-//                                  ModelCache (--model-cache-dir persists
-//                                  them; --connect reuses a daemon's warm
-//                                  ones).  Exit 0 when no error-severity
+//                                  ModelCache (--connect reuses a daemon's
+//                                  warm ones).  Exit 0 when no error-severity
 //                                  finding, else 1
 //   punt resolve <file.g>          repair CSC conflicts by signal insertion
 //   punt bench list                list the Table-1 registry
 //   punt bench dump <name>         print a registry entry as .g text
-//   punt bench run [--jobs=N] [--method=...] [--arch=...]
-//                  [--shard=i/n] [--weights=<report.json>] [--report=json]
-//                  [--trace-schedule=<file>] [--model-cache-dir=<dir>]
-//                                  synthesise the registry (or one shard of
-//                                  it) through the task-graph executor;
-//                                  Table-1 table with paper columns, or JSON.
-//                                  --weights partitions the shards by
-//                                  measured per-entry cost (greedy LPT over
-//                                  TotTim from a prior merged report);
-//                                  --trace-schedule dumps the executed graph
-//                                  (nodes, workers, timings) as JSON and
-//                                  prints the critical-path summary
-//   punt bench merge <report.json...>
-//                                  combine per-shard JSON reports into the
-//                                  full Table-1 table, verifying that the
-//                                  shards cover the registry exactly once
+//   punt bench run [--jobs=N] [--method=...] [--arch=...] [--report=json]
+//                  [--trace-schedule=<file>]
+//                                  synthesise the registry through the
+//                                  task-graph executor; Table-1 table with
+//                                  paper columns, or JSON.  --trace-schedule
+//                                  dumps the executed graph (nodes, workers,
+//                                  timings) as JSON and prints the
+//                                  critical-path summary
 //   punt bench lint [--deep] [--json=<file>]
 //                                  lint throughput over the registry (the
 //                                  serve-admission budget check); asserts the
@@ -54,9 +43,8 @@
 //                                  tier over a warm shared ModelCache
 //   punt trace <trace.json>        analyse a --trace-schedule dump offline:
 //                                  per-worker occupancy, an ASCII Gantt lane
-//                                  per worker, queue-wait statistics, the
-//                                  critical path, and a ledger-estimate vs
-//                                  measured-cost error table
+//                                  per worker, queue-wait statistics and the
+//                                  critical path
 //   punt bench serve [--connect=<endpoint>] [--listen=tcp[://addr:port]]
 //                    [--token-file=<file>] [--clients=K] [--duration=S]
 //                    [--jobs=N] [--batch-window=MS] [--max-queue=N]
@@ -70,14 +58,10 @@
 //                                  throughput, fused-batch histogram, shed
 //                                  count; --json writes the punt-serve-bench
 //                                  report
-//   punt cache stats --model-cache-dir=<dir>
-//                                  inventory the on-disk model cache as JSON
 //   punt cache stats --connect=<endpoint>
 //                                  a running daemon's resident cache counters
-//   punt cache purge --model-cache-dir=<dir>
-//                                  delete every persisted model in the dir
 //   punt serve (--socket=<path> | --listen=tcp://<addr>:<port>
-//              --token-file=<file>) [--jobs=N] [--model-cache-dir=<dir>]
+//              --token-file=<file>) [--jobs=N]
 //              [--batch-window=MS] [--max-queue=N] [--send-timeout=S]
 //              [--handshake-timeout=S] [--idle-timeout=S]
 //                                  run the warm-model daemon: one resident
@@ -105,32 +89,31 @@
 //   punt shutdown --connect=<endpoint>
 //                                  ask the daemon to drain and exit
 //
-// --model-cache-dir persists the phase-1 semantic models (unfolding segment
-// or state graph) under the canonical STG digest, so successive punt
-// invocations — and CI bench shards sharing one directory — skip phase 1
-// after the first warm run.  The same directory also holds the cost ledger
-// (costs.puntledger): measured per-node costs that later runs feed back into
-// dispatch as longest-task-first ordering within each priority band, and
-// that `punt bench run --weights=<costs.puntledger>` turns into a cost-aware
-// shard partition.  Corrupt or version-mismatched cache files fall
-// back to a rebuild; an unwritable directory degrades to build-without-
-// persist.  Commands that used the cache print a hit/build summary (memory
-// hits, disk hits, rebuilds) to stderr.  `punt serve` goes further: the
-// *in-memory* tier stays warm across client invocations, so a repeated
-// `--connect` synth costs neither a rebuild nor a disk load.
+// Each command builds the phase-1 semantic models (unfolding segment or
+// state graph) it needs in memory and keeps nothing between runs.  `punt
+// serve` keeps them warm across client invocations, so a repeated
+// `--connect` synth costs no rebuild; the client prints the daemon's
+// hit/rebuild summary to stderr.  synth, check and bench run refuse unknown
+// flags, as lint and serve do.
 //
 // Exit status: 0 on success, 1 on usage errors, 2 when the specification is
 // not implementable (with a diagnostic on stderr).
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include <csignal>
@@ -143,10 +126,8 @@
 #include "src/benchmarks/registry.hpp"
 #include "src/benchmarks/report.hpp"
 #include "src/benchmarks/trace_view.hpp"
-#include "src/core/cost_ledger.hpp"
 #include "src/core/csc_resolve.hpp"
 #include "src/core/model_cache.hpp"
-#include "src/core/model_store.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/synthesis.hpp"
 #include "src/lint/lint.hpp"
@@ -178,28 +159,22 @@ int usage() {
                "  punt synth <file.g> [--method=approx|exact|sg] [--arch=acg|c|rs]\n"
                "             [--eqn] [--verilog] [--dot] [--unfolding-dot]\n"
                "             [--no-minimize] [--jobs=N] [--trace-schedule=<file>]\n"
-               "             [--model-cache-dir=<dir>]\n"
-               "  punt check <file.g> [--model-cache-dir=<dir>]\n"
+               "  punt check <file.g>\n"
                "  punt lint <file.g ...> [--json] [--Werror[=STG006,...]] [--deep]\n"
-               "            [--jobs=N] [--model-cache-dir=<dir>]\n"
-               "            [--connect=<endpoint> [--token-file=<file>]] [--rules]\n"
+               "            [--jobs=N] [--connect=<endpoint> [--token-file=<file>]] [--rules]\n"
                "  punt resolve <file.g>\n"
                "  punt bench list | punt bench dump <name>\n"
                "  punt bench lint [--deep] [--json=<file>]\n"
                "  punt bench run [--jobs=N] [--method=...] [--arch=...]\n"
-               "                 [--shard=i/n] [--weights=<report.json|ledger>]\n"
                "                 [--report=json] [--trace-schedule=<file>]\n"
-               "                 [--model-cache-dir=<dir>]\n"
-               "  punt bench merge <report.json...>\n"
                "  punt trace <trace.json>\n"
                "  punt bench serve [--connect=<endpoint>] [--listen=tcp[://addr:port]]\n"
                "                   [--token-file=<file>] [--clients=K] [--duration=S]\n"
                "                   [--jobs=N] [--batch-window=MS] [--max-queue=N]\n"
                "                   [--no-warmup] [--json=<file>]\n"
-               "  punt cache stats --model-cache-dir=<dir> | --connect=<endpoint>\n"
-               "  punt cache purge --model-cache-dir=<dir>\n"
+               "  punt cache stats --connect=<endpoint>\n"
                "  punt serve (--socket=<path> | --listen=tcp://<addr>:<port>\n"
-               "             --token-file=<file>) [--jobs=N] [--model-cache-dir=<dir>]\n"
+               "             --token-file=<file>) [--jobs=N]\n"
                "             [--batch-window=MS] [--max-queue=N] [--send-timeout=S]\n"
                "             [--handshake-timeout=S] [--idle-timeout=S]\n"
                "  punt ping --connect=<endpoint>\n"
@@ -209,16 +184,9 @@ int usage() {
                " arriving together run as ONE union task graph; 0 = no fusion)\n"
                "(--max-queue: admitted-but-unstarted request bound; excess synth\n"
                " requests are refused with an 'overloaded' error)\n"
-               "(--shard=i/n: registry entries at positions p with p %% n == i,\n"
-               " or balanced by measured per-entry cost with --weights — a prior\n"
-               " merged report.json, or the costs.puntledger a cached run wrote)\n"
                "(--trace-schedule: write the executed task graph as JSON and\n"
                " print its critical-path summary to stderr; `punt trace` renders\n"
                " the dump as per-worker occupancy lanes)\n"
-               "(--model-cache-dir: persist phase-1 semantic models on disk so\n"
-               " later invocations sharing the directory skip rebuilding them;\n"
-               " the directory also carries the cost ledger that orders ready\n"
-               " nodes longest-first on later runs)\n"
                "(--connect: delegate synth/check/lint to a running `punt serve`\n"
                " daemon, whose models stay warm in memory across requests;\n"
                " a Unix socket path or tcp://host:port — TCP endpoints need\n"
@@ -227,6 +195,12 @@ int usage() {
 }
 
 std::string read_file(const std::string& path) {
+  // A directory opens as a stream but reads as empty, which the parser
+  // would report as a missing .end directive.
+  std::error_code error;
+  if (std::filesystem::is_directory(path, error)) {
+    throw punt::Error("cannot read '" + path + "': it is a directory");
+  }
   std::ifstream in(path);
   if (!in) throw punt::Error("cannot open '" + path + "'");
   std::ostringstream buffer;
@@ -336,6 +310,31 @@ bool has_flag(const std::vector<std::string>& args, const char* flag) {
   return false;
 }
 
+/// The flags parse_options reads; `punt synth` and `punt bench run` take
+/// them.  A flag ending in '=' takes a value.
+constexpr std::array<std::string_view, 8> kSynthesisFlags = {
+    "--method=approx", "--method=exact", "--method=sg", "--arch=acg",
+    "--arch=c",        "--arch=rs",      "--no-minimize", "--jobs="};
+
+/// Refuses the first "--" argument that is neither one of `flags` nor, with
+/// `synthesis`, one of kSynthesisFlags — the error `punt lint` and `punt
+/// serve` give, so a typo'd or retired flag fails instead of running a
+/// different configuration.
+void reject_unknown_flags(const std::vector<std::string>& args, const std::string& command,
+                          bool synthesis, std::initializer_list<std::string_view> flags) {
+  for (const std::string& arg : args) {
+    if (arg.rfind("--", 0) != 0) continue;
+    const auto known = [&](std::string_view flag) {
+      return flag.back() == '=' ? arg.rfind(flag, 0) == 0 : arg == flag;
+    };
+    if (std::any_of(flags.begin(), flags.end(), known) ||
+        (synthesis && std::any_of(kSynthesisFlags.begin(), kSynthesisFlags.end(), known))) {
+      continue;
+    }
+    throw punt::Error("unknown punt " + command + " flag '" + arg + "'");
+  }
+}
+
 /// The payload of `--trace-schedule=<file>`, or empty when absent.
 std::string trace_schedule_path(const std::vector<std::string>& args) {
   for (const std::string& arg : args) {
@@ -419,73 +418,6 @@ ConnectTarget resolve_connect(const std::string& target,
   return connect;
 }
 
-/// The payload of `--model-cache-dir=<dir>`, or empty when absent.
-std::string model_cache_dir(const std::vector<std::string>& args) {
-  for (const std::string& arg : args) {
-    if (arg.rfind("--model-cache-dir=", 0) == 0) {
-      const std::string dir = arg.substr(18);
-      if (dir.empty()) {
-        throw punt::Error("--model-cache-dir needs a directory path "
-                          "(e.g. --model-cache-dir=.punt-cache)");
-      }
-      return dir;
-    }
-  }
-  return std::string();
-}
-
-/// A ModelCache with the on-disk tier under `dir`, or a memory-only one for
-/// an empty dir (check) / nullptr where the cache itself is optional.
-std::unique_ptr<punt::core::ModelCache> make_cache(const std::string& dir) {
-  if (dir.empty()) return nullptr;
-  return std::make_unique<punt::core::ModelCache>(
-      punt::core::ModelCache::kDefaultCapacity,
-      std::make_shared<punt::core::ModelStore>(dir));
-}
-
-/// One stderr line summarising where the models of this run came from; the
-/// acceptance signal for a warm `--model-cache-dir` is "N disk hit(s), 0
-/// rebuild(s)".
-void print_cache_summary(const punt::core::ModelCache& cache) {
-  // One shared formatter (core::summarize) keeps this line identical to the
-  // per-request summary a `--connect` client receives from the daemon.
-  std::fprintf(stderr, "%s", punt::core::summarize(cache.stats()).c_str());
-}
-
-/// Prints the summary when the enclosing command exits — error paths
-/// included (a CSC failure over a warm cache is exactly the run where
-/// knowing whether phase 1 came from a stale cached model helps).
-struct CacheSummaryGuard {
-  const punt::core::ModelCache* cache = nullptr;
-  ~CacheSummaryGuard() {
-    if (cache != nullptr) print_cache_summary(*cache);
-  }
-};
-
-/// The cost ledger persisted beside the model cache (`dir` empty → none).
-/// A missing or corrupt costs.puntledger just loads empty: dispatch starts
-/// cold, exactly the pre-ledger schedule.
-std::unique_ptr<punt::core::CostLedger> make_ledger(const std::string& dir) {
-  if (dir.empty()) return nullptr;
-  auto ledger = std::make_unique<punt::core::CostLedger>();
-  (void)ledger->load(punt::core::CostLedger::path_in(dir));
-  return ledger;
-}
-
-/// Republishes the ledger when the enclosing command exits — error paths
-/// included (a CSC failure still measured real node costs worth keeping).
-/// Best-effort like the model store: an unwritable directory degrades to
-/// run-without-persist rather than failing the synthesis that already ran.
-struct LedgerSaveGuard {
-  const punt::core::CostLedger* ledger = nullptr;
-  std::string dir;
-  ~LedgerSaveGuard() {
-    if (ledger != nullptr) {
-      (void)ledger->save(punt::core::CostLedger::path_in(dir));
-    }
-  }
-};
-
 /// Writes the executed schedule as JSON and prints the critical-path summary
 /// to stderr (stderr so `--report=json` output stays parseable).
 void dump_trace(const punt::util::TaskTrace& trace, const std::string& path) {
@@ -510,21 +442,20 @@ int run_client(const ConnectTarget& target, const punt::server::Request& request
   return response.exit_code;
 }
 
-/// Flags that make no sense against a daemon (it owns its jobs policy,
-/// model cache and cost ledger; the dot writers and schedule trace are
-/// direct-mode only).  Runs *before* the endpoint resolves, so the flag
-/// conflict is reported even when e.g. a TCP target is missing its
-/// --token-file — the user should fix the invocation, not the transport.
+/// Flags that make no sense against a daemon (it owns its jobs policy and
+/// model cache; the dot writers and schedule trace are direct-mode only).
+/// Runs *before* the endpoint resolves, so the flag conflict is reported
+/// even when e.g. a TCP target is missing its --token-file — the user
+/// should fix the invocation, not the transport.
 void reject_direct_only_flags(const std::vector<std::string>& args) {
   for (const std::string& arg : args) {
     if (arg == "--dot" || arg == "--unfolding-dot" ||
-        arg.rfind("--trace-schedule=", 0) == 0 || arg.rfind("--jobs=", 0) == 0 ||
-        arg.rfind("--model-cache-dir=", 0) == 0) {
+        arg.rfind("--trace-schedule=", 0) == 0 || arg.rfind("--jobs=", 0) == 0) {
       throw punt::Error("'" + arg.substr(0, arg.find('=')) +
                         "' is a direct-only flag and cannot be combined with "
-                        "--connect: the daemon owns its worker pool, model cache "
-                        "and cost ledger, and writers beyond --eqn/--verilog run "
-                        "only in direct mode");
+                        "--connect: the daemon owns its worker pool and model "
+                        "cache, and writers beyond --eqn/--verilog run only in "
+                        "direct mode");
     }
   }
 }
@@ -557,6 +488,9 @@ int delegate_check(const ConnectTarget& target, const std::string& path,
 }
 
 int cmd_synth(const std::string& path, const std::vector<std::string>& args) {
+  reject_unknown_flags(args, "synth", /*synthesis=*/true,
+                       {"--eqn", "--verilog", "--dot", "--unfolding-dot",
+                        "--trace-schedule=", "--connect=", "--token-file="});
   const std::string target = connect_target(args);
   if (!target.empty()) {
     reject_direct_only_flags(args);
@@ -565,14 +499,9 @@ int cmd_synth(const std::string& path, const std::vector<std::string>& args) {
   const punt::stg::Stg stg = punt::stg::parse_g(read_file(path));
   const punt::core::SynthesisOptions options = parse_options(args);
   const std::string trace_path = trace_schedule_path(args);
-  const std::string cache_dir = model_cache_dir(args);
-  const std::unique_ptr<punt::core::ModelCache> cache = make_cache(cache_dir);
-  const std::unique_ptr<punt::core::CostLedger> ledger = make_ledger(cache_dir);
-  const CacheSummaryGuard summary{cache.get()};
-  const LedgerSaveGuard persist{ledger.get(), cache_dir};
   punt::util::TaskTrace trace;
   const punt::core::SynthesisResult result = punt::core::synthesize(
-      stg, options, cache.get(), trace_path.empty() ? nullptr : &trace, ledger.get());
+      stg, options, nullptr, trace_path.empty() ? nullptr : &trace);
   if (!trace_path.empty()) dump_trace(trace, trace_path);
   const punt::net::Netlist netlist = punt::net::Netlist::from_synthesis(stg, result);
 
@@ -595,6 +524,7 @@ int cmd_synth(const std::string& path, const std::vector<std::string>& args) {
 }
 
 int cmd_check(const std::string& path, const std::vector<std::string>& args) {
+  reject_unknown_flags(args, "check", /*synthesis=*/false, {"--connect=", "--token-file="});
   const std::string target = connect_target(args);
   if (!target.empty()) {
     reject_direct_only_flags(args);
@@ -603,20 +533,14 @@ int cmd_check(const std::string& path, const std::vector<std::string>& args) {
   // The direct path runs the same server::run_check the daemon dispatches
   // to, so `--connect` byte-parity holds by construction: one ModelCache
   // shared between the criteria checks and the embedded CSC synthesis run
-  // (the unfolding segment is built exactly once; with --model-cache-dir a
-  // warm directory skips even that one build), verdict lines and the
+  // (the unfolding segment is built exactly once), verdict lines and the
   // delta-based "semantic model" summary rendered in exactly one place.
-  const std::string cache_dir = model_cache_dir(args);
-  punt::core::ModelCache cache(
-      punt::core::ModelCache::kDefaultCapacity,
-      cache_dir.empty() ? nullptr : std::make_shared<punt::core::ModelStore>(cache_dir));
-  const std::unique_ptr<punt::core::CostLedger> ledger = make_ledger(cache_dir);
-  const LedgerSaveGuard persist{ledger.get(), cache_dir};
+  punt::core::ModelCache cache;
   punt::server::Request request;
   request.op = punt::server::Op::Check;
   request.g_text = read_file(path);
-  const punt::server::Response response = punt::server::run_check(
-      request, cache, nullptr, /*summarize_cache=*/!cache_dir.empty(), ledger.get());
+  const punt::server::Response response =
+      punt::server::run_check(request, cache, nullptr, /*summarize_cache=*/false);
   std::fputs(response.output.c_str(), stdout);
   std::fputs(response.log.c_str(), stderr);
   return response.exit_code;
@@ -628,8 +552,7 @@ int cmd_check(const std::string& path, const std::vector<std::string>& args) {
 /// deciding whether --deep is worth a state-space build sees what it buys.
 void print_lint_rules() {
   std::printf("punt lint <file.g ...> [--json] [--Werror[=STG006,...]] [--deep]\n"
-              "          [--jobs=N] [--model-cache-dir=<dir>]\n"
-              "          [--connect=<endpoint> [--token-file=<file>]] [--rules]\n"
+              "          [--jobs=N] [--connect=<endpoint> [--token-file=<file>]] [--rules]\n"
               "  static analysis of STG specs: every finding carries a rule id,\n"
               "  a severity, a line:column source span and a fix hint.  Exit 0\n"
               "  when no file has error-severity findings, 1 otherwise.\n"
@@ -642,7 +565,6 @@ void print_lint_rules() {
               "             sequence; an exact verdict retracts the structural\n"
               "             pre-screens it decides (STG004/007/008/010)\n"
               "  --jobs=N   lint files concurrently (0 = hardware threads)\n"
-              "  --model-cache-dir=<dir>  reuse/persist the semantic models\n"
               "  --connect  lint on a running daemon (its models stay warm)\n"
               "  --rules    print this rule catalog\n\nstructural rules:\n");
   for (const auto& rule : punt::lint::rule_catalog()) {
@@ -694,10 +616,9 @@ int cmd_lint(const std::vector<std::string>& args) {
       options.deep = true;
     } else if (arg.rfind("--jobs=", 0) == 0) {
       jobs = parse_jobs(arg.substr(7));
-    } else if (arg.rfind("--model-cache-dir=", 0) == 0 ||
-               arg.rfind("--connect=", 0) == 0 || arg.rfind("--token-file=", 0) == 0) {
-      // Parsed by the shared helpers below (model_cache_dir, connect_target,
-      // resolve_connect), which also validate the payloads.
+    } else if (arg.rfind("--connect=", 0) == 0 || arg.rfind("--token-file=", 0) == 0) {
+      // Parsed by the shared helpers below (connect_target, resolve_connect),
+      // which also validate the payloads.
     } else if (arg == "--rules" || arg == "--help") {
       print_lint_rules();
       return 0;
@@ -717,21 +638,11 @@ int cmd_lint(const std::vector<std::string>& args) {
     return delegate_lint(resolve_connect(target, args), files, options.deep, json,
                          options);
   }
-  // Direct mode.  The deep tier needs a ModelCache to resolve its exact
-  // state-graph models through — memory-only without --model-cache-dir, so
-  // a batch repeating one spec under different names still builds it once.
-  const std::string cache_dir = model_cache_dir(args);
-  std::unique_ptr<punt::core::ModelCache> cache;
-  std::unique_ptr<punt::core::CostLedger> ledger;
-  if (options.deep) {
-    cache = make_cache(cache_dir);
-    if (cache == nullptr) cache = std::make_unique<punt::core::ModelCache>();
-    ledger = make_ledger(cache_dir);
-    options.cache = cache.get();
-    options.ledger = ledger.get();
-  }
-  const CacheSummaryGuard summary{cache_dir.empty() ? nullptr : cache.get()};
-  const LedgerSaveGuard persist{ledger.get(), cache_dir};
+  // Direct mode.  The deep tier resolves its exact state-graph models
+  // through a ModelCache, so a batch repeating one spec under different
+  // names still builds it once.
+  punt::core::ModelCache cache;
+  if (options.deep) options.cache = &cache;
   std::unique_ptr<punt::core::Executor> executor;
   if (jobs != 1) {
     executor = std::make_unique<punt::core::Executor>(jobs);
@@ -961,117 +872,39 @@ int cmd_resolve(const std::string& path) {
 }
 
 int cmd_bench_run(const std::vector<std::string>& args) {
+  reject_unknown_flags(args, "bench run", /*synthesis=*/true,
+                       {"--report=", "--trace-schedule="});
   punt::core::BatchOptions batch_options;
   batch_options.synthesis = parse_options(args);
   batch_options.jobs = batch_options.synthesis.jobs;
   // Benchmarks with genuine CSC conflicts should report, not abort the run.
   batch_options.synthesis.throw_on_csc = false;
 
-  punt::benchmarks::Shard shard;
   bool json = false;
-  std::string weights_path;
   for (const std::string& arg : args) {
-    if (arg.rfind("--shard=", 0) == 0) {
-      shard = punt::benchmarks::parse_shard(arg.substr(8));
-    } else if (arg == "--report=json") {
+    if (arg == "--report=json") {
       json = true;
     } else if (arg.rfind("--report=", 0) == 0) {
       throw punt::Error("invalid --report value '" + arg.substr(9) +
                         "'; the only supported report format is 'json'");
-    } else if (arg.rfind("--weights=", 0) == 0) {
-      weights_path = arg.substr(10);
-      if (weights_path.empty()) {
-        throw punt::Error("--weights needs a weights file: a merged report "
-                          "(e.g. --weights=table1-merged.json) or a cost ledger "
-                          "(e.g. --weights=cache/costs.puntledger)");
-      }
     }
   }
   const std::string trace_path = trace_schedule_path(args);
   punt::util::TaskTrace trace;
   if (!trace_path.empty()) batch_options.trace = &trace;
-  // With --model-cache-dir, phase 1 of every registry entry is served from
-  // (and persisted to) the shared directory: a second run over a warm dir
-  // reports all disk hits and zero rebuilds.  CI's bench shards share one
-  // directory through actions/cache.  The directory's cost ledger rides
-  // along: learned node costs order this run's dispatch, and this run's
-  // measurements fold back for the next one.
-  const std::string cache_dir = model_cache_dir(args);
-  const std::unique_ptr<punt::core::ModelCache> cache = make_cache(cache_dir);
-  batch_options.cache = cache.get();
-  const std::unique_ptr<punt::core::CostLedger> ledger = make_ledger(cache_dir);
-  batch_options.ledger = ledger.get();
-  const CacheSummaryGuard summary{cache.get()};
-  const LedgerSaveGuard persist{ledger.get(), cache_dir};
 
-  const auto& registry = punt::benchmarks::table1();
-  std::vector<std::size_t> positions;
-  bool weights_from_ledger = false;
-  if (weights_path.empty()) {
-    positions = punt::benchmarks::shard_positions(shard, registry.size());
-  } else {
-    std::string weights_text;
-    try {
-      weights_text = read_file(weights_path);
-    } catch (const punt::Error& e) {
-      throw punt::Error("cannot read weights file '" + weights_path + "': " + e.what());
-    }
-    if (punt::core::CostLedger::is_ledger_image(weights_text)) {
-      // --weights=<costs.puntledger>: per-entry estimates from the learned
-      // cost table, so the ledger a cached run wrote doubles as the shard
-      // balancer — no merged report needed.  Entries the ledger has not
-      // measured weigh zero here; the LPT partition gives them the mean
-      // measured weight.
-      punt::core::CostLedger weights;
-      if (!weights.merge_image(weights_text)) {
-        throw punt::Error("cannot read weights ledger '" + weights_path +
-                          "': corrupt or version-mismatched cost ledger; "
-                          "regenerate it with a --model-cache-dir run");
-      }
-      weights_from_ledger = true;
-      std::vector<double> entry_weights;
-      entry_weights.reserve(registry.size());
-      for (const auto& bench : registry) {
-        entry_weights.push_back(
-            weights.entry_estimate(bench.make(), batch_options.synthesis));
-      }
-      positions = punt::benchmarks::weighted_shard_positions(shard, entry_weights);
-    } else {
-      punt::benchmarks::Table1Report weights;
-      try {
-        weights = punt::benchmarks::report_from_json(weights_text);
-      } catch (const punt::Error& e) {
-        throw punt::Error("cannot read weights report '" + weights_path + "': " +
-                          e.what());
-      }
-      positions = punt::benchmarks::weighted_shard_positions(shard, weights);
-    }
-  }
   std::vector<punt::stg::Stg> stgs;
-  stgs.reserve(positions.size());
-  for (const std::size_t p : positions) stgs.push_back(registry[p].make());
-
+  for (const auto& bench : punt::benchmarks::table1()) stgs.push_back(bench.make());
   const punt::core::BatchResult batch = punt::core::synthesize_batch(stgs, batch_options);
-  const punt::benchmarks::Table1Report report =
-      punt::benchmarks::make_report(shard, positions, batch);
+  const punt::benchmarks::Table1Report report = punt::benchmarks::make_report(batch);
   if (!trace_path.empty()) dump_trace(trace, trace_path);
 
   if (json) {
     std::printf("%s", punt::benchmarks::to_json(report).c_str());
     return report.failures() == 0 ? 0 : 2;
   }
-  if (shard.count > 1) {
-    std::printf("# Table-1 registry shard %zu/%zu (%zu of %zu entries), %zu job(s)%s\n\n",
-                shard.index, shard.count, report.rows.size(), registry.size(), batch.jobs,
-                weights_path.empty()
-                    ? ""
-                    : (weights_from_ledger
-                           ? ", cost-aware partition (LPT by ledger estimate)"
-                           : ", cost-aware partition (LPT by TotTim)"));
-  } else {
-    std::printf("# Table-1 registry through the task-graph executor, %zu job(s)\n\n",
-                batch.jobs);
-  }
+  std::printf("# Table-1 registry through the task-graph executor, %zu job(s)\n\n",
+              batch.jobs);
   std::printf("%s", punt::benchmarks::format_table1(report).c_str());
   std::printf("(paperTot/papLit: the 1997 paper's TotTim and literal count)\n");
   std::printf("wall %.3fs (critical path %.3fs) across %zu entr%s\n", batch.wall_seconds,
@@ -1088,34 +921,6 @@ int cmd_trace(const std::string& path) {
     throw punt::Error("cannot read schedule trace '" + path + "': " + e.what());
   }
   std::printf("%s", punt::benchmarks::format_trace(trace).c_str());
-  return 0;
-}
-
-int cmd_bench_merge(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    std::fprintf(stderr, "usage: punt bench merge <report.json...>\n");
-    return 1;
-  }
-  std::vector<punt::benchmarks::Table1Report> shards;
-  shards.reserve(args.size());
-  for (const std::string& path : args) {
-    try {
-      shards.push_back(punt::benchmarks::report_from_json(read_file(path)));
-    } catch (const punt::Error& e) {
-      throw punt::Error("cannot read shard report '" + path + "': " + e.what());
-    }
-  }
-  const punt::benchmarks::Table1Report merged = punt::benchmarks::merge_reports(shards);
-
-  std::printf("# Table-1 registry merged from %zu shard report(s)\n\n", shards.size());
-  std::printf("%s", punt::benchmarks::format_table1(merged).c_str());
-  std::printf("(paperTot/papLit: the 1997 paper's TotTim and literal count)\n");
-  std::printf("slowest shard wall %.3fs\n", merged.wall_seconds);
-  if (merged.failures() > 0) {
-    std::fprintf(stderr, "error: %zu registry entr%s failed; see the rows above\n",
-                 merged.failures(), merged.failures() == 1 ? "y" : "ies");
-    return 2;
-  }
   return 0;
 }
 
@@ -1143,8 +948,6 @@ int cmd_serve(const std::vector<std::string>& args) {
       token_path = token_file_path({arg});  // shares the validation
     } else if (arg.rfind("--jobs=", 0) == 0) {
       options.jobs = parse_jobs(arg.substr(7));
-    } else if (arg.rfind("--model-cache-dir=", 0) == 0) {
-      options.model_cache_dir = model_cache_dir({arg});  // shares the validation
     } else if (arg.rfind("--batch-window=", 0) == 0) {
       options.batch_window_ms = parse_millis(arg.substr(15), "--batch-window");
     } else if (arg.rfind("--max-queue=", 0) == 0) {
@@ -1207,7 +1010,7 @@ int cmd_serve(const std::vector<std::string>& args) {
     }
   } signal_guard(&server);
   const punt::server::Endpoint& bound = server.endpoint();
-  std::fprintf(stderr, "punt serve: listening on %s%s, %zu job(s), %s%s%s\n",
+  std::fprintf(stderr, "punt serve: listening on %s%s, %zu job(s), %s\n",
                bound.describe().c_str(),
                bound.transport == punt::server::Transport::Tcp
                    ? " (HMAC-authenticated)"
@@ -1215,15 +1018,11 @@ int cmd_serve(const std::vector<std::string>& args) {
                server.jobs(),
                window_ms > 0
                    ? punt::printf_string("%.1fms fusion window", window_ms).c_str()
-                   : "fusion off",
-               server.cache().store() != nullptr ? ", model cache dir " : "",
-               server.cache().store() != nullptr
-                   ? server.cache().store()->directory().c_str()
-                   : "");
+                   : "fusion off");
   server.serve();
   std::fprintf(stderr, "punt serve: drained; served %zu request(s)\n",
                server.requests_served());
-  print_cache_summary(server.cache());
+  std::fprintf(stderr, "%s", punt::core::summarize(server.cache().stats()).c_str());
   return 0;
 }
 
@@ -1251,67 +1050,15 @@ int cmd_shutdown(const std::vector<std::string>& args) {
 }
 
 int cmd_cache(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
+  if (args.empty() || args[0] != "stats") return usage();
   const std::vector<std::string> rest{args.begin() + 1, args.end()};
   const std::string target = connect_target(rest);
-  if (!target.empty()) {
-    if (args[0] != "stats") {
-      throw punt::Error("punt cache " + args[0] + " is not served over --connect; "
-                        "only `punt cache stats` queries a running daemon");
-    }
-    punt::server::Request request;
-    request.op = punt::server::Op::CacheStats;
-    return run_client(resolve_connect(target, rest), request);
+  if (target.empty()) {
+    throw punt::Error("punt cache stats needs --connect=<endpoint> naming the daemon");
   }
-  const std::string dir = model_cache_dir({args.begin() + 1, args.end()});
-  if (dir.empty()) {
-    throw punt::Error("punt cache " + args[0] +
-                      " needs --model-cache-dir=<dir> naming the cache directory");
-  }
-  if (args[0] == "purge") {
-    const std::size_t removed = punt::core::ModelStore::purge(dir);
-    std::printf("purged %zu model file(s) from %s\n", removed, dir.c_str());
-    return 0;
-  }
-  if (args[0] == "stats") {
-    // JSON so the CI cache-stats step (and scripts) can consume it; the
-    // stderr summaries of synth/bench cover the human glance.
-    const std::vector<punt::core::StoredModelInfo> entries =
-        punt::core::ModelStore::scan(dir);
-    std::uintmax_t bytes = 0;
-    std::size_t corrupt = 0;
-    for (const auto& entry : entries) {
-      bytes += entry.bytes;
-      if (!entry.ok) ++corrupt;
-    }
-    std::printf("{\n");
-    std::printf("  \"schema\": \"punt-cache-stats\",\n");
-    std::printf("  \"version\": 1,\n");
-    std::printf("  \"directory\": \"%s\",\n", punt::util::json_escape(dir).c_str());
-    std::printf("  \"models\": %zu,\n", entries.size());
-    std::printf("  \"bytes\": %llu,\n", static_cast<unsigned long long>(bytes));
-    std::printf("  \"corrupt\": %zu,\n", corrupt);
-    std::printf("  \"entries\": [\n");
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      const auto& entry = entries[i];
-      std::printf("    {\"file\": \"%s\", \"bytes\": %llu, \"ok\": %s",
-                  punt::util::json_escape(entry.file).c_str(),
-                  static_cast<unsigned long long>(entry.bytes),
-                  entry.ok ? "true" : "false");
-      if (entry.ok) {
-        std::printf(", \"model\": \"%s\", \"kind\": \"%s\", \"events\": %zu, "
-                    "\"states\": %zu",
-                    punt::util::json_escape(entry.model).c_str(), entry.kind.c_str(),
-                    entry.events, entry.states);
-      } else {
-        std::printf(", \"error\": \"%s\"", punt::util::json_escape(entry.error).c_str());
-      }
-      std::printf("}%s\n", i + 1 < entries.size() ? "," : "");
-    }
-    std::printf("  ]\n}\n");
-    return corrupt == 0 ? 0 : 2;
-  }
-  return usage();
+  punt::server::Request request;
+  request.op = punt::server::Op::CacheStats;
+  return run_client(resolve_connect(target, rest), request);
 }
 
 // --- punt bench serve ---------------------------------------------------------
@@ -1468,9 +1215,6 @@ int cmd_bench(const std::vector<std::string>& args) {
   }
   if (!args.empty() && args[0] == "lint") {
     return cmd_bench_lint({args.begin() + 1, args.end()});
-  }
-  if (!args.empty() && args[0] == "merge") {
-    return cmd_bench_merge({args.begin() + 1, args.end()});
   }
   if (!args.empty() && args[0] == "list") {
     for (const auto& bench : punt::benchmarks::table1()) {
