@@ -41,17 +41,12 @@ struct ClientTally {
   std::size_t transport_errors = 0;
 };
 
-/// The daemon-side fusion counters parsed out of one {"op":"cache-stats"}
+/// The daemon-side admission counters parsed out of one {"op":"cache-stats"}
 /// response.  Fields are probed, not required: against an unexpected daemon
 /// the bench should still report its client-side numbers.
-struct FusionSnapshot {
-  double window_ms = 0;
-  std::size_t batches = 0;
-  std::size_t fused_requests = 0;
-  std::size_t max_batch = 0;
+struct AdmissionSnapshot {
   std::size_t queue_high_water = 0;
   std::size_t shed = 0;
-  std::vector<std::size_t> histogram;
 };
 
 std::size_t probe_count(const JsonValue& root, const char* key) {
@@ -63,33 +58,15 @@ std::size_t probe_count(const JsonValue& root, const char* key) {
   return static_cast<std::size_t>(value->number);
 }
 
-FusionSnapshot fusion_snapshot(Client& client) {
+AdmissionSnapshot admission_snapshot(Client& client) {
   Request request;
   request.op = Op::CacheStats;
   const Response response = client.request(request);
   const JsonValue root = util::parse_json(response.output);
-  FusionSnapshot snapshot;
+  AdmissionSnapshot snapshot;
   if (root.type != JsonValue::Type::Object) return snapshot;
-  const JsonValue* window = root.find("batch_window_ms");
-  if (window != nullptr && window->type == JsonValue::Type::Number) {
-    snapshot.window_ms = window->number;
-  }
-  snapshot.batches = probe_count(root, "batches");
-  snapshot.fused_requests = probe_count(root, "fused_requests");
-  snapshot.max_batch = probe_count(root, "max_batch");
   snapshot.queue_high_water = probe_count(root, "queue_high_water");
-  snapshot.shed = probe_count(root, "shed_queue_full") +
-                  probe_count(root, "shed_connection_cap");
-  const JsonValue* histogram = root.find("batch_size_histogram");
-  if (histogram != nullptr && histogram->type == JsonValue::Type::Array) {
-    snapshot.histogram.reserve(histogram->array.size());
-    for (const JsonValue& bucket : histogram->array) {
-      snapshot.histogram.push_back(
-          bucket.type == JsonValue::Type::Number && bucket.number >= 0
-              ? static_cast<std::size_t>(bucket.number)
-              : 0);
-    }
-  }
+  snapshot.shed = probe_count(root, "shed_queue_full");
   return snapshot;
 }
 
@@ -178,7 +155,7 @@ ServeBenchReport run_loadgen(const LoadgenOptions& options) {
   if (options.warmup) {
     for (const Request& request : specs) (void)control.request(request);
   }
-  const FusionSnapshot before = fusion_snapshot(control);
+  const AdmissionSnapshot before = admission_snapshot(control);
 
   std::vector<ClientTally> tallies(options.clients);
   std::vector<std::thread> threads;
@@ -190,7 +167,7 @@ ServeBenchReport run_loadgen(const LoadgenOptions& options) {
   }
   for (std::thread& thread : threads) thread.join();
   const double wall_seconds = wall.seconds();
-  const FusionSnapshot after = fusion_snapshot(control);
+  const AdmissionSnapshot after = admission_snapshot(control);
 
   ServeBenchReport report;
   report.transport =
@@ -220,19 +197,10 @@ ServeBenchReport run_loadgen(const LoadgenOptions& options) {
     report.max_ms = latencies.back();
   }
 
-  report.batch_window_ms = after.window_ms;
-  report.batches = counter_delta(before.batches, after.batches);
-  report.fused_requests = counter_delta(before.fused_requests, after.fused_requests);
   report.daemon_shed = counter_delta(before.shed, after.shed);
-  // High-water marks are daemon-lifetime values; a delta would be
+  // The high-water mark is a daemon-lifetime value; a delta would be
   // meaningless, so report the post-run value.
-  report.max_batch = after.max_batch;
   report.queue_high_water = after.queue_high_water;
-  report.batch_size_histogram.resize(after.histogram.size(), 0);
-  for (std::size_t i = 0; i < after.histogram.size(); ++i) {
-    const std::size_t earlier = i < before.histogram.size() ? before.histogram[i] : 0;
-    report.batch_size_histogram[i] = counter_delta(earlier, after.histogram[i]);
-  }
   return report;
 }
 

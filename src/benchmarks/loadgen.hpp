@@ -1,19 +1,18 @@
 // The `punt bench serve` load generator: K closed-loop client threads
 // driving a serve daemon with registry synthesis requests for a fixed
 // duration, measuring what the Table-1 harness cannot — serving latency
-// under concurrency, whether the daemon's request fusion actually forms
-// batches, and how much load it sheds.
+// under concurrency, and how much load the daemon's admission sheds.
 //
 // Closed-loop: each client thread holds one persistent connection and keeps
 // exactly one request in flight (send, block, record, repeat), so offered
 // load scales with the client count and a slow daemon is never buried under
 // an open-loop backlog it cannot drain.  Requests walk the Table-1 registry
 // round-robin, each thread starting at a different offset so concurrent
-// clients mix distinct STGs — the fusion-friendly shape of real traffic.
+// clients mix distinct STGs.
 //
-// The daemon's side of the story (batches formed, fused sizes, daemon-side
-// shed) is read through {"op":"cache-stats"} snapshots taken before and
-// after the measurement window and reported as a delta.
+// The daemon's side of the story (its own shed count and the most synth
+// requests it ran at once) is read through {"op":"cache-stats"} snapshots
+// taken before and after the measurement window.
 #pragma once
 
 #include <cstddef>

@@ -132,16 +132,10 @@ std::string to_json(const Table1Report& report) {
 
 // --- Serve-mode benchmarking --------------------------------------------------
 
-double ServeBenchReport::mean_batch() const {
-  return batches == 0 ? 0.0
-                      : static_cast<double>(fused_requests) /
-                            static_cast<double>(batches);
-}
-
 std::string to_json(const ServeBenchReport& report) {
   std::string out = "{\n";
   out += "  \"schema\": \"punt-serve-bench\",\n";
-  out += "  \"version\": 1,\n";
+  out += "  \"version\": 2,\n";
   out += "  \"transport\": \"" + util::json_escape(report.transport) + "\",\n";
   out += printf_string("  \"clients\": %zu,\n", report.clients);
   out += printf_string("  \"duration_seconds\": %.17g,\n", report.duration_seconds);
@@ -156,19 +150,9 @@ std::string to_json(const ServeBenchReport& report) {
   out += printf_string("  \"p95_ms\": %.17g,\n", report.p95_ms);
   out += printf_string("  \"p99_ms\": %.17g,\n", report.p99_ms);
   out += printf_string("  \"max_ms\": %.17g,\n", report.max_ms);
-  out += printf_string("  \"batch_window_ms\": %.17g,\n", report.batch_window_ms);
-  out += printf_string("  \"batches\": %zu,\n", report.batches);
-  out += printf_string("  \"fused_requests\": %zu,\n", report.fused_requests);
-  out += printf_string("  \"mean_batch\": %.17g,\n", report.mean_batch());
-  out += printf_string("  \"max_batch\": %zu,\n", report.max_batch);
   out += printf_string("  \"queue_high_water\": %zu,\n", report.queue_high_water);
-  out += printf_string("  \"daemon_shed\": %zu,\n", report.daemon_shed);
-  out += "  \"batch_size_histogram\": [";
-  for (std::size_t i = 0; i < report.batch_size_histogram.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += printf_string("%zu", report.batch_size_histogram[i]);
-  }
-  out += "]\n}\n";
+  out += printf_string("  \"daemon_shed\": %zu\n", report.daemon_shed);
+  out += "}\n";
   return out;
 }
 
@@ -184,22 +168,13 @@ std::string format_serve_summary(const ServeBenchReport& report) {
   out += printf_string(
       "latency mean %.2fms p50 %.2fms p95 %.2fms p99 %.2fms max %.2fms\n",
       report.mean_ms, report.p50_ms, report.p95_ms, report.p99_ms, report.max_ms);
-  // `shed=N` is deliberately greppable: the CI smoke job asserts shed=0.
+  // `shed=N` is deliberately greppable (the CI smoke job asserts shed=0) and
+  // counts each refusal once, as the clients saw it; the daemon's own count
+  // of the same refusals has a label that does not end in "shed=".
   out += printf_string(
-      "fusion: window %.1fms, %zu batch(es), mean %.2f max %zu, "
-      "queue high-water %zu, shed=%zu\n",
-      report.batch_window_ms, report.batches, report.mean_batch(),
-      report.max_batch, report.queue_high_water,
-      report.shed + report.daemon_shed);
-  out += "batch-size histogram:";
-  bool any_bucket = false;
-  for (std::size_t i = 0; i < report.batch_size_histogram.size(); ++i) {
-    if (report.batch_size_histogram[i] == 0) continue;
-    any_bucket = true;
-    out += printf_string(" %zu:%zu", i + 1, report.batch_size_histogram[i]);
-  }
-  if (!any_bucket) out += " (empty)";
-  out += "\n";
+      "admission: shed=%zu (daemon counted %zu), at most %zu synth request(s) "
+      "running at once\n",
+      report.shed, report.daemon_shed, report.queue_high_water);
   return out;
 }
 

@@ -56,8 +56,8 @@ std::string to_json(const Table1Report& report);
 
 /// The `punt bench serve` outcome: the serving-latency analogue of a
 /// Table-1 report.  Client-side latency/throughput from the closed-loop
-/// load generator (benchmarks/loadgen.hpp) plus the daemon-side fusion
-/// delta observed over the measurement window via {"op":"cache-stats"}.
+/// load generator (benchmarks/loadgen.hpp) plus the daemon-side admission
+/// counters observed over the measurement window via {"op":"cache-stats"}.
 struct ServeBenchReport {
   /// Which transport carried the run ("unix" | "tcp") — what lets CI track
   /// TCP overhead against the Unix artifact per-commit.
@@ -79,27 +79,21 @@ struct ServeBenchReport {
   double p99_ms = 0;
   double max_ms = 0;
 
-  // Daemon-side fusion counters: the delta between the cache-stats
-  // snapshots bracketing the measurement window (all zero against a
-  // --batch-window=0 daemon).  High-water marks are whole-daemon-lifetime
-  // values, not deltas.
-  double batch_window_ms = 0;
-  std::size_t batches = 0;
-  std::size_t fused_requests = 0;
-  std::size_t max_batch = 0;
+  // Daemon-side admission counters.  daemon_shed is the delta between the
+  // cache-stats snapshots bracketing the measurement window (the daemon's
+  // count of the refusals `shed` saw); the high-water mark, the most synth
+  // requests the daemon ran at once, is a whole-daemon-lifetime value.
   std::size_t queue_high_water = 0;
   std::size_t daemon_shed = 0;
-  std::vector<std::size_t> batch_size_histogram;  // delta, bucket i = size i+1
-
-  double mean_batch() const;
 };
 
-/// JSON serialisation ("punt-serve-bench" schema, version 1).
+/// JSON serialisation ("punt-serve-bench" schema, version 2; version 1 also
+/// carried the request-fusion counters and the batch-size histogram).
 std::string to_json(const ServeBenchReport& report);
 
 /// The human summary `punt bench serve` prints: throughput, latency
-/// percentiles, fusion counters (with a greppable `shed=N`) and the
-/// batch-size histogram.
+/// percentiles and the admission counters, with the client-side refusals as
+/// a greppable `shed=N`.
 std::string format_serve_summary(const ServeBenchReport& report);
 
 }  // namespace punt::benchmarks

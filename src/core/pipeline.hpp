@@ -242,10 +242,11 @@ BatchResult synthesize_batch(std::span<const stg::Stg> stgs,
                              const BatchOptions& options = {});
 
 /// One entry of a mixed-options batch: an STG plus its own full option set.
-/// This is the shape the serve daemon's request fusion needs — requests that
-/// arrive inside one batching window may differ in method/arch/minimise yet
-/// must still share one union graph (and, because the ModelCache key covers
-/// only the model-affecting options, one model node whenever those agree).
+/// Its callers are the serve daemon's `server::run_synth`, which runs each
+/// request as a one-entry batch with that request's options, and perfbench.
+/// Entries may differ in method/arch/minimise yet share one union graph
+/// (and, because the ModelCache key covers only the model-affecting
+/// options, one model node whenever those agree).
 struct BatchRequest {
   const stg::Stg* stg = nullptr;  // not owned; must outlive the call
   SynthesisOptions synthesis;

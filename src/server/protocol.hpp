@@ -34,8 +34,8 @@
 // in "log" — exactly the exit code and stderr a direct `punt` invocation
 // produces.  "ok":false means the request was not served — malformed frame
 // or JSON, unknown op, or the daemon shed it under load ("error" starting
-// "overloaded: ...", see server/batcher.hpp) — and the connection will be
-// closed; a shed client reconnects to retry.
+// "overloaded: ...", see Server::synth in server/server.hpp) — and the
+// connection will be closed; a shed client reconnects to retry.
 //
 // TCP connections additionally start with a mandatory authentication
 // handshake *before* any request frame (Unix connections skip it — the

@@ -7,6 +7,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "src/server/protocol.hpp"
 #include "src/server/service.hpp"
 #include "src/util/error.hpp"
+#include "src/util/strings.hpp"
 
 namespace punt::server {
 namespace {
@@ -34,13 +36,6 @@ Server::Server(ServerOptions options)
                                                     : options_.cache_capacity)),
       executor_(options_.jobs),
       listener_(make_listener(options_.endpoint)) {
-  if (options_.batch_window_ms > 0) {
-    BatcherOptions batcher;
-    batcher.window_seconds = options_.batch_window_ms / 1000.0;
-    batcher.max_queue = options_.max_queue;
-    batcher.max_per_connection = options_.max_inflight_per_connection;
-    batcher_ = std::make_unique<Batcher>(batcher, cache_.get(), &executor_);
-  }
   // Self-pipe for the accept loop: non-blocking (a full pipe must not block
   // a finishing handler — one unread byte is wake enough) and CLOEXEC.
   if (::pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
@@ -50,9 +45,7 @@ Server::Server(ServerOptions options)
 
 Server::~Server() {
   listener_->close_fd();
-  if (batcher_ != nullptr) batcher_->begin_drain();
   reap_connections(true);
-  if (batcher_ != nullptr) batcher_->drain();
   for (int& fd : wake_fds_) {
     if (fd >= 0) {
       ::close(fd);
@@ -149,14 +142,44 @@ void Server::serve() {
   }
   // Drain: no new connections; every accepted request runs to completion
   // (its graph finishes on the resident pool) before the socket goes away.
-  // The Batcher flushes first (queued items dispatch without waiting out
-  // the window) but keeps admitting and serving while the handlers that
-  // feed it are joined; only then is it fully drained.
   listener_->close_fd();
-  if (batcher_ != nullptr) batcher_->begin_drain();
   reap_connections(true);
-  if (batcher_ != nullptr) batcher_->drain();
   listener_->cleanup();
+}
+
+BatcherStats Server::batcher_stats() const {
+  std::lock_guard<std::mutex> lock(admission_mutex_);
+  BatcherStats stats = admission_;
+  stats.batches = stats.fused_requests = stats.admitted;  // one-entry batches
+  return stats;
+}
+
+Response Server::synth(const SynthJob& job) {
+  if (!job.ok) return run_synth(job, cache_.get(), &executor_);
+  {
+    std::lock_guard<std::mutex> lock(admission_mutex_);
+    if (running_ >= options_.max_queue) {
+      ++admission_.shed_queue_full;
+      Response refusal;
+      refusal.error = printf_string(
+          "overloaded: %zu synth request(s) already running; retry later, or "
+          "serve with a larger --max-queue",
+          running_);
+      return refusal;
+    }
+    ++running_;
+    ++admission_.admitted;
+    admission_.queue_high_water = std::max(admission_.queue_high_water, running_);
+  }
+  // Gives the slot back on every exit, a throwing synthesis included.
+  struct Slot {
+    Server* server;
+    ~Slot() {
+      std::lock_guard<std::mutex> lock(server->admission_mutex_);
+      --server->running_;
+    }
+  } slot{this};
+  return run_synth(job, cache_.get(), &executor_);
 }
 
 void Server::reap_connections(bool all) {
@@ -191,8 +214,6 @@ void Server::reap_connections(bool all) {
 
 void Server::handle_connection(int fd, bool authenticate) {
   active_connections_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t connection =
-      next_connection_id_.fetch_add(1, std::memory_order_relaxed);
   if (authenticate) {
     // Handshake first, under its own (tighter) deadline: an off-host
     // connection has proven nothing yet and gets no unbounded patience.
@@ -254,32 +275,21 @@ void Server::handle_connection(int fd, bool authenticate) {
       Request request = request_from_json(payload);
       switch (request.op) {
         case Op::Synth:
-          if (batcher_ != nullptr) {
-            // Fused path: block here (the handler thread is the natural
-            // per-request wait context) while the dispatcher folds this
-            // request into a union batch with whatever else the window
-            // catches.  Shed work comes back ok=false and the `!ok` exit
-            // below closes the connection, per the protocol contract.
-            response = batcher_->submit(prepare_synth(std::move(request)), connection);
-          } else {
-            response = run_synth(request, cache_.get(), &executor_);
-          }
+          // Shed work comes back ok=false and the `!ok` exit below closes
+          // the connection, per the protocol contract.
+          response = synth(prepare_synth(std::move(request)));
           break;
         case Op::Check:
-          // Deliberately inline, not fused: the check's stdout embeds its
-          // own request-scoped cache delta ("built N time(s)"), which a
-          // shared batch delta would corrupt.
+          // Unadmitted: check and lint answer inline without a slot.
           response = run_check(request, *cache_, &executor_);
           break;
         case Op::Lint:
-          // Inline like check (the request carries a whole client batch
-          // already — its files fan out on the resident executor inside the
-          // handler, and the appended cache delta is request-scoped).
+          // The request carries a whole client batch already — its files
+          // fan out on the resident executor inside the handler.
           response = run_lint(request, *cache_, &executor_);
           break;
         case Op::CacheStats: {
           response.ok = true;
-          const BatcherStats fused = batcher_stats();
           ServeInfo info;
           info.requests_served = requests_served();
           info.jobs = executor_.jobs();
@@ -289,9 +299,7 @@ void Server::handle_connection(int fd, bool authenticate) {
           info.connections = connections_accepted();
           info.auth_failures = auth_failures();
           info.idle_timeouts = idle_timeouts();
-          info.batch_window_ms = options_.batch_window_ms;
-          response.output = cache_stats_json(cache_->stats(), info,
-                                             batcher_ != nullptr ? &fused : nullptr);
+          response.output = cache_stats_json(cache_->stats(), info, batcher_stats());
           break;
         }
         case Op::Ping:

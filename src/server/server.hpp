@@ -12,29 +12,26 @@
 // wake, so an idle daemon sleeps indefinitely yet stop/reap requests are
 // honoured immediately) hands each connection to its own thread; every
 // connection thread parses frames, dispatches into server/service.hpp over
-// the *shared* cache and executor, and writes response frames.  Synth
-// requests are not executed inline: with a nonzero batch window they are
-// submitted to the Batcher (server/batcher.hpp), which fuses whatever
-// arrives within the window into ONE union synthesize_batch graph — so
-// concurrent clients share scheduling the way `punt bench run` entries do —
-// and sheds excess load with an explicit "overloaded" refusal instead of
-// buffering without bound.  Synthesis graphs of concurrent batches
-// interleave on the one pool — the TaskGraph contract that any number of
-// graphs may execute over one pool is exactly what makes this safe at a
-// fixed worker budget.
+// the *shared* cache and executor, and writes response frames.  A synth
+// request runs inline on its connection thread as a one-entry batch, once
+// it holds one of `max_queue` admission slots; with every slot taken it is
+// shed with an explicit "overloaded" refusal instead of waiting without
+// bound.  The graphs of concurrent requests interleave on the one pool —
+// the TaskGraph contract that any number of graphs may execute over one
+// pool is exactly what makes this safe at a fixed worker budget — and
+// requests for one model key share its build through the cache's
+// in-flight joins.
 //
 // Lifecycle: serve() accepts until stop is requested — by a client
 // {"op":"shutdown"} (acknowledged before the drain begins) or by
 // request_stop() (the CLI's SIGTERM/SIGINT handler).  It then stops
-// accepting, puts the Batcher into flush mode (queued work dispatches
-// without waiting out the window), joins every in-flight connection thread
-// (each finishes its request; nothing is aborted mid-graph — admitted fused
-// work completes too), drains the Batcher, unlinks the socket and returns.
+// accepting, half-closes and joins every in-flight connection thread (each
+// finishes its request; nothing is aborted mid-graph), unlinks the socket
+// and returns.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -43,8 +40,8 @@
 
 #include "src/core/model_cache.hpp"
 #include "src/core/pipeline.hpp"
-#include "src/server/batcher.hpp"
 #include "src/server/endpoint.hpp"
+#include "src/server/service.hpp"
 
 namespace punt::server {
 
@@ -57,15 +54,9 @@ struct ServerOptions {
   std::string token;
   std::size_t jobs = 1;  // executor width; 0 = hardware default
   std::size_t cache_capacity = core::ModelCache::kDefaultCapacity;
-  /// Request-fusion accumulation window (`--batch-window`).  0 disables the
-  /// Batcher entirely: synth requests execute inline on their connection
-  /// threads, exactly the pre-fusion daemon.
-  double batch_window_ms = 2.0;
-  /// Admission-queue depth bound (`--max-queue`); beyond it synth requests
-  /// are shed with an "overloaded" refusal.  Ignored when the window is 0.
+  /// How many synth requests may run at once across the daemon
+  /// (`--max-queue`); one more is shed with an "overloaded" refusal.
   std::size_t max_queue = 256;
-  /// Per-connection in-flight cap.  Ignored when the window is 0.
-  std::size_t max_inflight_per_connection = 8;
   /// Per-write() SO_SNDTIMEO on every connection (`--send-timeout`), so a
   /// client that stops reading cannot pin its handler — and therefore the
   /// shutdown drain — forever.  Must be positive.
@@ -113,11 +104,8 @@ class Server {
   core::ModelCache& cache() { return *cache_; }
   std::size_t jobs() const { return executor_.jobs(); }
 
-  /// Snapshot of the request-fusion counters (zeros when the daemon runs
-  /// with batch_window_ms == 0, i.e. without a Batcher).
-  BatcherStats batcher_stats() const {
-    return batcher_ != nullptr ? batcher_->stats() : BatcherStats{};
-  }
+  /// Snapshot of the synth admission counters.
+  BatcherStats batcher_stats() const;
 
   /// Requests fully handled (response frame written) since start().
   std::size_t requests_served() const {
@@ -165,6 +153,11 @@ class Server {
     int fd = -1;
   };
 
+  /// Takes an admission slot and runs a prepared synth job inline, or
+  /// answers without a slot: a job lint or the parser refused needs none,
+  /// and with every slot taken the request is shed ("overloaded: ...").
+  Response synth(const SynthJob& job);
+
   /// Writes one byte down the self-pipe so the accept loop's poll returns.
   /// Used by request_stop() and by finishing connection handlers (so the
   /// loop reaps them promptly despite its infinite poll timeout).
@@ -173,9 +166,10 @@ class Server {
   ServerOptions options_;
   std::shared_ptr<core::ModelCache> cache_;
   core::Executor executor_;
-  /// Created only when batch_window_ms > 0.  Declared after the cache and
-  /// executor it borrows, so it is destroyed (and drained) first.
-  std::unique_ptr<Batcher> batcher_;
+  /// Synth admission: `running_` counts the requests holding a slot.
+  mutable std::mutex admission_mutex_;
+  std::size_t running_ = 0;
+  BatcherStats admission_;
   /// The transport behind the accept loop (endpoint.hpp); owns the listen
   /// fd and whatever the transport holds beyond it (Unix: socket file +
   /// path lock).  Never null after construction.
@@ -190,7 +184,6 @@ class Server {
   std::atomic<std::size_t> connections_accepted_{0};
   std::atomic<std::size_t> auth_failures_{0};
   std::atomic<std::size_t> idle_timeouts_{0};
-  std::atomic<std::uint64_t> next_connection_id_{1};  // scopes the in-flight cap
   std::mutex connections_mutex_;
   std::vector<Connection> connections_;
 };

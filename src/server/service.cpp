@@ -9,7 +9,6 @@
 #include "src/core/pipeline.hpp"
 #include "src/core/synthesis.hpp"
 #include "src/lint/lint.hpp"
-#include "src/server/batcher.hpp"
 #include "src/util/diagnostics.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/stg/g_format.hpp"
@@ -86,9 +85,9 @@ SynthJob prepare_synth(Request request) {
   // Admission control: the error-severity lint rules run before any parse
   // throw or model construction, so a structurally broken spec is refused
   // with every defect rendered (rule ids, line:column spans, hints) and
-  // never reaches the batcher, the ModelCache or the executor.  Lint errors
-  // are a strict subset of what parse_g/validate reject, so this gate never
-  // refuses a spec direct `punt synth` would accept.
+  // never takes an admission slot or reaches the ModelCache or the executor.
+  // Lint errors are a strict subset of what parse_g/validate reject, so this
+  // gate never refuses a spec direct `punt synth` would accept.
   const std::vector<util::Diagnostic> defects = lint::lint_errors(job.request.g_text);
   if (!defects.empty()) {
     job.failure.ok = true;
@@ -151,10 +150,9 @@ Response render_synth(const SynthJob& job, const core::BatchEntry& entry) {
   return response;
 }
 
-Response run_synth(const Request& request, core::ModelCache* cache,
+Response run_synth(const SynthJob& job, core::ModelCache* cache,
                    core::Executor* executor) {
   const core::ModelCacheStats before = snapshot(cache);
-  SynthJob job = prepare_synth(request);
   Response response;
   if (!job.ok) {
     response = job.failure;
@@ -170,6 +168,11 @@ Response run_synth(const Request& request, core::ModelCache* cache,
   }
   append_cache_summary(response, cache, before);
   return response;
+}
+
+Response run_synth(const Request& request, core::ModelCache* cache,
+                   core::Executor* executor) {
+  return run_synth(prepare_synth(request), cache, executor);
 }
 
 Response run_check(const Request& request, core::ModelCache& cache,
@@ -262,13 +265,10 @@ Response run_lint(const Request& request, core::ModelCache& cache,
 }
 
 std::string cache_stats_json(const core::ModelCacheStats& stats,
-                             const ServeInfo& info, const BatcherStats* batcher) {
-  // The fusion counters report zeros when the daemon runs unfused
-  // (--batch-window=0): field presence must not depend on configuration.
-  const BatcherStats fused = batcher != nullptr ? *batcher : BatcherStats{};
+                             const ServeInfo& info, const BatcherStats& admission) {
   std::string out = "{\n";
   out += "  \"schema\": \"punt-serve-stats\",\n";
-  out += "  \"version\": 4,\n";
+  out += "  \"version\": 5,\n";
   out += printf_string("  \"requests\": %zu,\n", info.requests_served);
   out += printf_string("  \"jobs\": %zu,\n", info.jobs);
   out += "  \"transport\": \"" + util::json_escape(info.transport) + "\",\n";
@@ -284,21 +284,9 @@ std::string cache_stats_json(const core::ModelCacheStats& stats,
   out += printf_string("  \"in_flight\": %zu,\n", stats.in_flight);
   out += printf_string("  \"resident\": %zu,\n", stats.resident);
   out += printf_string("  \"saved_seconds\": %.17g,\n", stats.saved_seconds);
-  out += printf_string("  \"batch_window_ms\": %.17g,\n", info.batch_window_ms);
-  out += printf_string("  \"admitted\": %zu,\n", fused.admitted);
-  out += printf_string("  \"batches\": %zu,\n", fused.batches);
-  out += printf_string("  \"fused_requests\": %zu,\n", fused.fused_requests);
-  out += printf_string("  \"mean_batch\": %.17g,\n", fused.mean_batch());
-  out += printf_string("  \"max_batch\": %zu,\n", fused.max_batch);
-  out += printf_string("  \"queue_high_water\": %zu,\n", fused.queue_high_water);
-  out += printf_string("  \"shed_queue_full\": %zu,\n", fused.shed_queue_full);
-  out += printf_string("  \"shed_connection_cap\": %zu,\n", fused.shed_connection_cap);
-  out += "  \"batch_size_histogram\": [";
-  for (std::size_t i = 0; i < fused.batch_size_histogram.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += printf_string("%zu", fused.batch_size_histogram[i]);
-  }
-  out += "]\n";
+  out += printf_string("  \"admitted\": %zu,\n", admission.admitted);
+  out += printf_string("  \"queue_high_water\": %zu,\n", admission.queue_high_water);
+  out += printf_string("  \"shed_queue_full\": %zu\n", admission.shed_queue_full);
   out += "}\n";
   return out;
 }

@@ -27,8 +27,6 @@ struct BatchEntry;
 
 namespace punt::server {
 
-struct BatcherStats;  // batcher.hpp; forward-declared to avoid a cycle
-
 /// Handles {"op":"synth"}.  `cache` (nullable) resolves phase 1; when given,
 /// the per-request cache delta summary is appended to the response log —
 /// the line a `--connect` client streams to its stderr.  `executor`
@@ -37,14 +35,11 @@ struct BatcherStats;  // batcher.hpp; forward-declared to avoid a cycle
 Response run_synth(const Request& request, core::ModelCache* cache,
                    core::Executor* executor);
 
-/// One synth request decoded as far as it can be *before* batch execution:
-/// the parsed STG and its per-entry SynthesisOptions — the
-/// core::BatchRequest shape the daemon's request fusion feeds into one
-/// union graph — or, when parsing failed, the fully rendered failure
-/// response.  Splitting run_synth into prepare (here) + render (below)
-/// around the batch boundary is what lets N fused requests share one
-/// synthesize_batch call and still answer byte-identically to N direct CLI
-/// invocations.
+/// One synth request decoded as far as it can be *before* execution: the
+/// parsed STG and its SynthesisOptions — the core::BatchRequest shape of a
+/// one-entry batch — or, when lint or the parser refused it, the fully
+/// rendered failure response.  The daemon prepares first and admits only
+/// jobs that parsed, so a refused spec never takes an admission slot.
 struct SynthJob {
   Request request;
   stg::Stg stg;                    // meaningful only when ok
@@ -59,12 +54,17 @@ struct SynthJob {
 /// cache summary line, which the caller appends).
 SynthJob prepare_synth(Request request);
 
+/// Runs a prepared job as a one-entry batch and renders it, appending the
+/// cache summary line when `cache` is given; a job that failed to prepare
+/// answers its `failure` (plus the summary).  run_synth is prepare_synth
+/// followed by this.
+Response run_synth(const SynthJob& job, core::ModelCache* cache,
+                   core::Executor* executor);
+
 /// Renders the response for a prepared job from its executed batch entry:
-/// the same bytes run_synth produces for the same request, so fused and
-/// inline execution are indistinguishable to clients.  Never throws; entry
-/// failures re-surface as the CLI's stderr diagnostics with exit code 2.
-/// The caller appends the cache summary line (per request when inline, per
-/// fused batch in the dispatcher).
+/// the same bytes a direct `punt synth` prints for the same request.
+/// Never throws; entry failures re-surface as the CLI's stderr diagnostics
+/// with exit code 2.  The caller appends the cache summary line.
 Response render_synth(const SynthJob& job, const core::BatchEntry& entry);
 
 /// Handles {"op":"check"} — and IS the direct `punt check` implementation
@@ -107,18 +107,28 @@ struct ServeInfo {
   std::size_t connections = 0;     // accepted since start()
   std::size_t auth_failures = 0;   // TCP handshakes refused
   std::size_t idle_timeouts = 0;   // connections closed by the idle deadline
-  double batch_window_ms = 0;
+};
+
+/// The daemon's admission counters for synth requests, one self-consistent
+/// snapshot.  Each admitted request runs inline on its connection thread as
+/// a one-entry batch, so `batches` and `fused_requests` both equal
+/// `admitted`; they remain for callers that still read them.
+struct BatcherStats {
+  std::size_t admitted = 0;          // synth requests that took a slot
+  std::size_t shed_queue_full = 0;   // refused: --max-queue already running
+  std::size_t batches = 0;           // == admitted
+  std::size_t fused_requests = 0;    // == admitted
+  std::size_t queue_high_water = 0;  // most synth requests running at once
+
+  std::size_t shed() const { return shed_queue_full; }
 };
 
 /// The {"op":"cache-stats"} payload: resident cache counters plus the
-/// server identity/connection fields and the request-fusion counters
-/// ("punt-serve-stats" schema, version 4 — v4 dropped the disk-tier
-/// directory and counters; v3 added transport, listen, connections,
-/// auth_failures and idle_timeouts).
-/// `batcher` is null when the daemon runs with `--batch-window=0` (no
-/// fusion); the fusion fields are then emitted as zeros so the schema is
-/// stable for consumers like `punt bench serve`.
+/// server identity/connection fields and the admission counters
+/// ("punt-serve-stats" schema, version 5 — v5 dropped the request-fusion
+/// fields; v4 dropped the disk-tier directory and counters; v3 added
+/// transport, listen, connections, auth_failures and idle_timeouts).
 std::string cache_stats_json(const core::ModelCacheStats& stats,
-                             const ServeInfo& info, const BatcherStats* batcher);
+                             const ServeInfo& info, const BatcherStats& admission);
 
 }  // namespace punt::server

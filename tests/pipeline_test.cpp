@@ -332,9 +332,9 @@ TEST(Pipeline, LatchMinStatsAggregateSetAndReset) {
 }
 
 TEST(Pipeline, MixedOptionsBatchMatchesIndividualSynthesis) {
-  // The per-entry-options overload (what serve-mode fusion feeds): entries
-  // differing in method and architecture fuse into one union graph yet come
-  // out identical to running each alone with its own options.
+  // The per-entry-options overload: entries differing in method and
+  // architecture share one union graph yet come out identical to running
+  // each alone with its own options.
   const Stg fig1 = stg::make_paper_fig1();
   const Stg muller = stg::make_muller_pipeline(3);
   std::vector<BatchRequest> requests(4);
@@ -362,9 +362,8 @@ TEST(Pipeline, MixedOptionsBatchMatchesIndividualSynthesis) {
 }
 
 TEST(Pipeline, DifferingArchitectureEntriesShareOneModelBuild) {
-  // The cache key covers only model-affecting options, so fused entries
-  // that diverge downstream (architecture) still dedup to one phase-1
-  // build — the fusion win served traffic is after.
+  // The cache key covers only model-affecting options, so entries that
+  // diverge downstream (architecture) still dedup to one phase-1 build.
   const Stg stg = stg::make_paper_fig1();
   std::vector<BatchRequest> requests(3);
   requests[0].stg = &stg;

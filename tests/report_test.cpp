@@ -147,18 +147,13 @@ TEST(Report, ServeBenchJsonRoundTripPreservesEveryField) {
   report.p95_ms = 120.5;
   report.p99_ms = 250.75;
   report.max_ms = 612.0;
-  report.batch_window_ms = 2;
-  report.batches = 17;
-  report.fused_requests = 119;
-  report.max_batch = 8;
   report.queue_high_water = 9;
   report.daemon_shed = 3;
-  report.batch_size_histogram = {1, 0, 4, 0, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0, 0};
 
   constexpr const char* kServe = "serve-bench JSON";
   const JsonValue root = util::parse_json(to_json(report));
   EXPECT_EQ(util::json_string(root, "schema", kServe), "punt-serve-bench");
-  EXPECT_EQ(util::json_count(root, "version", kServe), 1u);
+  EXPECT_EQ(util::json_count(root, "version", kServe), 2u);
   EXPECT_EQ(util::json_string(root, "transport", kServe), "tcp");
   EXPECT_EQ(util::json_count(root, "clients", kServe), report.clients);
   EXPECT_DOUBLE_EQ(util::json_number(root, "duration_seconds", kServe),
@@ -174,28 +169,34 @@ TEST(Report, ServeBenchJsonRoundTripPreservesEveryField) {
   EXPECT_DOUBLE_EQ(util::json_number(root, "p95_ms", kServe), report.p95_ms);
   EXPECT_DOUBLE_EQ(util::json_number(root, "p99_ms", kServe), report.p99_ms);
   EXPECT_DOUBLE_EQ(util::json_number(root, "max_ms", kServe), report.max_ms);
-  EXPECT_DOUBLE_EQ(util::json_number(root, "batch_window_ms", kServe),
-                   report.batch_window_ms);
-  EXPECT_EQ(util::json_count(root, "batches", kServe), report.batches);
-  EXPECT_EQ(util::json_count(root, "fused_requests", kServe), report.fused_requests);
-  EXPECT_DOUBLE_EQ(util::json_number(root, "mean_batch", kServe), report.mean_batch());
-  EXPECT_EQ(util::json_count(root, "max_batch", kServe), report.max_batch);
   EXPECT_EQ(util::json_count(root, "queue_high_water", kServe), report.queue_high_water);
   EXPECT_EQ(util::json_count(root, "daemon_shed", kServe), report.daemon_shed);
-  const JsonValue& histogram =
-      util::json_require(root, "batch_size_histogram", JsonValue::Type::Array, kServe);
-  std::vector<std::size_t> buckets;
-  for (const JsonValue& bucket : histogram.array) {
-    buckets.push_back(static_cast<std::size_t>(bucket.number));
-  }
-  EXPECT_EQ(buckets, report.batch_size_histogram);
+  // v2 carries exactly these fields: v1's request-fusion fields are gone.
+  std::vector<std::string> keys;
+  keys.reserve(root.object.size());
+  for (const auto& field : root.object) keys.push_back(field.first);
+  const std::vector<std::string> expected = {
+      "schema", "version", "transport", "clients", "duration_seconds", "wall_seconds",
+      "completed", "failed", "shed", "transport_errors", "throughput_rps", "mean_ms",
+      "p50_ms", "p95_ms", "p99_ms", "max_ms", "queue_high_water", "daemon_shed"};
+  EXPECT_EQ(keys, expected);
 
-  // The human summary exposes the CI-greppable shed counter (client-side
-  // plus daemon-side) and the nonzero histogram buckets.
   const std::string summary = format_serve_summary(report);
-  EXPECT_NE(summary.find("shed=6"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("8:12"), std::string::npos) << summary;
   EXPECT_NE(summary.find("tcp transport"), std::string::npos) << summary;
+}
+
+TEST(Report, ServeSummaryCountsEachShedRequestOnce) {
+  // The daemon's count is the same refusals the clients saw, so the
+  // CI-greppable `shed=N` is the client count alone, and the daemon's
+  // count carries a label of its own that no `shed=` grep can match.
+  ServeBenchReport report;
+  report.shed = 3;
+  report.daemon_shed = 3;
+  const std::string summary = format_serve_summary(report);
+  EXPECT_NE(summary.find("shed=3"), std::string::npos) << summary;
+  EXPECT_EQ(summary.find("shed=6"), std::string::npos) << summary;
+  EXPECT_EQ(summary.find("shed="), summary.rfind("shed=")) << summary;
+  EXPECT_NE(summary.find("daemon counted 3"), std::string::npos) << summary;
 }
 
 }  // namespace

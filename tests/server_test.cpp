@@ -1,9 +1,10 @@
 // Tests for the `punt serve` daemon: protocol framing and JSON round-trips,
 // byte-identity of daemon responses with direct invocation (N concurrent
 // clients included), the warm-cache property a resident daemon exists for
-// (second request = pure memory hit, zero rebuilds),
-// resilience to malformed/oversized frames, graceful shutdown draining
-// in-flight work — and the TCP transport: endpoint-grammar parsing, the
+// (second request = pure memory hit, zero rebuilds), synth admission
+// (shedding past --max-queue, slots given back, refused specs answered
+// without a slot), resilience to malformed/oversized frames, graceful
+// shutdown draining in-flight work — and the TCP transport: endpoint-grammar parsing, the
 // HMAC-SHA256 challenge–response handshake (refusals, fresh nonces, replay),
 // byte-parity of TCP clients with Unix clients, and the per-connection
 // handshake/idle deadlines.
@@ -19,13 +20,16 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/benchmarks/registry.hpp"
 #include "src/core/model_cache.hpp"
+#include "src/core/pipeline.hpp"
 #include "src/core/synthesis.hpp"
+#include "src/lint/lint.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/server/client.hpp"
 #include "src/server/endpoint.hpp"
@@ -98,6 +102,44 @@ Request synth_request(const Stg& stg) {
   request.g_text = stg::write_g(stg);
   return request;
 }
+
+/// Holds the model build of a synth request for `stg` (default options) in
+/// flight in `cache` until release(): a served request for the same STG
+/// joins the pinned build and waits there while holding its admission slot,
+/// which lets a test fill the daemon's slots deterministically.
+class PinnedBuild {
+ public:
+  PinnedBuild(core::ModelCache& cache, const Stg& stg)
+      : thread_([this, &cache, parsed = stg::parse_g(stg::write_g(stg))] {
+          const core::SynthesisOptions options;
+          (void)cache.lookup_or_build_keyed(core::ModelCache::key_of(parsed, options), [&] {
+            building_.count_down();
+            release_.wait();
+            return core::SemanticModel::build(parsed, options);
+          });
+        }) {
+    building_.wait();
+  }
+  ~PinnedBuild() {
+    release();
+    thread_.join();
+  }
+  PinnedBuild(const PinnedBuild&) = delete;
+  PinnedBuild& operator=(const PinnedBuild&) = delete;
+
+  void release() {
+    if (!released_) {
+      released_ = true;
+      release_.count_down();
+    }
+  }
+
+ private:
+  std::latch building_{1};
+  std::latch release_{1};
+  bool released_ = false;
+  std::thread thread_;  // last: the latches exist before it starts
+};
 
 /// The deterministic part of a synth response: everything but the
 /// "# unfold ..." timing line (wall-clock numbers differ run to run).
@@ -495,6 +537,9 @@ TEST(Server, ConcurrentClientsMatchDirectInvocationByteForByte) {
     EXPECT_EQ(strip_timing(got[i]), expected[i % stgs.size()])
         << "client " << i << " diverged from the direct invocation";
   }
+  // One phase-1 build per distinct STG, not per request: the second client
+  // of each pair joins the first one's in-flight build or hits its result.
+  EXPECT_EQ(running.server.cache().stats().builds, stgs.size());
 }
 
 TEST(Server, SecondRequestOnAWarmDaemonIsAPureMemoryHit) {
@@ -587,7 +632,7 @@ TEST(Server, LintRefusesBrokenSpecsBeforeAdmission) {
 
   // A structurally broken spec (duplicate declaration = error-severity lint
   // finding) is refused by the admission gate with the full lint rendering —
-  // rule id, line:column, caret — and never reaches the batcher, while a
+  // rule id, line:column, caret — and never takes an admission slot, while a
   // concurrent valid request is served normally.
   Request broken;
   broken.op = Op::Synth;
@@ -609,8 +654,8 @@ TEST(Server, LintRefusesBrokenSpecsBeforeAdmission) {
 
   EXPECT_EQ(valid.exit_code, 0);
   EXPECT_NE(valid.output.find("literals"), std::string::npos);
-  // Only the valid request was admitted into the batcher; the refused one
-  // was answered pre-admission.
+  // Only the valid request took an admission slot; the refused one was
+  // answered pre-admission.
   EXPECT_EQ(running.server.batcher_stats().admitted, 1u);
 }
 
@@ -660,69 +705,22 @@ TEST(Server, MalformedAndOversizedFramesDoNotKillTheServer) {
   EXPECT_EQ(pong.output, "pong\n");
 }
 
-TEST(Server, ClientsInOneWindowFuseIntoOneUnionBatch) {
-  TempDir dir("fuse");
-  const std::string socket = dir.str() + "/punt.sock";
-  ServerOptions options;
-  options.endpoint = unix_endpoint(socket);
-  options.jobs = 2;
-  options.batch_window_ms = 1000;  // generous: absorbs CI scheduling skew
-  RunningServer running(options);
-
-  // Two distinct STGs, each requested twice, all inside one window: the
-  // daemon must run them as ONE union graph — one model build per distinct
-  // key — and still answer each client byte-identically to a direct run.
-  const std::vector<Stg> stgs = {stg::make_paper_fig1(), stg::make_paper_fig1(),
-                                 stg::make_muller_pipeline(3),
-                                 stg::make_muller_pipeline(3)};
-  std::vector<std::string> expected;
-  for (const Stg& stg : stgs) expected.push_back(direct_synth_output(stg));
-
-  std::vector<std::thread> clients;
-  std::vector<Response> got(stgs.size());
-  std::atomic<int> failures{0};
-  for (std::size_t i = 0; i < stgs.size(); ++i) {
-    clients.emplace_back([&, i] {
-      try {
-        got[i] = request_once(socket, synth_request(stgs[i]));
-      } catch (const Error&) {
-        failures.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& client : clients) client.join();
-  ASSERT_EQ(failures.load(), 0);
-
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].exit_code, 0) << got[i].log;
-    EXPECT_EQ(strip_timing(got[i].output), expected[i])
-        << "fused client " << i << " diverged from the direct invocation";
-    // Each member carries the fused batch's cache-delta summary.
-    EXPECT_NE(got[i].log.find("2 rebuild(s)"), std::string::npos) << got[i].log;
-  }
-  const BatcherStats stats = running.server.batcher_stats();
-  EXPECT_EQ(stats.batches, 1u) << "the window should have fused all four";
-  EXPECT_EQ(stats.fused_requests, 4u);
-  EXPECT_EQ(stats.max_batch, 4u);
-  EXPECT_EQ(stats.shed(), 0u);
-  // One phase-1 build per distinct STG, not per request.
-  EXPECT_EQ(running.server.cache().stats().builds, 2u);
-}
-
 TEST(Server, OverloadedSynthRequestsAreShedAtTheSocket) {
   TempDir dir("shed");
   const std::string socket = dir.str() + "/punt.sock";
   ServerOptions options;
   options.endpoint = unix_endpoint(socket);
-  options.batch_window_ms = 30000;  // park admitted work until the drain
   options.max_queue = 1;
   RunningServer running(options);
 
-  // Client A fills the queue (blocks until the shutdown drain flushes it).
-  std::thread client_a([&] {
-    const Response response = request_once(socket, synth_request(stg::make_paper_fig1()));
-    EXPECT_EQ(response.exit_code, 0) << response.log;
-  });
+  // Client A takes the one slot and waits inside its model build.  (The
+  // pin is declared after A's thread, so a failing check releases the build
+  // before the thread is joined.)
+  const Stg stg = stg::make_paper_fig1();
+  Response a;
+  std::jthread client_a;
+  PinnedBuild pinned(running.server.cache(), stg);
+  client_a = std::jthread([&] { a = request_once(socket, synth_request(stg)); });
   while (running.server.batcher_stats().admitted == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -730,10 +728,11 @@ TEST(Server, OverloadedSynthRequestsAreShedAtTheSocket) {
   // Client B is refused with the protocol-level "overloaded" error — which
   // the Client surfaces as a throw, exactly like any other refusal.
   try {
-    (void)request_once(socket, synth_request(stg::make_paper_fig1()));
-    FAIL() << "the second synth request must be shed";
+    (void)request_once(socket, synth_request(stg::make_muller_pipeline(3)));
+    ADD_FAILURE() << "the second synth request must be shed";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("overloaded"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("--max-queue"), std::string::npos) << e.what();
   }
   EXPECT_EQ(running.server.batcher_stats().shed_queue_full, 1u);
 
@@ -741,18 +740,88 @@ TEST(Server, OverloadedSynthRequestsAreShedAtTheSocket) {
   // on synthesis work, not a dead daemon.
   EXPECT_EQ(request_once(socket, Request{}).output, "pong\n");
 
-  // The shutdown drain completes A's admitted request.
-  running.server.request_stop();
-  running.thread.join();
+  // Once its build is released, A completes exactly as a direct run would.
+  pinned.release();
   client_a.join();
-  EXPECT_EQ(running.server.batcher_stats().admitted, 1u);
+  EXPECT_EQ(a.exit_code, 0) << a.log;
+  EXPECT_EQ(strip_timing(a.output), direct_synth_output(stg));
+  const BatcherStats stats = running.server.batcher_stats();
+  EXPECT_EQ(stats.admitted, 1u);
+  EXPECT_EQ(stats.shed(), 1u);
+  EXPECT_EQ(stats.queue_high_water, 1u);
+  // Each admitted request runs as one one-entry batch.
+  EXPECT_EQ(stats.batches, stats.admitted);
+  EXPECT_EQ(stats.fused_requests, stats.admitted);
 }
 
-TEST(Server, CacheStatsReportsFusionCounters) {
-  TempDir dir("fstats");
+TEST(Server, FailingSynthesisGivesItsAdmissionSlotBack) {
+  TempDir dir("slot");
   const std::string socket = dir.str() + "/punt.sock";
   ServerOptions options;
-  options.endpoint = unix_endpoint(socket);  // default 2ms window
+  options.endpoint = unix_endpoint(socket);
+  options.max_queue = 1;
+  RunningServer running(options);
+
+  // vme's CSC conflict fails its synthesis inside the slot...
+  const Response conflicted = request_once(socket, synth_request(stg::make_vme_bus()));
+  EXPECT_EQ(conflicted.exit_code, 2);
+  EXPECT_NE(conflicted.log.find("CSC conflict"), std::string::npos) << conflicted.log;
+
+  // ...and gives the slot back, so the next request on max_queue = 1 runs.
+  const Response next = request_once(socket, synth_request(stg::make_paper_fig1()));
+  EXPECT_EQ(next.exit_code, 0) << next.log;
+  const BatcherStats stats = running.server.batcher_stats();
+  EXPECT_EQ(stats.admitted, 2u);
+  EXPECT_EQ(stats.shed(), 0u);
+}
+
+TEST(Server, ParseRefusedSpecIsAnsweredWithoutAdmission) {
+  TempDir dir("parse");
+  const std::string socket = dir.str() + "/punt.sock";
+  ServerOptions options;
+  options.endpoint = unix_endpoint(socket);
+  options.max_queue = 1;
+  RunningServer running(options);
+
+  // b's cycle is never marked, so the parser cannot infer its initial value:
+  // a dynamic rejection that the lint admission gate lets through.
+  Request unparseable;
+  unparseable.op = Op::Synth;
+  unparseable.g_text =
+      ".model t\n.inputs a b\n.graph\na+ p\np a-\na- q\nq a+\n"
+      "b+ r\nr b-\nb- s\ns b+\n.marking { p }\n.end\n";
+  ASSERT_TRUE(lint::lint_errors(unparseable.g_text).empty());
+  ASSERT_THROW((void)stg::parse_g(unparseable.g_text), Error);
+
+  // With the one slot taken, the refused spec still gets its diagnostic —
+  // not an "overloaded" refusal — because it never asks for a slot.
+  const Stg stg = stg::make_paper_fig1();
+  Response held;
+  std::jthread client;
+  PinnedBuild pinned(running.server.cache(), stg);
+  client = std::jthread([&] { held = request_once(socket, synth_request(stg)); });
+  while (running.server.batcher_stats().admitted == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const Response refused = request_once(socket, unparseable);
+  EXPECT_TRUE(refused.ok);
+  EXPECT_EQ(refused.exit_code, 2);
+  EXPECT_NE(refused.log.find("error: could not infer initial values"), std::string::npos)
+      << refused.log;
+  pinned.release();
+  client.join();
+  EXPECT_EQ(held.exit_code, 0) << held.log;
+
+  const BatcherStats stats = running.server.batcher_stats();
+  EXPECT_EQ(stats.admitted, 1u);
+  EXPECT_EQ(stats.shed(), 0u);
+}
+
+TEST(Server, CacheStatsReportsTheV5AdmissionSchema) {
+  TempDir dir("stats");
+  const std::string socket = dir.str() + "/punt.sock";
+  ServerOptions options;
+  options.endpoint = unix_endpoint(socket);
   RunningServer running(options);
 
   const Stg stg = stg::make_paper_fig1();
@@ -764,40 +833,20 @@ TEST(Server, CacheStatsReportsFusionCounters) {
   const Response stats = request_once(socket, stats_request);
   const util::JsonValue root = util::parse_json(stats.output);
   EXPECT_EQ(util::json_string(root, "schema", "stats"), "punt-serve-stats");
-  EXPECT_EQ(util::json_count(root, "version", "stats"), 4u);
-  EXPECT_EQ(util::json_number(root, "batch_window_ms", "stats"), 2.0);
-  EXPECT_GE(util::json_count(root, "admitted", "stats"), 2u);
-  EXPECT_GE(util::json_count(root, "batches", "stats"), 1u);
-  EXPECT_GE(util::json_count(root, "fused_requests", "stats"), 2u);
+  EXPECT_EQ(util::json_count(root, "version", "stats"), 5u);
+  EXPECT_EQ(util::json_count(root, "admitted", "stats"), 2u);
+  EXPECT_EQ(util::json_count(root, "queue_high_water", "stats"), 1u);
   EXPECT_EQ(util::json_count(root, "shed_queue_full", "stats"), 0u);
-  const util::JsonValue* histogram = root.find("batch_size_histogram");
-  ASSERT_NE(histogram, nullptr);
-  EXPECT_EQ(histogram->type, util::JsonValue::Type::Array);
-  EXPECT_EQ(histogram->array.size(), BatcherStats::kHistogramBuckets);
-}
-
-TEST(Server, ZeroWindowDisablesFusionButKeepsTheStatsSchema) {
-  TempDir dir("nofuse");
-  const std::string socket = dir.str() + "/punt.sock";
-  ServerOptions options;
-  options.endpoint = unix_endpoint(socket);
-  options.batch_window_ms = 0;  // the pre-fusion daemon
-  RunningServer running(options);
-
-  const Response synth = request_once(socket, synth_request(stg::make_paper_fig1()));
-  EXPECT_EQ(synth.exit_code, 0);
-
-  Request stats_request;
-  stats_request.op = Op::CacheStats;
-  const Response stats = request_once(socket, stats_request);
-  const util::JsonValue root = util::parse_json(stats.output);
-  // Same schema, fusion counters pinned to zero — consumers need not care
-  // how the daemon was started.
-  EXPECT_EQ(util::json_count(root, "version", "stats"), 4u);
-  EXPECT_EQ(util::json_number(root, "batch_window_ms", "stats"), 0.0);
-  EXPECT_EQ(util::json_count(root, "batches", "stats"), 0u);
-  EXPECT_EQ(util::json_count(root, "fused_requests", "stats"), 0u);
-  EXPECT_EQ(running.server.batcher_stats().admitted, 0u);
+  // v5 carries exactly these fields: v4's request-fusion fields are gone.
+  std::vector<std::string> keys;
+  keys.reserve(root.object.size());
+  for (const auto& field : root.object) keys.push_back(field.first);
+  const std::vector<std::string> expected = {
+      "schema", "version", "requests", "jobs", "transport", "listen", "connections",
+      "auth_failures", "idle_timeouts", "hits", "misses", "builds", "evictions",
+      "failed_builds", "in_flight", "resident", "saved_seconds", "admitted",
+      "queue_high_water", "shed_queue_full"};
+  EXPECT_EQ(keys, expected);
 }
 
 TEST(Server, GracefulShutdownDrainsInFlightWork) {
@@ -925,7 +974,7 @@ TEST(Server, TcpRequiresAuthAndCountsRejects) {
   stats_request.op = Op::CacheStats;
   const Response stats = request_once(bound, options.token, stats_request);
   const util::JsonValue root = util::parse_json(stats.output);
-  EXPECT_EQ(util::json_count(root, "version", "stats"), 4u);
+  EXPECT_EQ(util::json_count(root, "version", "stats"), 5u);
   EXPECT_EQ(util::json_string(root, "transport", "stats"), "tcp");
   EXPECT_EQ(util::json_string(root, "listen", "stats"), bound.describe());
   EXPECT_EQ(util::json_count(root, "auth_failures", "stats"), 2u);

@@ -47,29 +47,25 @@
 //                                  critical path
 //   punt bench serve [--connect=<endpoint>] [--listen=tcp[://addr:port]]
 //                    [--token-file=<file>] [--clients=K] [--duration=S]
-//                    [--jobs=N] [--batch-window=MS] [--max-queue=N]
-//                    [--no-warmup] [--json=<file>]
+//                    [--jobs=N] [--max-queue=N] [--no-warmup] [--json=<file>]
 //                                  closed-loop load generator against a serve
 //                                  daemon (self-spawned in-process unless
 //                                  --connect; --listen=tcp self-spawns over
 //                                  loopback TCP with a throwaway token, so
 //                                  the latency gate covers the network
 //                                  transport): p50/p95/p99 latency,
-//                                  throughput, fused-batch histogram, shed
-//                                  count; --json writes the punt-serve-bench
-//                                  report
+//                                  throughput, shed count; --json writes the
+//                                  punt-serve-bench report
 //   punt cache stats --connect=<endpoint>
 //                                  a running daemon's resident cache counters
 //   punt serve (--socket=<path> | --listen=tcp://<addr>:<port>
-//              --token-file=<file>) [--jobs=N]
-//              [--batch-window=MS] [--max-queue=N] [--send-timeout=S]
-//              [--handshake-timeout=S] [--idle-timeout=S]
+//              --token-file=<file>) [--jobs=N] [--max-queue=N]
+//              [--send-timeout=S] [--handshake-timeout=S] [--idle-timeout=S]
 //                                  run the warm-model daemon: one resident
 //                                  ModelCache + thread pool across requests;
-//                                  concurrent synth requests arriving within
-//                                  the batch window fuse into one union task
-//                                  graph (0 disables fusion), and load beyond
-//                                  --max-queue is shed with an "overloaded"
+//                                  each synth request runs on its connection
+//                                  thread, and one beyond --max-queue running
+//                                  at once is shed with an "overloaded"
 //                                  refusal; SIGTERM (or a client
 //                                  `punt shutdown`) drains admitted work and
 //                                  exits cleanly.  A TCP listener requires
@@ -170,20 +166,16 @@ int usage() {
                "  punt trace <trace.json>\n"
                "  punt bench serve [--connect=<endpoint>] [--listen=tcp[://addr:port]]\n"
                "                   [--token-file=<file>] [--clients=K] [--duration=S]\n"
-               "                   [--jobs=N] [--batch-window=MS] [--max-queue=N]\n"
-               "                   [--no-warmup] [--json=<file>]\n"
+               "                   [--jobs=N] [--max-queue=N] [--no-warmup] [--json=<file>]\n"
                "  punt cache stats --connect=<endpoint>\n"
                "  punt serve (--socket=<path> | --listen=tcp://<addr>:<port>\n"
-               "             --token-file=<file>) [--jobs=N]\n"
-               "             [--batch-window=MS] [--max-queue=N] [--send-timeout=S]\n"
-               "             [--handshake-timeout=S] [--idle-timeout=S]\n"
+               "             --token-file=<file>) [--jobs=N] [--max-queue=N]\n"
+               "             [--send-timeout=S] [--handshake-timeout=S] [--idle-timeout=S]\n"
                "  punt ping --connect=<endpoint>\n"
                "  punt shutdown --connect=<endpoint>\n"
                "(--jobs: worker threads; 0 = one per hardware thread)\n"
-               "(--batch-window: serve-mode fusion window in ms; synth requests\n"
-               " arriving together run as ONE union task graph; 0 = no fusion)\n"
-               "(--max-queue: admitted-but-unstarted request bound; excess synth\n"
-               " requests are refused with an 'overloaded' error)\n"
+               "(--max-queue: how many synth requests the daemon runs at once; one\n"
+               " more is refused with an 'overloaded' error)\n"
                "(--trace-schedule: write the executed task graph as JSON and\n"
                " print its critical-path summary to stderr; `punt trace` renders\n"
                " the dump as per-worker occupancy lanes)\n"
@@ -221,22 +213,6 @@ std::size_t parse_jobs(const std::string& value) {
                       std::to_string(kMaxJobs));
   }
   return static_cast<std::size_t>(jobs);
-}
-
-/// Non-negative millisecond values (--batch-window, fractional OK).
-double parse_millis(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const double millis = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size() || !(millis >= 0)) {
-    throw punt::Error(std::string("invalid ") + flag + " value '" + value +
-                      "'; expected a non-negative number of milliseconds");
-  }
-  constexpr double kMaxMillis = 60'000;
-  if (millis > kMaxMillis) {
-    throw punt::Error(std::string(flag) + "=" + value +
-                      " exceeds the maximum of 60000 (one minute)");
-  }
-  return millis;
 }
 
 /// Positive integer counts with a named bound (--max-queue, --clients).
@@ -948,8 +924,6 @@ int cmd_serve(const std::vector<std::string>& args) {
       token_path = token_file_path({arg});  // shares the validation
     } else if (arg.rfind("--jobs=", 0) == 0) {
       options.jobs = parse_jobs(arg.substr(7));
-    } else if (arg.rfind("--batch-window=", 0) == 0) {
-      options.batch_window_ms = parse_millis(arg.substr(15), "--batch-window");
     } else if (arg.rfind("--max-queue=", 0) == 0) {
       options.max_queue = parse_positive_count(arg.substr(12), "--max-queue", 65536);
     } else if (arg.rfind("--send-timeout=", 0) == 0) {
@@ -991,7 +965,6 @@ int cmd_serve(const std::vector<std::string>& args) {
                       "holding the shared auth token (the daemon refuses to "
                       "serve the network unauthenticated)");
   }
-  const double window_ms = options.batch_window_ms;
   punt::server::Server server(std::move(options));
   server.start();
   // RAII so an error path (serve() throwing) also detaches the handlers
@@ -1010,15 +983,12 @@ int cmd_serve(const std::vector<std::string>& args) {
     }
   } signal_guard(&server);
   const punt::server::Endpoint& bound = server.endpoint();
-  std::fprintf(stderr, "punt serve: listening on %s%s, %zu job(s), %s\n",
+  std::fprintf(stderr, "punt serve: listening on %s%s, %zu job(s)\n",
                bound.describe().c_str(),
                bound.transport == punt::server::Transport::Tcp
                    ? " (HMAC-authenticated)"
                    : "",
-               server.jobs(),
-               window_ms > 0
-                   ? punt::printf_string("%.1fms fusion window", window_ms).c_str()
-                   : "fusion off");
+               server.jobs());
   server.serve();
   std::fprintf(stderr, "punt serve: drained; served %zu request(s)\n",
                server.requests_served());
@@ -1097,9 +1067,6 @@ int cmd_bench_serve(const std::vector<std::string>& args) {
     } else if (arg.rfind("--jobs=", 0) == 0) {
       daemon.jobs = parse_jobs(arg.substr(7));
       daemon_flags = true;
-    } else if (arg.rfind("--batch-window=", 0) == 0) {
-      daemon.batch_window_ms = parse_millis(arg.substr(15), "--batch-window");
-      daemon_flags = true;
     } else if (arg.rfind("--max-queue=", 0) == 0) {
       daemon.max_queue = parse_positive_count(arg.substr(12), "--max-queue", 65536);
       daemon_flags = true;
@@ -1111,7 +1078,7 @@ int cmd_bench_serve(const std::vector<std::string>& args) {
   }
   if (!connect.empty() && daemon_flags) {
     throw punt::Error(
-        "--jobs/--batch-window/--max-queue/--listen configure the self-spawned "
+        "--jobs/--max-queue/--listen configure the self-spawned "
         "daemon; with --connect they belong to the already-running `punt serve`");
   }
 
@@ -1155,9 +1122,9 @@ int cmd_bench_serve(const std::vector<std::string>& args) {
     });
     std::fprintf(stderr,
                  "punt bench serve: in-process daemon on %s, %zu job(s), "
-                 "%.1fms window, queue %zu\n",
+                 "at most %zu synth request(s) at once\n",
                  server->endpoint().describe().c_str(), server->jobs(),
-                 daemon.batch_window_ms, daemon.max_queue);
+                 daemon.max_queue);
   } else {
     load.endpoint = punt::server::parse_endpoint(connect);
     if (!token_path.empty()) load.token = read_token_file(token_path);
