@@ -44,7 +44,8 @@ int main() {
   }
   report("muller(24)", punt::stg::make_muller_pipeline(24));
   report("counterflow(16)", punt::stg::make_counterflow_pipeline(16));
-  std::printf("\nShape check: the segment stays near-linear in the spec size while\n"
-              "the SG grows exponentially with concurrency.\n");
+  std::printf("\nShape check: the segment grows polynomially in the spec size (a\n"
+              "Muller pipeline's as about stages^2/2 events) while the SG grows\n"
+              "exponentially with concurrency.\n");
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <span>
+#include <utility>
 
 #include "src/util/error.hpp"
 
@@ -396,7 +397,9 @@ RefineStats refine_until_disjoint(const unf::Unfolding& unf, ApproxCover& on,
       // the two unions do: single-cube containment keeps only atom cubes and
       // drops only cubes that lie inside a kept one (DESIGN.md §5).
       if (off_refined) off_union = off.combined(n);
-      stats.disjoint = !on.combined(n).intersects(off_union);
+      stats.on_union = on.combined(n);
+      stats.disjoint = !stats.on_union.intersects(off_union);
+      stats.off_union = std::move(off_union);
       return stats;
     }
     first_row = oi;

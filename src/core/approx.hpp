@@ -131,11 +131,16 @@ struct RefineStats {
   std::size_t iterations = 0;
   std::size_t refined_atoms = 0;
   bool disjoint = false;  // success: the covers no longer intersect
+  /// on.combined(n) and off.combined(n) of the refined covers, built to
+  /// decide `disjoint`; filled whenever `disjoint` holds.
+  logic::Cover on_union;
+  logic::Cover off_union;
 };
 
 /// Runs the Fig. 5 refinement loop until the on/off covers are disjoint or
-/// no offending pair can be refined further.  Returns the stats; callers
-/// fall back to exact covers when !disjoint.
+/// no offending pair can be refined further.  Returns the stats, with the
+/// final unions when disjoint; callers fall back to exact covers when
+/// !disjoint.
 RefineStats refine_until_disjoint(const unf::Unfolding& unf, ApproxCover& on,
                                   ApproxCover& off, std::size_t max_iterations = 1000);
 

@@ -171,11 +171,11 @@ void DeriveTask::run(const PipelineContext& context) {
       const unf::Unfolding& unf = *model.unfolding;
       ApproxCover on = approximate_cover(unf, s, true, options.approx_policy);
       ApproxCover off = approximate_cover(unf, s, false, options.approx_policy);
-      const RefineStats stats = refine_until_disjoint(unf, on, off);
+      RefineStats stats = refine_until_disjoint(unf, on, off);
       refinement_iterations += stats.iterations;
       if (stats.disjoint) {
-        impl.on_cover = on.combined(n);
-        impl.off_cover = off.combined(n);
+        impl.on_cover = std::move(stats.on_union);
+        impl.off_cover = std::move(stats.off_union);
         if (need_er) {
           // The refined excitation atoms are the approximated ER covers.
           er_on = Cover(n);

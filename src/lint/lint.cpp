@@ -111,11 +111,15 @@ std::vector<FileLint> lint_files(const std::vector<FileInput>& files,
 }
 
 std::vector<util::Diagnostic> lint_errors(std::string_view text) {
-  // Admission fast path: the parser plus only the error-capable rules — the
-  // warning-tier fixed points (place concurrency, potential firability)
-  // cannot produce a refusal, so a served request never pays for them.
   util::DiagnosticSink sink;
-  const stg::ParsedG parsed = stg::parse_g_collect(text, sink);
+  return lint_errors(stg::parse_g_collect(text, sink), sink);
+}
+
+std::vector<util::Diagnostic> lint_errors(const stg::ParsedG& parsed,
+                                          util::DiagnosticSink& sink) {
+  // Admission fast path: only the error-capable rules — the warning-tier
+  // fixed points (place concurrency, potential firability) cannot produce a
+  // refusal, so a served request never pays for them.
   if (parsed.usable) run_error_rules(parsed, sink);
   std::vector<Diagnostic> out = sink.diagnostics();
   std::erase_if(out, [](const Diagnostic& d) { return d.severity != Severity::Error; });

@@ -20,6 +20,8 @@
 // structurally broken spec without paying for the warning-tier fixed points
 // — refusal severities never depend on caller flags, only on the catalog's
 // defaults, and the findings are byte-identical to a full pass's errors.
+// Its ParsedG overload lints a parse the caller already holds: admission
+// then finishes that same parse into the job's Stg (stg::finish_parse).
 //
 // Rendering: render_human() produces the caret-and-excerpt blocks of
 // util::render_diagnostics plus a per-file summary line; render_json()
@@ -45,6 +47,10 @@ namespace punt::core {
 class ModelCache;   // model_cache.hpp
 class Executor;     // pipeline.hpp
 }  // namespace punt::core
+
+namespace punt::stg {
+struct ParsedG;     // g_format.hpp
+}  // namespace punt::stg
 
 namespace punt::lint {
 
@@ -98,6 +104,12 @@ std::vector<FileLint> lint_files(const std::vector<FileInput>& files,
 /// Admission helper: the Error-severity findings of `text` under default
 /// severities (no promotion).  Empty means the spec is admissible.
 std::vector<util::Diagnostic> lint_errors(std::string_view text);
+
+/// The same findings for a spec already collected by stg::parse_g_collect()
+/// into `sink`: runs the error-capable rules into `sink` and returns every
+/// Error-severity finding it then holds, parser findings first.
+std::vector<util::Diagnostic> lint_errors(const stg::ParsedG& parsed,
+                                          util::DiagnosticSink& sink);
 
 /// Human rendering: every finding as a caret block, then one summary line
 /// ("file.g: 2 errors, 1 warning").  `source` is the original text.

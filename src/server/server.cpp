@@ -156,6 +156,7 @@ BatcherStats Server::batcher_stats() const {
 
 Response Server::synth(const SynthJob& job) {
   if (!job.ok) return run_synth(job, cache_.get(), &executor_);
+  bool alone = false;
   {
     std::lock_guard<std::mutex> lock(admission_mutex_);
     if (running_ >= options_.max_queue) {
@@ -170,6 +171,8 @@ Response Server::synth(const SynthJob& job) {
     ++running_;
     ++admission_.admitted;
     admission_.queue_high_water = std::max(admission_.queue_high_water, running_);
+    alone = running_ == 1;
+    if (alone) ++admission_.fanned_out;
   }
   // Gives the slot back on every exit, a throwing synthesis included.
   struct Slot {
@@ -179,7 +182,11 @@ Response Server::synth(const SynthJob& job) {
       --server->running_;
     }
   } slot{this};
-  return run_synth(job, cache_.get(), &executor_);
+  // Alone, the request fans its graph out over the resident pool.  With
+  // others running, their threads already contend for the cores, and
+  // posting this graph to the pool would add a thread hop each way, so it
+  // runs on this thread (DESIGN.md §9 has the measurements).
+  return run_synth(job, cache_.get(), alone ? &executor_ : nullptr);
 }
 
 void Server::reap_connections(bool all) {

@@ -13,14 +13,16 @@
 // honoured immediately) hands each connection to its own thread; every
 // connection thread parses frames, dispatches into server/service.hpp over
 // the *shared* cache and executor, and writes response frames.  A synth
-// request runs inline on its connection thread as a one-entry batch, once
-// it holds one of `max_queue` admission slots; with every slot taken it is
+// request is parsed once (lint admission and the job's Stg share the
+// parse) and runs on its connection thread as a one-entry batch, once it
+// holds one of `max_queue` admission slots; with every slot taken it is
 // shed with an explicit "overloaded" refusal instead of waiting without
-// bound.  The graphs of concurrent requests interleave on the one pool —
-// the TaskGraph contract that any number of graphs may execute over one
-// pool is exactly what makes this safe at a fixed worker budget — and
-// requests for one model key share its build through the cache's
-// in-flight joins.
+// bound.  A request admitted while no other synth request runs fans its
+// graph out over the resident pool, so a lone large spec keeps its
+// parallelism; one admitted while others run executes inline on its
+// connection thread, since the busy cores gain nothing from a thread hop
+// each way.  Requests for one model key share its build through the
+// cache's in-flight joins, whichever path they take.
 //
 // Lifecycle: serve() accepts until stop is requested — by a client
 // {"op":"shutdown"} (acknowledged before the drain begins) or by
@@ -52,7 +54,9 @@ struct ServerOptions {
   /// Shared auth secret (`--token-file` contents).  Required for TCP —
   /// start() refuses an unauthenticated network listener; ignored for Unix.
   std::string token;
-  std::size_t jobs = 1;  // executor width; 0 = hardware default
+  /// Resident executor width (`--jobs`; 0 = hardware default): the pool a
+  /// lone synth request, `check` and deep lint fan out over.
+  std::size_t jobs = 1;
   std::size_t cache_capacity = core::ModelCache::kDefaultCapacity;
   /// How many synth requests may run at once across the daemon
   /// (`--max-queue`); one more is shed with an "overloaded" refusal.
@@ -153,9 +157,11 @@ class Server {
     int fd = -1;
   };
 
-  /// Takes an admission slot and runs a prepared synth job inline, or
-  /// answers without a slot: a job lint or the parser refused needs none,
-  /// and with every slot taken the request is shed ("overloaded: ...").
+  /// Takes an admission slot and runs a prepared synth job — over the
+  /// resident executor when no other synth request holds a slot, inline on
+  /// the calling thread otherwise — or answers without a slot: a job lint
+  /// or the parser refused needs none, and with every slot taken the
+  /// request is shed ("overloaded: ...").
   Response synth(const SynthJob& job);
 
   /// Writes one byte down the self-pipe so the accept loop's poll returns.
@@ -166,7 +172,8 @@ class Server {
   ServerOptions options_;
   std::shared_ptr<core::ModelCache> cache_;
   core::Executor executor_;
-  /// Synth admission: `running_` counts the requests holding a slot.
+  /// Synth admission: `running_` counts the requests holding a slot; the
+  /// one that takes the first slot is the one that runs on the pool.
   mutable std::mutex admission_mutex_;
   std::size_t running_ = 0;
   BatcherStats admission_;

@@ -87,8 +87,12 @@ SynthJob prepare_synth(Request request) {
   // with every defect rendered (rule ids, line:column spans, hints) and
   // never takes an admission slot or reaches the ModelCache or the executor.
   // Lint errors are a strict subset of what parse_g/validate reject, so this
-  // gate never refuses a spec direct `punt synth` would accept.
-  const std::vector<util::Diagnostic> defects = lint::lint_errors(job.request.g_text);
+  // gate never refuses a spec direct `punt synth` would accept.  One
+  // collecting parse serves both: lint reads it, then finish_parse turns it
+  // into the job's Stg exactly as parse_g would.
+  util::DiagnosticSink sink;
+  stg::ParsedG parsed = stg::parse_g_collect(job.request.g_text, sink);
+  const std::vector<util::Diagnostic> defects = lint::lint_errors(parsed, sink);
   if (!defects.empty()) {
     job.failure.ok = true;
     job.failure.log = util::render_diagnostics(defects, job.request.g_text, "request.g") +
@@ -98,7 +102,7 @@ SynthJob prepare_synth(Request request) {
     return job;
   }
   try {
-    job.stg = stg::parse_g(job.request.g_text);
+    job.stg = stg::finish_parse(std::move(parsed), sink);
     job.options = options_of(job.request);
     job.ok = true;
   } catch (const Error& e) {
@@ -268,7 +272,7 @@ std::string cache_stats_json(const core::ModelCacheStats& stats,
                              const ServeInfo& info, const BatcherStats& admission) {
   std::string out = "{\n";
   out += "  \"schema\": \"punt-serve-stats\",\n";
-  out += "  \"version\": 5,\n";
+  out += "  \"version\": 6,\n";
   out += printf_string("  \"requests\": %zu,\n", info.requests_served);
   out += printf_string("  \"jobs\": %zu,\n", info.jobs);
   out += "  \"transport\": \"" + util::json_escape(info.transport) + "\",\n";
@@ -285,6 +289,7 @@ std::string cache_stats_json(const core::ModelCacheStats& stats,
   out += printf_string("  \"resident\": %zu,\n", stats.resident);
   out += printf_string("  \"saved_seconds\": %.17g,\n", stats.saved_seconds);
   out += printf_string("  \"admitted\": %zu,\n", admission.admitted);
+  out += printf_string("  \"fanned_out\": %zu,\n", admission.fanned_out);
   out += printf_string("  \"queue_high_water\": %zu,\n", admission.queue_high_water);
   out += printf_string("  \"shed_queue_full\": %zu\n", admission.shed_queue_full);
   out += "}\n";

@@ -9,6 +9,12 @@
 // capacity blowup) becomes a Response with ok=true, a nonzero exit code and
 // the same diagnostic a direct invocation prints to stderr.  Protocol-level
 // failures are the caller's (the connection loop's) concern.
+//
+// A synth request is split in two so the daemon can admit it in between:
+// prepare_synth parses the text once — lint's error rules and the job's Stg
+// read the same collecting parse — and run_synth executes the prepared job
+// on whichever executor the caller picks (the daemon's pool for a lone
+// request, none for one that runs inline).
 #pragma once
 
 #include <cstddef>
@@ -30,8 +36,8 @@ namespace punt::server {
 /// Handles {"op":"synth"}.  `cache` (nullable) resolves phase 1; when given,
 /// the per-request cache delta summary is appended to the response log —
 /// the line a `--connect` client streams to its stderr.  `executor`
-/// (nullable) runs the graph; the daemon passes its resident one, a null
-/// falls back to an inline single-job run.
+/// (nullable) runs the graph; a null runs it inline on the calling thread.
+/// The output does not depend on the executor.
 Response run_synth(const Request& request, core::ModelCache* cache,
                    core::Executor* executor);
 
@@ -48,10 +54,12 @@ struct SynthJob {
   Response failure;  // rendered (exit 2, CLI diagnostic) when !ok
 };
 
-/// Parses the request's .g text and maps its method/arch flags; never
-/// throws — an unparseable request comes back with ok=false and `failure`
-/// carrying exactly the Response run_synth would have produced (minus the
-/// cache summary line, which the caller appends).
+/// Parses the request's .g text once — lint's error rules read the parse,
+/// then stg::finish_parse builds the Stg from it, as stg::parse_g would —
+/// and maps its method/arch flags; never throws — an unparseable request
+/// comes back with ok=false and `failure` carrying exactly the Response
+/// run_synth would have produced (minus the cache summary line, which the
+/// caller appends).
 SynthJob prepare_synth(Request request);
 
 /// Runs a prepared job as a one-entry batch and renders it, appending the
@@ -110,11 +118,13 @@ struct ServeInfo {
 };
 
 /// The daemon's admission counters for synth requests, one self-consistent
-/// snapshot.  Each admitted request runs inline on its connection thread as
-/// a one-entry batch, so `batches` and `fused_requests` both equal
-/// `admitted`; they remain for callers that still read them.
+/// snapshot.  Each admitted request runs on its connection thread as a
+/// one-entry batch: over the resident executor when it was admitted alone
+/// (`fanned_out`), inline otherwise.  `batches` and `fused_requests` both
+/// equal `admitted`; they remain for callers that still read them.
 struct BatcherStats {
   std::size_t admitted = 0;          // synth requests that took a slot
+  std::size_t fanned_out = 0;        // admitted alone: ran on the resident pool
   std::size_t shed_queue_full = 0;   // refused: --max-queue already running
   std::size_t batches = 0;           // == admitted
   std::size_t fused_requests = 0;    // == admitted
@@ -125,9 +135,10 @@ struct BatcherStats {
 
 /// The {"op":"cache-stats"} payload: resident cache counters plus the
 /// server identity/connection fields and the admission counters
-/// ("punt-serve-stats" schema, version 5 — v5 dropped the request-fusion
-/// fields; v4 dropped the disk-tier directory and counters; v3 added
-/// transport, listen, connections, auth_failures and idle_timeouts).
+/// ("punt-serve-stats" schema, version 6 — v6 added fanned_out; v5 dropped
+/// the request-fusion fields; v4 dropped the disk-tier directory and
+/// counters; v3 added transport, listen, connections, auth_failures and
+/// idle_timeouts).
 std::string cache_stats_json(const core::ModelCacheStats& stats,
                              const ServeInfo& info, const BatcherStats& admission);
 

@@ -605,9 +605,8 @@ ParsedG parse_g_collect(std::string_view text, util::DiagnosticSink& sink,
   return parsed;
 }
 
-Stg parse_g(std::string_view text, const ParseOptions& options) {
-  util::DiagnosticSink sink;
-  ParsedG parsed = parse_g_collect(text, sink, options);
+Stg finish_parse(ParsedG parsed, const util::DiagnosticSink& sink,
+                 const ParseOptions& options) {
   // First-error-throw semantics: the first Error-severity diagnostic in
   // discovery order is exactly what the fail-fast parser used to throw.
   sink.throw_first_error();
@@ -619,6 +618,11 @@ Stg parse_g(std::string_view text, const ParseOptions& options) {
     }
   }
   return std::move(parsed.stg);
+}
+
+Stg parse_g(std::string_view text, const ParseOptions& options) {
+  util::DiagnosticSink sink;
+  return finish_parse(parse_g_collect(text, sink, options), sink, options);
 }
 
 std::string write_g(const Stg& stg) {

@@ -21,10 +21,12 @@
 //    yields *all* of its parse defects plus whatever Stg structure could
 //    still be built for the structural rules to inspect.
 //  - parse_g() is the strict front door the synthesis pipeline uses: it runs
-//    the same collecting parse, then drains the sink by throwing the first
-//    error (ParseError, same message the fail-fast parser produced), then
-//    validates and resolves the initial code — so strict and lenient callers
-//    can never disagree about what a `.g` file means.
+//    the same collecting parse, then finish_parse() drains the sink by
+//    throwing the first error (ParseError, same message the fail-fast parser
+//    produced), validates and resolves the initial code — so strict and
+//    lenient callers can never disagree about what a `.g` file means.
+//    Serve admission lints a collecting parse and then finishes that same
+//    parse, so a served request is parsed once.
 #pragma once
 
 #include <cstddef>
@@ -96,8 +98,17 @@ struct ParsedG {
 ParsedG parse_g_collect(std::string_view text, util::DiagnosticSink& sink,
                         const ParseOptions& options = {});
 
-/// Parses `.g` text into an Stg.  Throws ParseError on malformed input and
-/// ImplementabilityError when initial-code inference finds an inconsistency.
+/// The strict second half of parse_g(): throws the first Error-severity
+/// finding in `sink` (ParseError), validates the Stg and infers its initial
+/// code unless the text carried .init_values.  `parsed` and `sink` come from
+/// one parse_g_collect() call; findings other callers added to `sink` after
+/// it (lint rules) count too.
+Stg finish_parse(ParsedG parsed, const util::DiagnosticSink& sink,
+                 const ParseOptions& options = {});
+
+/// Parses `.g` text into an Stg: parse_g_collect() then finish_parse().
+/// Throws ParseError on malformed input and ImplementabilityError when
+/// initial-code inference finds an inconsistency.
 Stg parse_g(std::string_view text, const ParseOptions& options = {});
 
 /// Serialises an Stg to `.g` text (including .init_values, so round-trips

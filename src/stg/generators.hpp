@@ -33,7 +33,8 @@ Stg make_paper_fig4c();
 /// a1..an (outputs), so n+1 signals total — the x-axis of Fig. 6.
 /// Marked-graph STG: a_i+ needs a_{i-1}+ and a_{i+1}-; a_i- needs a_{i-1}-
 /// and a_{i+1}+.  The SG grows exponentially with n while the unfolding
-/// segment grows linearly.
+/// segment grows quadratically, as about n²/2 events: 466 at n = 29, 1831
+/// at 59 and 7261 at 119.
 Stg make_muller_pipeline(std::size_t n);
 
 /// Counterflow-pipeline substitute: two opposing Muller pipelines of

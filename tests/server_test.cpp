@@ -3,7 +3,9 @@
 // clients included), the warm-cache property a resident daemon exists for
 // (second request = pure memory hit, zero rebuilds), synth admission
 // (shedding past --max-queue, slots given back, refused specs answered
-// without a slot), resilience to malformed/oversized frames, graceful
+// without a slot, a request admitted while another runs executing inline),
+// parse parity of prepare_synth with parse_g, resilience to
+// malformed/oversized frames, graceful
 // shutdown draining in-flight work — and the TCP transport: endpoint-grammar parsing, the
 // HMAC-SHA256 challenge–response handshake (refusals, fresh nonces, replay),
 // byte-parity of TCP clients with Unix clients, and the per-connection
@@ -23,6 +25,7 @@
 #include <latch>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/benchmarks/registry.hpp"
@@ -38,6 +41,7 @@
 #include "src/server/service.hpp"
 #include "src/stg/g_format.hpp"
 #include "src/stg/generators.hpp"
+#include "src/util/diagnostics.hpp"
 #include "src/util/error.hpp"
 #include "src/util/json.hpp"
 
@@ -817,7 +821,124 @@ TEST(Server, ParseRefusedSpecIsAnsweredWithoutAdmission) {
   EXPECT_EQ(stats.shed(), 0u);
 }
 
-TEST(Server, CacheStatsReportsTheV5AdmissionSchema) {
+TEST(Server, RequestAdmittedWhileAnotherRunsExecutesInline) {
+  TempDir dir("inline");
+  const std::string socket = dir.str() + "/punt.sock";
+  ServerOptions options;
+  options.endpoint = unix_endpoint(socket);
+  options.jobs = 2;  // a real pool for the lone request to fan out over
+  RunningServer running(options);
+
+  // A is admitted alone, so it fans out over the pool, where its graph
+  // waits in the pinned model build while holding its slot.
+  const Stg a_stg = stg::make_paper_fig1();
+  const Stg b_stg = stg::make_muller_pipeline(3);
+  Response a;
+  std::jthread client_a;
+  PinnedBuild pinned(running.server.cache(), a_stg);
+  client_a = std::jthread([&] { a = request_once(socket, synth_request(a_stg)); });
+  while (running.server.batcher_stats().admitted == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // B is admitted while A runs, so it executes inline on its connection
+  // thread and is answered while A still holds its slot.
+  const Response b = request_once(socket, synth_request(b_stg));
+  const BatcherStats during = running.server.batcher_stats();
+  EXPECT_EQ(during.admitted, 2u);
+  EXPECT_EQ(during.fanned_out, 1u) << "only the lone request runs on the pool";
+  EXPECT_EQ(during.queue_high_water, 2u);
+
+  pinned.release();
+  client_a.join();
+  EXPECT_EQ(running.server.batcher_stats().fanned_out, 1u);
+
+  // Neither path changes a byte: both match an in-process run_synth.
+  const Response a_reference = run_synth(synth_request(a_stg), nullptr, nullptr);
+  const Response b_reference = run_synth(synth_request(b_stg), nullptr, nullptr);
+  EXPECT_EQ(a.exit_code, 0) << a.log;
+  EXPECT_EQ(b.exit_code, 0) << b.log;
+  EXPECT_EQ(strip_timing(a.output), strip_timing(a_reference.output));
+  EXPECT_EQ(strip_timing(b.output), strip_timing(b_reference.output));
+  EXPECT_EQ(strip_timing(b.output), direct_synth_output(b_stg));
+}
+
+/// `text` without its `.init_values` line, so parsing it infers the
+/// initial code.
+std::string without_init_values(const std::string& text) {
+  const std::size_t begin = text.find("\n.init_values");
+  if (begin == std::string::npos) return text;
+  return text.substr(0, begin) + text.substr(text.find('\n', begin + 1));
+}
+
+TEST(Server, PreparedJobParsesExactlyLikeParseG) {
+  // prepare_synth lints and finishes one collecting parse; the Stg it
+  // builds (or the refusal it renders) must be parse_g's, byte for byte.
+  std::vector<std::pair<std::string, std::string>> specs;  // label, .g text
+  // Each spec also goes in without .init_values, which makes the finish
+  // step infer the initial code; inference explores states, so the large
+  // pipelines go in with their values only.
+  const auto add = [&specs](const std::string& label, const Stg& stg, bool infer_too) {
+    specs.emplace_back(label, stg::write_g(stg));
+    if (infer_too) specs.emplace_back(label + " inferred", without_init_values(specs.back().second));
+  };
+  for (const benchmarks::Benchmark& bench : benchmarks::table1()) add(bench.name, bench.make(), true);
+  for (const std::size_t n : {1, 4, 9, 29, 59}) {
+    add("muller" + std::to_string(n), stg::make_muller_pipeline(n), n < 10);
+  }
+  for (const std::size_t n : {1, 3, 16}) {
+    add("counterflow" + std::to_string(n), stg::make_counterflow_pipeline(n), n < 10);
+  }
+  for (const auto& [label, text] : specs) {
+    Request request;
+    request.op = Op::Synth;
+    request.g_text = text;
+    const SynthJob job = prepare_synth(request);
+    try {
+      const Stg expected = stg::parse_g(text);
+      ASSERT_TRUE(job.ok) << label << ": " << job.failure.log;
+      EXPECT_EQ(stg::write_g(job.stg), stg::write_g(expected)) << label;
+    } catch (const Error& e) {
+      EXPECT_FALSE(job.ok) << label;
+      EXPECT_EQ(job.failure.log, std::string("error: ") + e.what() + "\n") << label;
+    }
+  }
+
+  // Refusals: lint's report from the shared parse equals lint_errors' own
+  // parse of the text, and a dynamic rejection carries parse_g's message.
+  const std::vector<std::string> broken = {
+      ".model x\n.inputs a a\n.graph\na+ p\np a-\na- q\nq a+\n"
+      ".marking { p }\n.init_values a=0\n.end\n",
+      ".model t\n.bogus\n.graph\na b\n.end\n",
+      ".model t\n.inputs a\n.graph\na+ p\np a-\na- q\nq a+\n.marking { zz }\n.end\n",
+      ".model t\n.inputs a b\n.graph\na+ p\np a-\na- q\nq a+\n"
+      "b+ r\nr b-\nb- s\ns b+\n.marking { p }\n.end\n",
+  };
+  for (const std::string& text : broken) {
+    Request request;
+    request.op = Op::Synth;
+    request.g_text = text;
+    const SynthJob job = prepare_synth(request);
+    ASSERT_FALSE(job.ok) << text;
+    EXPECT_EQ(job.failure.exit_code, 2);
+    const std::vector<util::Diagnostic> defects = lint::lint_errors(text);
+    if (!defects.empty()) {
+      EXPECT_EQ(job.failure.log,
+                util::render_diagnostics(defects, text, "request.g") +
+                    "error: specification refused by lint: " +
+                    std::to_string(defects.size()) + " defect(s)\n");
+    } else {
+      try {
+        (void)stg::parse_g(text);
+        ADD_FAILURE() << "parse_g accepted: " << text;
+      } catch (const Error& e) {
+        EXPECT_EQ(job.failure.log, std::string("error: ") + e.what() + "\n");
+      }
+    }
+  }
+}
+
+TEST(Server, CacheStatsReportsTheV6AdmissionSchema) {
   TempDir dir("stats");
   const std::string socket = dir.str() + "/punt.sock";
   ServerOptions options;
@@ -833,11 +954,13 @@ TEST(Server, CacheStatsReportsTheV5AdmissionSchema) {
   const Response stats = request_once(socket, stats_request);
   const util::JsonValue root = util::parse_json(stats.output);
   EXPECT_EQ(util::json_string(root, "schema", "stats"), "punt-serve-stats");
-  EXPECT_EQ(util::json_count(root, "version", "stats"), 5u);
+  EXPECT_EQ(util::json_count(root, "version", "stats"), 6u);
   EXPECT_EQ(util::json_count(root, "admitted", "stats"), 2u);
+  // One client at a time: each request ran alone, so each fanned out.
+  EXPECT_EQ(util::json_count(root, "fanned_out", "stats"), 2u);
   EXPECT_EQ(util::json_count(root, "queue_high_water", "stats"), 1u);
   EXPECT_EQ(util::json_count(root, "shed_queue_full", "stats"), 0u);
-  // v5 carries exactly these fields: v4's request-fusion fields are gone.
+  // v6 carries exactly these fields: v5's plus fanned_out.
   std::vector<std::string> keys;
   keys.reserve(root.object.size());
   for (const auto& field : root.object) keys.push_back(field.first);
@@ -845,7 +968,7 @@ TEST(Server, CacheStatsReportsTheV5AdmissionSchema) {
       "schema", "version", "requests", "jobs", "transport", "listen", "connections",
       "auth_failures", "idle_timeouts", "hits", "misses", "builds", "evictions",
       "failed_builds", "in_flight", "resident", "saved_seconds", "admitted",
-      "queue_high_water", "shed_queue_full"};
+      "fanned_out", "queue_high_water", "shed_queue_full"};
   EXPECT_EQ(keys, expected);
 }
 
@@ -974,7 +1097,7 @@ TEST(Server, TcpRequiresAuthAndCountsRejects) {
   stats_request.op = Op::CacheStats;
   const Response stats = request_once(bound, options.token, stats_request);
   const util::JsonValue root = util::parse_json(stats.output);
-  EXPECT_EQ(util::json_count(root, "version", "stats"), 5u);
+  EXPECT_EQ(util::json_count(root, "version", "stats"), 6u);
   EXPECT_EQ(util::json_string(root, "transport", "stats"), "tcp");
   EXPECT_EQ(util::json_string(root, "listen", "stats"), bound.describe());
   EXPECT_EQ(util::json_count(root, "auth_failures", "stats"), 2u);

@@ -63,10 +63,14 @@
 //              [--send-timeout=S] [--handshake-timeout=S] [--idle-timeout=S]
 //                                  run the warm-model daemon: one resident
 //                                  ModelCache + thread pool across requests;
-//                                  each synth request runs on its connection
-//                                  thread, and one beyond --max-queue running
+//                                  each synth request is parsed once and runs
+//                                  on its connection thread — over the pool
+//                                  when it runs alone, inline while others
+//                                  run — and one beyond --max-queue running
 //                                  at once is shed with an "overloaded"
-//                                  refusal; SIGTERM (or a client
+//                                  refusal.  --jobs sizes the pool a lone
+//                                  synth request, check and deep lint use.
+//                                  SIGTERM (or a client
 //                                  `punt shutdown`) drains admitted work and
 //                                  exits cleanly.  A TCP listener requires
 //                                  --token-file: every TCP connection must
@@ -173,7 +177,9 @@ int usage() {
                "             [--send-timeout=S] [--handshake-timeout=S] [--idle-timeout=S]\n"
                "  punt ping --connect=<endpoint>\n"
                "  punt shutdown --connect=<endpoint>\n"
-               "(--jobs: worker threads; 0 = one per hardware thread)\n"
+               "(--jobs: worker threads; 0 = one per hardware thread.  For punt serve\n"
+               " it sizes the pool used by a lone synth request, check and deep lint;\n"
+               " a synth request that arrives while others run executes inline)\n"
                "(--max-queue: how many synth requests the daemon runs at once; one\n"
                " more is refused with an 'overloaded' error)\n"
                "(--trace-schedule: write the executed task graph as JSON and\n"
