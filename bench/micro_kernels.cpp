@@ -47,7 +47,7 @@ void BM_ApproximateCover(benchmark::State& state) {
     benchmark::DoNotOptimize(punt::core::approximate_cover(unf, signal, true));
   }
 }
-BENCHMARK(BM_ApproximateCover)->Arg(9)->Arg(19);
+BENCHMARK(BM_ApproximateCover)->Arg(9)->Arg(19)->Arg(59);
 
 // The Fig. 5 refinement loop over every non-input signal of the pipeline,
 // from fresh approximations each iteration (copied outside the timing).

@@ -1,6 +1,7 @@
 #include "src/core/approx.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <span>
 #include <utility>
@@ -47,26 +48,29 @@ Bitset events_after(const unf::Unfolding& unf, const SliceElement& element) {
   return out;
 }
 
-/// restricted_next_cover, given the plain don't-care signals of `c`.
+/// restricted_next_cover, given the plain MR cube of `c`.
 Cover restricted_cover(const unf::Unfolding& unf, unf::ConditionId c, unf::EventId bound,
-                       const Bitset& plain_dc) {
+                       const Cube& plain) {
   const unf::EventId producer = unf.producer(c);
-  const stg::Code& base = unf.code(producer);
-  const Cube plain = code_cube(unf, producer, plain_dc);
-  Cover out(base.size());
+  Cover out(plain.size());
   for (const unf::ConditionId x : unf.preset(bound)) {
     if (x == c) continue;
     const unf::EventId trigger = unf.producer(x);
     const stg::SignalId signal = unf.signal_of(trigger);
     if (!signal.valid()) continue;  // ⊥ or dummy trigger: skip
-    if (unf.precedes(trigger, producer)) {
+    if (has_event(unf.successors(trigger), producer.index())) {
       // The trigger fired before `c` came into existence: its signal already
       // holds the fired value in the base code, so pinning it cannot exclude
       // the bound's excitation states.  An unusable term.
       continue;
     }
-    Cube cube = plain;  // pin the trigger's signal to not-yet-fired
-    cube.set(signal.index(), base[signal.index()] != 0 ? Lit::One : Lit::Zero);
+    // Pin the trigger's signal to its not-yet-fired value, the base code's.
+    // When the plain cube already holds that literal, the term is the plain
+    // cube itself, which contains every other term.
+    if (plain.get(signal.index()) != Lit::DC) return Cover(plain.size(), {plain});
+    Cube cube = plain;
+    cube.set(signal.index(), has_event(unf.code_bits(producer), signal.index()) ? Lit::One
+                                                                                : Lit::Zero);
     out.add(std::move(cube));
   }
   if (out.cube_count() > 1) out.make_irredundant_scc();
@@ -95,6 +99,59 @@ Bitset refinement_candidates(const unf::Unfolding& unf, const SliceElement& elem
   candidates &= slice_events;
   return candidates;
 }
+
+/// The rank rule (DESIGN.md §5) over one slice, for segments whose signals'
+/// instances form causal chains: signal t is a DC signal of a condition c
+/// sequential to the entry when the first t-instance outside [producer(c)]
+/// is concurrent with c and ranks below every bound's first t-successor.
+class RankRule {
+ public:
+  RankRule(const unf::Unfolding& unf, const Slice& slice)
+      : unf_(unf), kept_((unf.stg().signal_count() + 63) / 64) {
+    // The instances of t after a bound are the suffix of t's chain that the
+    // bound's successor row holds, found by binary search.  A signal with
+    // no instance after any bound needs no comparison: a first instance
+    // outside a configuration ranks below the chain's length.
+    for (std::size_t i = 0; i < unf.stg().signal_count(); ++i) {
+      const stg::SignalId t(static_cast<std::uint32_t>(i));
+      const std::vector<unf::EventId>& chain = unf.instances_of_signal(t);
+      std::size_t limit = chain.size();
+      for (const unf::EventId g : slice.bounds) {
+        const std::span<const std::uint64_t> after = unf.successors(g);
+        const auto first = std::partition_point(
+            chain.begin(), chain.end(), [&](unf::EventId f) { return !has_event(after, f.index()); });
+        limit = std::min(limit, static_cast<std::size_t>(first - chain.begin()));
+      }
+      if (limit < chain.size()) limits_.emplace_back(t, static_cast<std::uint32_t>(limit));
+    }
+  }
+
+  /// Writes the DC signals of c, a condition sequential to the entry, to
+  /// `dc`.  A producer's conditions come in a row, so the ranks of its
+  /// configuration are compared once for all of them.
+  void dc_signals(unf::ConditionId c, std::span<std::uint64_t> dc) {
+    const unf::EventId producer = unf_.producer(c);
+    if (producer != producer_) {
+      producer_ = producer;
+      std::fill(kept_.begin(), kept_.end(), ~std::uint64_t{0});
+      for (const auto& [t, limit] : limits_) {
+        if (!(unf_.config_instances(producer, t) < limit)) {
+          kept_[t.index() / 64] &= ~(std::uint64_t{1} << (t.index() % 64));
+        }
+      }
+    }
+    const std::span<const std::uint64_t> first_co = unf_.first_outside_co(c);
+    for (std::size_t w = 0; w < dc.size(); ++w) dc[w] = first_co[w] & kept_[w];
+  }
+
+ private:
+  const unf::Unfolding& unf_;
+  /// Each signal with an instance after a bound, with the least rank of one.
+  std::vector<std::pair<stg::SignalId, std::uint32_t>> limits_;
+  unf::EventId producer_;       // whose comparison kept_ holds
+  std::vector<std::uint64_t> kept_;  // the signals whose first instance outside
+                                     // [producer_] ranks below its limit
+};
 
 }  // namespace
 
@@ -146,6 +203,13 @@ std::vector<Bitset> concurrent_signals(const unf::Unfolding& unf,
   return out;
 }
 
+Bitset ranked_concurrent_signals(const unf::Unfolding& unf, unf::ConditionId c,
+                                 const Slice& slice) {
+  std::vector<std::uint64_t> dc((unf.stg().signal_count() + 63) / 64);
+  RankRule(unf, slice).dc_signals(c, dc);
+  return Bitset::from_words(unf.stg().signal_count(), std::move(dc));
+}
+
 logic::Cover ApproxCover::combined(std::size_t variable_count) const {
   std::vector<const Cover*> covers;
   covers.reserve(atoms.size());
@@ -172,7 +236,7 @@ Cube mr_cover(const unf::Unfolding& unf, unf::ConditionId c, const Bitset& slice
 
 Cover restricted_next_cover(const unf::Unfolding& unf, unf::ConditionId c,
                             unf::EventId bound, const Bitset& slice_events) {
-  return restricted_cover(unf, c, bound, concurrent_signals(unf, {c}, slice_events).front());
+  return restricted_cover(unf, c, bound, mr_cover(unf, c, slice_events));
 }
 
 std::vector<unf::ConditionId> refining_set(const unf::Unfolding& unf,
@@ -299,6 +363,9 @@ ApproxCover approximate_cover(const unf::Unfolding& unf, stg::SignalId signal,
   out.value = value;
   out.slices = signal_slices(unf, signal, value);
 
+  const std::size_t n = unf.stg().signal_count();
+  const bool ranked = !unf.branching_signal().valid();
+  std::vector<std::uint64_t> dc((n + 63) / 64);  // one condition's DC signals
   for (std::size_t si = 0; si < out.slices.size(); ++si) {
     const Slice& slice = out.slices[si];
     out.slice_event_sets.push_back(slice_events(unf, slice));
@@ -309,7 +376,7 @@ ApproxCover approximate_cover(const unf::Unfolding& unf, stg::SignalId signal,
       CoverAtom atom;
       atom.element = SliceElement::of(slice.entry);
       atom.slice_index = si;
-      atom.cover = Cover(unf.stg().signal_count());
+      atom.cover = Cover(n);
       atom.cover.add(excitation_cover(unf, slice.entry));
       out.atoms.push_back(std::move(atom));
     }
@@ -327,36 +394,49 @@ ApproxCover approximate_cover(const unf::Unfolding& unf, stg::SignalId signal,
             ? all_conditions
             : chain_approximation_set(unf, slice, events, all_conditions);
 
-    const std::vector<Bitset> plain = concurrent_signals(unf, pa, events);
+    // The DC signals of each condition's plain MR cube: by the rank rule
+    // when every signal's instances form a chain, else by the fold.
+    std::optional<RankRule> rule;
+    std::vector<Bitset> folded;
+    if (ranked) {
+      rule.emplace(unf, slice);
+    } else {
+      folded = concurrent_signals(unf, pa, events);
+    }
     for (std::size_t k = 0; k < pa.size(); ++k) {
       const unf::ConditionId c = pa[k];
+      if (rule) {
+        rule->dc_signals(c, dc);
+      } else {
+        std::copy(folded[k].words().begin(), folded[k].words().end(), dc.begin());
+      }
+      Cube plain = Cube::from_bits(unf.code_bits(unf.producer(c)), dc, n);
       // A bound that can be enabled while c is marked makes every such
       // marking an opposite-set state; its excitation markings must be
       // excluded from c's MR cover (paper §4.2, generalised: the bound is
       // "compatible" when c feeds it or is concurrent with its whole
       // preset, i.e. with the bound itself).
       const std::span<const std::uint64_t> co = unf.co_events(c);
-      std::vector<unf::EventId> compatible_bounds;
+      Cover cover(n);
+      bool restricted = false;
       for (const unf::EventId g : slice.bounds) {
         const auto& pre = unf.preset(g);
-        if (has_event(co, g.index()) || std::find(pre.begin(), pre.end(), c) != pre.end()) {
-          compatible_bounds.push_back(g);
+        if (!has_event(co, g.index()) && std::find(pre.begin(), pre.end(), c) == pre.end()) {
+          continue;
         }
+        Cover next = restricted_cover(unf, c, g, plain);
+        cover = restricted ? cover.intersect(next) : std::move(next);
+        restricted = true;
+      }
+      if (!restricted) {
+        cover.add(std::move(plain));
+      } else if (cover.empty()) {
+        continue;  // every marking of c excites some bound
       }
       CoverAtom atom;
       atom.element = SliceElement::of(c);
       atom.slice_index = si;
-      if (compatible_bounds.empty()) {
-        atom.cover = Cover(unf.stg().signal_count());
-        atom.cover.add(code_cube(unf, unf.producer(c), plain[k]));
-      } else {
-        Cover cover = restricted_cover(unf, c, compatible_bounds.front(), plain[k]);
-        for (std::size_t b = 1; b < compatible_bounds.size(); ++b) {
-          cover = cover.intersect(restricted_cover(unf, c, compatible_bounds[b], plain[k]));
-        }
-        if (cover.empty()) continue;  // every marking of c excites some bound
-        atom.cover = std::move(cover);
-      }
+      atom.cover = std::move(cover);
       out.atoms.push_back(std::move(atom));
     }
   }

@@ -85,6 +85,15 @@ std::vector<Bitset> concurrent_signals(const unf::Unfolding& unf,
                                        const std::vector<unf::ConditionId>& conditions,
                                        const Bitset& slice_events);
 
+/// concurrent_signals(unf, {c}, slice_events(unf, slice)) for a condition
+/// `c` sequential to the slice's entry, read from the segment's instance
+/// ranks with one comparison per signal (DESIGN.md §5).  Valid only when
+/// every signal's instances form a causal chain
+/// (!unf.branching_signal().valid()); approximate_cover takes this path
+/// then, and the fold otherwise.
+Bitset ranked_concurrent_signals(const unf::Unfolding& unf, unf::ConditionId c,
+                                 const Slice& slice);
+
 /// Plain MR cover of condition `c`: the code of its producer's local
 /// configuration with DC at signals owning a slice instance concurrent with
 /// `c` (Fig. 4(b): C*mr(p7) = a d g').

@@ -42,7 +42,6 @@ ModelOptions ModelOptions::from(const SynthesisOptions& options) {
   model.check_persistency = options.check_persistency;
   model.state_budget = options.state_budget;
   model.event_budget = options.event_budget;
-  model.cutoff = options.cutoff;
   return model;
 }
 
@@ -56,7 +55,6 @@ std::string ModelOptions::fingerprint() const {
     text += ";states=" + std::to_string(state_budget);
   } else {
     text += ";events=" + std::to_string(event_budget);
-    text += ";cutoff=" + std::to_string(static_cast<int>(cutoff));
   }
   return text;
 }
@@ -92,7 +90,6 @@ std::shared_ptr<const SemanticModel> SemanticModel::build(
   } else {
     unf::UnfoldOptions build;
     build.event_budget = options.event_budget;
-    build.cutoff = options.cutoff;
     model->unfolding =
         std::make_unique<const unf::Unfolding>(unf::Unfolding::build(own, build));
     model->unfold_stats = model->unfolding->stats();

@@ -52,7 +52,7 @@ class ModelCache;  // model_cache.hpp; forward-declared to avoid a cycle
 /// change what SemanticModel::build() produces.  Everything else in
 /// SynthesisOptions (architecture, approximation policy, minimisation,
 /// cut budget, CSC handling, jobs) only steers the per-signal derivation, so
-/// A1/A3/A4 architecture variants — and the exact and approximate unfolding
+/// A1/A4 architecture variants — and the exact and approximate unfolding
 /// methods, which consume the same segment — of one STG share one model.
 struct ModelOptions {
   /// Which semantic object phase 1 constructs.  Method::UnfoldingApprox and
@@ -64,7 +64,6 @@ struct ModelOptions {
   bool check_persistency = true;
   std::size_t state_budget = 0;  // StateGraph only
   std::size_t event_budget = 0;  // Unfolding only
-  unf::UnfoldOptions::CutoffPolicy cutoff = unf::UnfoldOptions::CutoffPolicy::McMillan;
 
   /// Projects the model-affecting fields out of the full option set.
   static ModelOptions from(const SynthesisOptions& options);

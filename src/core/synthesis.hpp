@@ -57,7 +57,6 @@ struct SynthesisOptions {
   std::size_t state_budget = 2000000;   // StateGraph method
   std::size_t event_budget = 200000;    // unfolding construction
   std::size_t cut_budget = 2000000;     // exact slice enumeration
-  unf::UnfoldOptions::CutoffPolicy cutoff = unf::UnfoldOptions::CutoffPolicy::McMillan;
 };
 
 /// The implementation of one output/internal signal.

@@ -197,6 +197,15 @@ Response run_check(const Request& request, core::ModelCache& cache,
     response.output += printf_string(
         "bounded / safe              : yes (%zu events, %zu conditions)\n",
         unfolding.stats().events, unfolding.stats().conditions);
+    // Which derive path the segment takes (DESIGN.md §5).
+    const stg::SignalId branching = unfolding.branching_signal();
+    response.output +=
+        branching.valid()
+            ? printf_string("signal instances            : '%s' branches under choice, so "
+                            "approximation folds co rows\n",
+                            stg.signal_name(branching).c_str())
+            : "signal instances            : one causal chain per signal, so approximation "
+              "reads instance ranks\n";
     const auto persistency = unf::segment_persistency_violations(unfolding);
     response.output += printf_string(
         "output persistency          : %s\n",

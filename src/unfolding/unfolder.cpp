@@ -190,15 +190,10 @@ class Unfolder {
     bool cutoff = false;
     EventId image;
     if (!inserted) {
+      // McMillan's rule: the same state, reached by a strictly smaller [f].
       for (const EventId f : it->second) {
-        const bool same_state = unf_.markings_[f.index()] == unf_.markings_[e.index()] &&
-                                unf_.codes_[f.index()] == code;
-        if (!same_state) continue;
-        const bool smaller =
-            options_.cutoff == UnfoldOptions::CutoffPolicy::McMillan
-                ? unf_.config_sizes_[f.index()] < cand.size
-                : true;  // total order: any earlier event with this state wins
-        if (smaller) {
+        if (unf_.markings_[f.index()] == unf_.markings_[e.index()] &&
+            unf_.codes_[f.index()] == code && unf_.config_sizes_[f.index()] < cand.size) {
           cutoff = true;
           image = f;
           break;

@@ -79,12 +79,52 @@ Bitset Unfolding::co_events(EventId e) const {
   return Bitset::from_words(event_count(), std::move(words));
 }
 
+namespace {
+
+constexpr std::uint64_t kLow32 = 0xffffffffu;
+
+/// Entry-wise max of two words of two 32-bit table entries each.
+std::uint64_t max_pair(std::uint64_t a, std::uint64_t b) {
+  return std::max(a >> 32, b >> 32) << 32 | std::max(a & kLow32, b & kLow32);
+}
+
+}  // namespace
+
 void Unfolding::build_rows() {
   const std::size_t conditions = condition_count();
   const std::size_t events = event_count();
+  const std::size_t signals = stg_->signal_count();
+
+  signals_.assign(events, stg::SignalId());
+  instances_.assign(signals, {});
+  for (std::size_t e = 1; e < events; ++e) {
+    const stg::Label& l = stg_->label(transitions_[e]);
+    if (l.dummy) continue;
+    signals_[e] = l.signal;
+    instances_[l.signal.index()].push_back(EventId(static_cast<std::uint32_t>(e)));
+  }
+  // The rank tables need every signal's instances to form one causal chain.
+  // Instances are listed in ascending id, a topological order, so the chain,
+  // if there is one, runs in list order.
+  branching_signal_ = stg::SignalId();
+  for (std::size_t s = 0; s < signals && !branching_signal_.valid(); ++s) {
+    const std::vector<EventId>& chain = instances_[s];
+    for (std::size_t i = 1; i < chain.size(); ++i) {
+      if (!precedes(chain[i - 1], chain[i])) {
+        branching_signal_ = stg::SignalId(static_cast<std::uint32_t>(s));
+        break;
+      }
+    }
+  }
+  const bool ranked = !branching_signal_.valid();
+
   row_words_ = (events + 63) / 64;
-  code_words_ = (stg_->signal_count() + 63) / 64;
-  rows_.assign((conditions + events) * row_words_ + events * code_words_, 0);
+  code_words_ = (signals + 63) / 64;
+  count_words_ = (signals + 1) / 2;
+  const std::size_t codes_at = (conditions + events) * row_words_;
+  counts_at_ = codes_at + events * code_words_;
+  first_co_at_ = counts_at_ + events * count_words_;
+  rows_.assign(ranked ? first_co_at_ + conditions * code_words_ : counts_at_, 0);
 
   // co rows, one block of 64 conditions at a time: block[x] holds co(x, c)
   // for the block's conditions c, so the conditions of the block concurrent
@@ -135,20 +175,43 @@ void Unfolding::build_rows() {
     }
   }
 
-  std::uint64_t* codes = rows_.data() + (conditions + events) * row_words_;
+  std::uint64_t* codes = rows_.data() + codes_at;
   for (std::size_t e = 0; e < events; ++e) {
     for (std::size_t s = 0; s < codes_[e].size(); ++s) {
       if (codes_[e][s] != 0) codes[e * code_words_ + s / 64] |= std::uint64_t{1} << (s % 64);
     }
   }
+  if (!ranked) return;
 
-  signals_.assign(events, stg::SignalId());
-  instances_.assign(stg_->signal_count(), {});
+  // Instance counts, in ascending id from ⊥'s zeros: [e] is e plus the
+  // configurations of its inputs' producers, each holding a prefix of every
+  // chain, so their union holds the longest of those prefixes.
   for (std::size_t e = 1; e < events; ++e) {
-    const stg::Label& l = stg_->label(transitions_[e]);
-    if (l.dummy) continue;
-    signals_[e] = l.signal;
-    instances_[l.signal.index()].push_back(EventId(static_cast<std::uint32_t>(e)));
+    std::uint64_t* row = rows_.data() + counts_at_ + e * count_words_;
+    for (const ConditionId x : e_pre_[e]) {
+      const std::uint64_t* from =
+          rows_.data() + counts_at_ + producers_[x.index()].index() * count_words_;
+      for (std::size_t w = 0; w < count_words_; ++w) row[w] = max_pair(row[w], from[w]);
+    }
+    if (const stg::SignalId s = signals_[e]; s.valid()) {
+      row[s.index() / 2] += std::uint64_t{1} << (32 * (s.index() & 1));
+    }
+  }
+
+  // The concurrency bits: whether the first instance of each signal outside
+  // [producer(c)] can fire while c is marked.
+  for (std::size_t c = 0; c < conditions; ++c) {
+    const ConditionId cid(static_cast<std::uint32_t>(c));
+    const EventId producer = producers_[c];
+    const std::span<const std::uint64_t> co = co_events(cid);
+    std::uint64_t* bits = rows_.data() + first_co_at_ + c * code_words_;
+    for (std::size_t s = 0; s < signals; ++s) {
+      const std::uint32_t first =
+          config_instances(producer, stg::SignalId(static_cast<std::uint32_t>(s)));
+      if (first >= instances_[s].size()) continue;
+      const std::size_t f = instances_[s][first].index();
+      if (((co[f / 64] >> (f % 64)) & 1u) != 0) bits[s / 64] |= std::uint64_t{1} << (s % 64);
+    }
   }
 }
 

@@ -33,17 +33,10 @@
 
 namespace punt::unf {
 
+/// Construction bounds.  Cutoffs follow McMillan's rule: e is a cutoff iff
+/// an existing event f has the same ⟨marking, code⟩ and a strictly smaller
+/// local configuration.
 struct UnfoldOptions {
-  enum class CutoffPolicy {
-    /// McMillan's original rule: e is a cutoff iff an existing event f has
-    /// the same ⟨marking, code⟩ and a strictly smaller local configuration.
-    McMillan,
-    /// Total adequate order (size, then insertion order): any repeat of an
-    /// already-seen ⟨marking, code⟩ is a cutoff.  Produces smaller segments;
-    /// the ablation A3 compares the two.
-    TotalOrder,
-  };
-  CutoffPolicy cutoff = CutoffPolicy::McMillan;
   /// Hard bound on instantiated events (⊥ excluded); exceeded => CapacityError.
   std::size_t event_budget = 100000;
   /// Safety bound on cut markings (1 = safe nets); 0 disables the check.
@@ -172,6 +165,30 @@ class Unfolding {
   /// first(a): instances of `signal` with no preceding instance of it.
   std::vector<EventId> first_instances(stg::SignalId signal) const;
 
+  // --- Instance ranks (DESIGN.md §5) --------------------------------------
+  //
+  // An instance's rank is its index in instances_of_signal.  When every
+  // signal's instances form one causal chain, each preceding the next, a
+  // local configuration holds a prefix of every chain, and the segment
+  // keeps the two tables below; otherwise it keeps neither.
+
+  /// The first signal two of whose instances are causally unordered (they
+  /// branch under choice); invalid when every signal's instances form one
+  /// causal chain, which is when the rank tables exist.
+  stg::SignalId branching_signal() const { return branching_signal_; }
+  /// The number of instances of `t` in [e], which is also the rank of the
+  /// first one outside [e].
+  std::uint32_t config_instances(EventId e, stg::SignalId t) const {
+    const std::size_t i = t.index();
+    return static_cast<std::uint32_t>(
+        rows_[counts_at_ + e.index() * count_words_ + i / 2] >> (32 * (i & 1)));
+  }
+  /// Bit t%64 of word t/64 is set when the first instance of signal t
+  /// outside [producer(c)] exists and is concurrent with c.
+  std::span<const std::uint64_t> first_outside_co(ConditionId c) const {
+    return {rows_.data() + first_co_at_ + c.index() * code_words_, code_words_};
+  }
+
   // --- Configurations and cuts ----------------------------------------------
 
   /// Cut (condition set) reached by firing the configuration: conditions
@@ -192,8 +209,8 @@ class Unfolding {
   friend class Unfolder;
   Unfolding() = default;
 
-  /// Derives rows_, signals_ and instances_ from the segment.  Called once
-  /// the segment is complete, by build().
+  /// Derives rows_, signals_, instances_ and branching_signal_ from the
+  /// segment.  Called once the segment is complete, by build().
   void build_rows();
 
   std::shared_ptr<const stg::Stg> stg_;
@@ -221,14 +238,22 @@ class Unfolding {
   // Derived rows, in one flat allocation of whole pages
   // (page_allocator.hpp): the condition co rows (co_events) and the event
   // successor rows (successors), row_words_ words each, then the packed
-  // codes (code_bits), code_words_ words each.
+  // codes (code_bits), code_words_ words each.  When every signal's
+  // instances form a chain, the rank tables follow: from word counts_at_,
+  // each event's config_instances, two 32-bit entries per word in
+  // count_words_ words; from word first_co_at_, each condition's
+  // first_outside_co bits in code_words_ words.
   std::size_t row_words_ = 0;
   std::size_t code_words_ = 0;
+  std::size_t count_words_ = 0;
+  std::size_t counts_at_ = 0;
+  std::size_t first_co_at_ = 0;
   std::vector<std::uint64_t, util::PageAllocator<std::uint64_t>> rows_;
   // Per event: the signal of its label (signal_of); per signal: its
   // instances (instances_of_signal).  Derived.
   std::vector<stg::SignalId> signals_;
   std::vector<std::vector<EventId>> instances_;
+  stg::SignalId branching_signal_;
 };
 
 /// A persistency (semi-modularity) violation found on the segment: firing

@@ -4,13 +4,16 @@
 //
 // The equivalence suites below pin the word-level derive layer to scalar
 // references: refine_until_disjoint against the all-pairs loop, the
-// segment's word rows against Unfolding::co, precedes and label(), and the
-// approximation primitives against their per-event definitions.
+// segment's word rows and rank tables against Unfolding::co, precedes and
+// label(), the approximation primitives against their per-event
+// definitions, the rank rule against the concurrent_signals fold, and
+// approximate_cover against atoms rebuilt from the fold-based primitives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -22,6 +25,7 @@
 #include "src/core/pipeline.hpp"
 #include "src/core/slices.hpp"
 #include "src/logic/espresso.hpp"
+#include "src/stg/g_format.hpp"
 #include "src/stg/generators.hpp"
 #include "src/unfolding/unfolding.hpp"
 
@@ -216,8 +220,9 @@ RefineStats all_pairs_refine(const Unfolding& unf, ApproxCover& on, ApproxCover&
 }
 
 /// The swept specs: every registry row, Muller pipelines of 4, 9 and 14
-/// stages and a 3-stage counterflow pipeline.
-constexpr int kSweptSpecs = 25;
+/// stages, a 3-stage counterflow pipeline, the paper's Fig. 1, Fig. 4(a/b)
+/// and Fig. 4(c), and the VME bus controller.
+constexpr int kSweptSpecs = 29;
 
 std::pair<std::string, Stg> swept_spec(int index) {
   const auto& registry = benchmarks::table1();
@@ -229,7 +234,11 @@ std::pair<std::string, Stg> swept_spec(int index) {
     case 0: return {"muller4", stg::make_muller_pipeline(4)};
     case 1: return {"muller9", stg::make_muller_pipeline(9)};
     case 2: return {"muller14", stg::make_muller_pipeline(14)};
-    default: return {"counterflow3", stg::make_counterflow_pipeline(3)};
+    case 3: return {"counterflow3", stg::make_counterflow_pipeline(3)};
+    case 4: return {"fig1", stg::make_paper_fig1()};
+    case 5: return {"fig4ab", stg::make_paper_fig4ab()};
+    case 6: return {"fig4c", stg::make_paper_fig4c()};
+    default: return {"vme", stg::make_vme_bus()};
   }
 }
 
@@ -288,10 +297,60 @@ bool in_row(std::span<const std::uint64_t> row, std::size_t i) {
   return ((row[i / 64] >> (i % 64)) & 1u) != 0;
 }
 
+/// The first signal two of whose instances are causally unordered, one
+/// precedes() query per pair; invalid when every signal's instances are
+/// totally ordered.
+SignalId scalar_branching_signal(const Unfolding& unf) {
+  for (std::size_t s = 0; s < unf.stg().signal_count(); ++s) {
+    const auto& instances = unf.instances_of_signal(SignalId(static_cast<std::uint32_t>(s)));
+    for (const EventId e : instances) {
+      for (const EventId f : instances) {
+        if (!unf.precedes(e, f) && !unf.precedes(f, e)) {
+          return SignalId(static_cast<std::uint32_t>(s));
+        }
+      }
+    }
+  }
+  return SignalId();
+}
+
+/// Number of entries where a rank table disagrees with its scalar
+/// definition: config_instances against precedes(f, e) over t's instances,
+/// and first_outside_co against co(c, f) for the first instance f outside
+/// [producer(c)].
+std::size_t rank_mismatches(const Unfolding& unf) {
+  std::size_t mismatches = 0;
+  for (std::size_t s = 0; s < unf.stg().signal_count(); ++s) {
+    const SignalId t(static_cast<std::uint32_t>(s));
+    const auto& instances = unf.instances_of_signal(t);
+    for (std::size_t ei = 0; ei < unf.event_count(); ++ei) {
+      const EventId e(static_cast<std::uint32_t>(ei));
+      std::uint32_t before = 0;
+      for (const EventId f : instances) {
+        if (unf.precedes(f, e)) ++before;
+      }
+      if (unf.config_instances(e, t) != before) ++mismatches;
+    }
+    for (std::size_t ci = 0; ci < unf.condition_count(); ++ci) {
+      const ConditionId c(static_cast<std::uint32_t>(ci));
+      const EventId producer = unf.producer(c);
+      bool want = false;
+      for (const EventId f : instances) {
+        if (unf.precedes(f, producer)) continue;
+        want = unf.co(c, f);
+        break;
+      }
+      if (in_row(unf.first_outside_co(c), s) != want) ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
 /// Number of entries where a word row disagrees with its scalar definition:
 /// condition co rows against co(c, e), successor rows against precedes(e, f),
-/// event co rows against co(e, f), code_bits against code(e), and signal_of
-/// and instances_of_signal against label().
+/// event co rows against co(e, f), code_bits against code(e), signal_of
+/// and instances_of_signal against label(), and branching_signal and the
+/// rank tables against their scalar definitions.
 std::size_t row_mismatches(const Unfolding& unf) {
   std::size_t mismatches = 0;
   const std::size_t words = (unf.event_count() + 63) / 64;
@@ -336,6 +395,8 @@ std::size_t row_mismatches(const Unfolding& unf) {
       ++mismatches;
     }
   }
+  if (unf.branching_signal() != scalar_branching_signal(unf)) ++mismatches;
+  if (!unf.branching_signal().valid()) mismatches += rank_mismatches(unf);
   return mismatches;
 }
 
@@ -423,6 +484,43 @@ std::vector<EventId> events_of(const Bitset& bits) {
   return out;
 }
 
+/// approximate_cover under the Full policy, rebuilt from the public
+/// primitives, whose DC signals come from the concurrent_signals fold: the
+/// entry's excitation cover, then for each slice condition not produced by
+/// a cutoff its plain MR cover, or the intersection of its restricted
+/// covers over the compatible bounds when the intersection is not empty.
+ApproxCover fold_approximate_cover(const Unfolding& unf, SignalId s, bool value) {
+  ApproxCover out;
+  out.slices = signal_slices(unf, s, value);
+  const std::size_t n = unf.stg().signal_count();
+  for (std::size_t si = 0; si < out.slices.size(); ++si) {
+    const Slice& slice = out.slices[si];
+    const Bitset events = slice_events(unf, slice);
+    if (!unf.is_initial(slice.entry)) {
+      out.atoms.push_back({SliceElement::of(slice.entry), si, logic::Cover(n)});
+      out.atoms.back().cover.add(excitation_cover(unf, slice.entry));
+    }
+    for (const ConditionId c : slice_conditions(unf, slice, events)) {
+      if (unf.is_cutoff(unf.producer(c))) continue;
+      std::optional<logic::Cover> restricted;
+      for (const EventId g : slice.bounds) {
+        const auto& pre = unf.preset(g);
+        if (!unf.co(c, g) && std::find(pre.begin(), pre.end(), c) == pre.end()) continue;
+        logic::Cover next = restricted_next_cover(unf, c, g, events);
+        restricted = restricted ? restricted->intersect(next) : std::move(next);
+      }
+      if (restricted && restricted->empty()) continue;
+      out.atoms.push_back({SliceElement::of(c), si, logic::Cover(n)});
+      if (restricted) {
+        out.atoms.back().cover = std::move(*restricted);
+      } else {
+        out.atoms.back().cover.add(mr_cover(unf, c, events));
+      }
+    }
+  }
+  return out;
+}
+
 class PrimitiveEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(PrimitiveEquivalence, WordLevelPrimitivesMatchScalarDefinitions) {
@@ -430,6 +528,10 @@ TEST_P(PrimitiveEquivalence, WordLevelPrimitivesMatchScalarDefinitions) {
   const Unfolding unf = Unfolding::build(stg);
   for (const SignalId s : stg.non_input_signals()) {
     for (const bool value : {true, false}) {
+      // On Fig. 1 approximate_cover folds co rows; everywhere else it reads
+      // the rank tables.  Both must give the fold primitives' atoms.
+      expect_same_atoms(approximate_cover(unf, s, value), fold_approximate_cover(unf, s, value),
+                        name + "/" + stg.signal_name(s) + (value ? " on" : " off"));
       for (const Slice& slice : signal_slices(unf, s, value)) {
         const std::string where = name + "/" + stg.signal_name(s) + " entry " +
                                   unf.event_name(slice.entry);
@@ -455,6 +557,14 @@ TEST_P(PrimitiveEquivalence, WordLevelPrimitivesMatchScalarDefinitions) {
         for (std::size_t k = 0; k < conditions.size(); ++k) {
           EXPECT_EQ(dc[k], scalar_concurrent_signals(unf, conditions[k], events))
               << where << " concurrent signals of " << unf.condition_name(conditions[k]);
+        }
+        // The rank rule that approximate_cover reads when every signal's
+        // instances form a chain gives the fold's answer on every condition.
+        if (!unf.branching_signal().valid()) {
+          for (std::size_t k = 0; k < conditions.size(); ++k) {
+            EXPECT_EQ(ranked_concurrent_signals(unf, conditions[k], slice), dc[k])
+                << where << " ranked signals of " << unf.condition_name(conditions[k]);
+          }
         }
         for (const ConditionId c : conditions) {
           EXPECT_EQ(mr_cover(unf, c, event_set),
@@ -484,6 +594,37 @@ TEST_P(PrimitiveEquivalence, WordLevelPrimitivesMatchScalarDefinitions) {
 
 INSTANTIATE_TEST_SUITE_P(Specs, PrimitiveEquivalence, ::testing::Range(0, kSweptSpecs),
                          [](const auto& info) { return test_name(swept_spec(info.param).first); });
+
+TEST(InstanceRanks, OnlyFig1HasBranchingInstances) {
+  // Fig. 1's choice gives one signal two unordered instances; every other
+  // swept spec, and the Fig. 6 pipelines, keep each signal on one chain.
+  std::vector<std::string> branching;
+  for (int index = 0; index < kSweptSpecs; ++index) {
+    const auto [name, stg] = swept_spec(index);
+    if (Unfolding::build(stg).branching_signal().valid()) branching.push_back(name);
+  }
+  EXPECT_EQ(branching, std::vector<std::string>{"fig1"});
+  EXPECT_FALSE(Unfolding::build(stg::make_muller_pipeline(29)).branching_signal().valid());
+  EXPECT_FALSE(Unfolding::build(stg::make_counterflow_pipeline(16)).branching_signal().valid());
+}
+
+TEST(InstanceRanks, FindTheBranchingSignalInEveryPosition) {
+  // x+ and x+/2 are a free choice, so x's instances branch; a and y each
+  // cycle on their own, one chain apiece.  Declaring x first, second and
+  // last puts its id at each end of the signal range and between.
+  for (const char* outputs : {"x a y", "a x y", "a y x"}) {
+    const Stg stg = stg::parse_g(std::string(".model one_branch\n.outputs ") + outputs +
+                                 "\n.graph\n"
+                                 "p0 x+ x+/2\nx+ p1\nx+/2 p1\np1 x-\nx- p0\n"
+                                 "a+ p2\np2 a-\na- p3\np3 a+\n"
+                                 "y+ p4\np4 y-\ny- p5\np5 y+\n"
+                                 ".marking { p0 p3 p5 }\n.end\n");
+    const Unfolding unf = Unfolding::build(stg);
+    ASSERT_TRUE(unf.branching_signal().valid()) << outputs;
+    EXPECT_EQ(stg.signal_name(unf.branching_signal()), "x") << outputs;
+    EXPECT_EQ(unf.branching_signal(), scalar_branching_signal(unf)) << outputs;
+  }
+}
 
 }  // namespace
 }  // namespace punt::core

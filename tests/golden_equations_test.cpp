@@ -6,7 +6,7 @@
 // literal count and the FNV-1a 64 hash of stdout without the `# unfold`
 // timing line.  The specs are the Table 1 registry, small Muller and
 // counterflow pipelines under every method and architecture, and the Fig. 6
-// pipelines (muller29/44/59, cfpp34) under the default flow.
+// pipelines (muller29/44/59/89, cfpp34) under the default flow.
 //
 // A change that alters equations on purpose regenerates the file: on any
 // mismatch the test writes the complete fresh set to
@@ -76,6 +76,8 @@ std::vector<Spec> golden_specs() {
       {"muller44", stg::write_g(stg::make_muller_pipeline(44)), {{"approx", "acg"}}});
   specs.push_back(
       {"muller59", stg::write_g(stg::make_muller_pipeline(59)), {{"approx", "acg"}}});
+  specs.push_back(
+      {"muller89", stg::write_g(stg::make_muller_pipeline(89)), {{"approx", "acg"}}});
   specs.push_back(
       {"cfpp34", stg::write_g(stg::make_counterflow_pipeline(16)), {{"approx", "acg"}}});
   return specs;

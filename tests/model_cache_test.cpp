@@ -124,9 +124,6 @@ TEST(ModelCache, DerivationOnlyOptionsShareAModel) {
   SynthesisOptions persistency = base;
   persistency.check_persistency = false;
   EXPECT_NE(ModelCache::key_of(stg, base), ModelCache::key_of(stg, persistency));
-  SynthesisOptions cutoff = base;
-  cutoff.cutoff = unf::UnfoldOptions::CutoffPolicy::TotalOrder;
-  EXPECT_NE(ModelCache::key_of(stg, base), ModelCache::key_of(stg, cutoff));
 
   // Different STGs never collide, whatever the options.
   EXPECT_NE(ModelCache::key_of(stg, base),

@@ -603,6 +603,37 @@ TEST(Server, CheckReportsItsOwnRequestsCacheDelta) {
       << warm.output;
 }
 
+TEST(Server, CheckReportsWhetherSignalInstancesFormChains) {
+  // The check names the derive path: a registry spec keeps each signal's
+  // instances on one causal chain, while Fig. 1's free choice gives c two
+  // unordered instances.  Served output equals the direct path's.
+  TempDir dir("chains");
+  const std::string socket = dir.str() + "/punt.sock";
+  ServerOptions options;
+  options.endpoint = unix_endpoint(socket);
+  RunningServer running(options);
+
+  const std::pair<Stg, std::string> cases[] = {
+      {benchmarks::table1().front().make(),
+       "signal instances            : one causal chain per signal, so approximation reads "
+       "instance ranks\n"},
+      {stg::make_paper_fig1(),
+       "signal instances            : 'c' branches under choice, so approximation folds co "
+       "rows\n"},
+  };
+  for (const auto& [spec, line] : cases) {
+    Request request;
+    request.op = Op::Check;
+    request.g_text = stg::write_g(spec);
+    core::ModelCache cache;
+    const Response direct = run_check(request, cache, nullptr, /*summarize_cache=*/false);
+    const Response served = request_once(socket, request);
+    EXPECT_NE(direct.output.find(line), std::string::npos) << direct.output;
+    EXPECT_EQ(served.output, direct.output);
+    EXPECT_EQ(served.exit_code, direct.exit_code);
+  }
+}
+
 TEST(Server, SynthesisFailuresAnswerLikeTheCliAndKeepServing) {
   TempDir dir("csc");
   const std::string socket = dir.str() + "/punt.sock";

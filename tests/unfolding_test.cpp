@@ -227,19 +227,6 @@ TEST_P(Completeness, SegmentRepresentsExactlyTheReachableMarkings) {
 
 INSTANTIATE_TEST_SUITE_P(Examples, Completeness, ::testing::Range(0, 6));
 
-TEST(Unfolding, TotalOrderCutoffNeverLarger) {
-  for (const auto& stg : {stg::make_paper_fig1(), stg::make_vme_bus(),
-                          stg::make_muller_pipeline(4)}) {
-    UnfoldOptions mcmillan;
-    mcmillan.cutoff = UnfoldOptions::CutoffPolicy::McMillan;
-    UnfoldOptions total;
-    total.cutoff = UnfoldOptions::CutoffPolicy::TotalOrder;
-    const auto a = Unfolding::build(stg, mcmillan);
-    const auto b = Unfolding::build(stg, total);
-    EXPECT_LE(b.stats().events, a.stats().events);
-  }
-}
-
 TEST(Unfolding, MullerSegmentGrowsAtMostQuadratically) {
   const Unfolding u4 = Unfolding::build(stg::make_muller_pipeline(4));
   const Unfolding u8 = Unfolding::build(stg::make_muller_pipeline(8));
