@@ -130,52 +130,4 @@ std::string to_json(const Table1Report& report) {
   return out;
 }
 
-// --- Serve-mode benchmarking --------------------------------------------------
-
-std::string to_json(const ServeBenchReport& report) {
-  std::string out = "{\n";
-  out += "  \"schema\": \"punt-serve-bench\",\n";
-  out += "  \"version\": 2,\n";
-  out += "  \"transport\": \"" + util::json_escape(report.transport) + "\",\n";
-  out += printf_string("  \"clients\": %zu,\n", report.clients);
-  out += printf_string("  \"duration_seconds\": %.17g,\n", report.duration_seconds);
-  out += printf_string("  \"wall_seconds\": %.17g,\n", report.wall_seconds);
-  out += printf_string("  \"completed\": %zu,\n", report.completed);
-  out += printf_string("  \"failed\": %zu,\n", report.failed);
-  out += printf_string("  \"shed\": %zu,\n", report.shed);
-  out += printf_string("  \"transport_errors\": %zu,\n", report.transport_errors);
-  out += printf_string("  \"throughput_rps\": %.17g,\n", report.throughput_rps);
-  out += printf_string("  \"mean_ms\": %.17g,\n", report.mean_ms);
-  out += printf_string("  \"p50_ms\": %.17g,\n", report.p50_ms);
-  out += printf_string("  \"p95_ms\": %.17g,\n", report.p95_ms);
-  out += printf_string("  \"p99_ms\": %.17g,\n", report.p99_ms);
-  out += printf_string("  \"max_ms\": %.17g,\n", report.max_ms);
-  out += printf_string("  \"queue_high_water\": %zu,\n", report.queue_high_water);
-  out += printf_string("  \"daemon_shed\": %zu\n", report.daemon_shed);
-  out += "}\n";
-  return out;
-}
-
-std::string format_serve_summary(const ServeBenchReport& report) {
-  std::string out;
-  out += printf_string("# punt bench serve: %zu client(s), %.1fs window, %s transport\n",
-                       report.clients, report.duration_seconds,
-                       report.transport.c_str());
-  out += printf_string(
-      "throughput %.1f req/s (%zu completed, %zu failed, %zu transport error(s))\n",
-      report.throughput_rps, report.completed, report.failed,
-      report.transport_errors);
-  out += printf_string(
-      "latency mean %.2fms p50 %.2fms p95 %.2fms p99 %.2fms max %.2fms\n",
-      report.mean_ms, report.p50_ms, report.p95_ms, report.p99_ms, report.max_ms);
-  // `shed=N` is deliberately greppable (the CI smoke job asserts shed=0) and
-  // counts each refusal once, as the clients saw it; the daemon's own count
-  // of the same refusals has a label that does not end in "shed=".
-  out += printf_string(
-      "admission: shed=%zu (daemon counted %zu), at most %zu synth request(s) "
-      "running at once\n",
-      report.shed, report.daemon_shed, report.queue_high_water);
-  return out;
-}
-
 }  // namespace punt::benchmarks

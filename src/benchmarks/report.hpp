@@ -52,48 +52,4 @@ std::string format_table1(const Table1Report& report);
 /// version 1 also carried the shard and the registry size).
 std::string to_json(const Table1Report& report);
 
-// --- Serve-mode benchmarking --------------------------------------------------
-
-/// The `punt bench serve` outcome: the serving-latency analogue of a
-/// Table-1 report.  Client-side latency/throughput from the closed-loop
-/// load generator (benchmarks/loadgen.hpp) plus the daemon-side admission
-/// counters observed over the measurement window via {"op":"cache-stats"}.
-struct ServeBenchReport {
-  /// Which transport carried the run ("unix" | "tcp") — what lets CI track
-  /// TCP overhead against the Unix artifact per-commit.
-  std::string transport = "unix";
-  std::size_t clients = 0;
-  double duration_seconds = 0;  // configured measurement window
-  double wall_seconds = 0;      // measured (>= duration: in-flight finish)
-  std::size_t completed = 0;    // responses received, any exit code
-  std::size_t failed = 0;       // responses with a nonzero exit code
-  std::size_t shed = 0;         // "overloaded" refusals observed client-side
-  std::size_t transport_errors = 0;  // broken connections, failed reconnects
-  double throughput_rps = 0;    // completed / wall_seconds
-
-  // Latency percentiles over completed requests, milliseconds,
-  // nearest-rank.
-  double mean_ms = 0;
-  double p50_ms = 0;
-  double p95_ms = 0;
-  double p99_ms = 0;
-  double max_ms = 0;
-
-  // Daemon-side admission counters.  daemon_shed is the delta between the
-  // cache-stats snapshots bracketing the measurement window (the daemon's
-  // count of the refusals `shed` saw); the high-water mark, the most synth
-  // requests the daemon ran at once, is a whole-daemon-lifetime value.
-  std::size_t queue_high_water = 0;
-  std::size_t daemon_shed = 0;
-};
-
-/// JSON serialisation ("punt-serve-bench" schema, version 2; version 1 also
-/// carried the request-fusion counters and the batch-size histogram).
-std::string to_json(const ServeBenchReport& report);
-
-/// The human summary `punt bench serve` prints: throughput, latency
-/// percentiles and the admission counters, with the client-side refusals as
-/// a greppable `shed=N`.
-std::string format_serve_summary(const ServeBenchReport& report);
-
 }  // namespace punt::benchmarks

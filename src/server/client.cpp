@@ -4,28 +4,17 @@
 
 #include <csignal>
 
+#include "src/server/endpoint.hpp"
 #include "src/util/error.hpp"
 
 namespace punt::server {
 
-Client::Client(const Endpoint& endpoint, const std::string& token) {
+Client::Client(const std::string& socket_path) {
   // A daemon dying mid-exchange must surface as an Error throw (connect
   // refused, EPIPE from write_frame), not kill the client with SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
-  fd_ = connect_endpoint(endpoint);
-  if (endpoint.transport == Transport::Tcp) {
-    try {
-      client_handshake(fd_, token);
-    } catch (...) {
-      ::close(fd_);
-      fd_ = -1;
-      throw;
-    }
-  }
+  fd_ = connect_endpoint(socket_path);
 }
-
-Client::Client(const std::string& socket_path)
-    : Client(unix_endpoint(socket_path)) {}
 
 Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
@@ -43,14 +32,9 @@ Response Client::request(const Request& request) {
   return response;
 }
 
-Response request_once(const Endpoint& endpoint, const std::string& token,
-                      const Request& request) {
-  Client client(endpoint, token);
-  return client.request(request);
-}
-
 Response request_once(const std::string& socket_path, const Request& request) {
-  return request_once(unix_endpoint(socket_path), {}, request);
+  Client client(socket_path);
+  return client.request(request);
 }
 
 }  // namespace punt::server

@@ -1,16 +1,13 @@
-// Client side of the `punt serve` protocol: connect to a daemon's endpoint
-// (Unix socket path or tcp://host:port), send framed requests, read framed
-// responses.  This is what `punt synth|check --connect=<endpoint>` (and
-// ping/shutdown/cache stats) runs instead of the in-process pipeline — the
-// synthesis happens in the daemon against its warm ModelCache, and the
-// client merely replays the response's stdout/stderr text and exit code.
-// Connecting over TCP runs the HMAC-SHA256 handshake (protocol.hpp) before
-// the first request; Unix connections need no token.
+// Client side of the `punt serve` protocol: connect to a daemon's Unix
+// socket, send framed requests, read framed responses.  This is what
+// `punt synth|check|lint --connect=<socket>` (and ping/shutdown/cache
+// stats) runs instead of the in-process pipeline — the synthesis happens in
+// the daemon against its warm ModelCache, and the client merely replays the
+// response's stdout/stderr text and exit code.
 #pragma once
 
 #include <string>
 
-#include "src/server/endpoint.hpp"
 #include "src/server/protocol.hpp"
 
 namespace punt::server {
@@ -19,13 +16,8 @@ namespace punt::server {
 /// sequential (frame out, frame in); open several clients for concurrency.
 class Client {
  public:
-  /// Connects (and, over TCP, authenticates with `token`); throws Error
-  /// when nothing listens at `endpoint` (with a hint to start
-  /// `punt serve`) or when the daemon refuses the handshake.
-  explicit Client(const Endpoint& endpoint, const std::string& token = {});
-
-  /// Convenience for the Unix transport — exactly the PR 5 surface, so the
-  /// many local-socket call sites stay one-argument.
+  /// Connects; throws Error when nothing listens at `socket_path` (with a
+  /// hint to start `punt serve`).
   explicit Client(const std::string& socket_path);
   ~Client();
 
@@ -42,14 +34,12 @@ class Client {
  private:
   int fd_ = -1;
   /// Reused across requests: read_frame resizes it per frame, so a client
-  /// looping over a registry (the `punt bench serve` load generator) stops
-  /// allocating once the buffer has seen its largest response.
+  /// looping over many requests stops allocating once the buffer has seen
+  /// its largest response.
   std::string payload_;
 };
 
 /// Convenience: connect, send one request, disconnect.
-Response request_once(const Endpoint& endpoint, const std::string& token,
-                      const Request& request);
 Response request_once(const std::string& socket_path, const Request& request);
 
 }  // namespace punt::server

@@ -2,20 +2,13 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/file.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <cstddef>
 #include <cstring>
-#include <string_view>
-#include <utility>
 
-#include "src/server/protocol.hpp"
 #include "src/util/error.hpp"
 
 namespace punt::server {
@@ -23,242 +16,79 @@ namespace {
 
 std::string errno_text() { return std::string(std::strerror(errno)); }
 
-/// "host:port" with IPv6 hosts re-bracketed, as in the accepted grammar.
-std::string tcp_text(const std::string& host, std::uint16_t port) {
-  const bool ipv6 = host.find(':') != std::string::npos;
-  return "tcp://" + (ipv6 ? "[" + host + "]" : host) + ":" + std::to_string(port);
+/// The AF_UNIX address for `path`.  Throws Error on an empty path or one
+/// exceeding the sun_path limit (~107 bytes) — shared by the bind and the
+/// client connect so the validation and its diagnostic cannot drift apart.
+sockaddr_un unix_address(const std::string& path) {
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  if (path.empty() || path.size() >= sizeof address.sun_path) {
+    throw Error("serve socket path '" + path + "' must be 1.." +
+                std::to_string(sizeof address.sun_path - 1) +
+                " bytes (a Unix socket path limit)");
+  }
+  std::memcpy(address.sun_path, path.c_str(), path.size() + 1);
+  return address;
 }
-
-/// getaddrinfo for a TCP endpoint; `passive` selects bind-side semantics
-/// (AI_PASSIVE wildcards an empty host).  The caller owns the returned list.
-addrinfo* resolve_tcp(const Endpoint& endpoint, bool passive) {
-  addrinfo hints{};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = passive ? AI_PASSIVE : 0;
-  addrinfo* found = nullptr;
-  const std::string port = std::to_string(endpoint.port);
-  const int rc = ::getaddrinfo(endpoint.host.empty() ? nullptr : endpoint.host.c_str(),
-                               port.c_str(), &hints, &found);
-  if (rc != 0) {
-    throw Error("cannot resolve '" + endpoint.describe() +
-                "': " + std::string(::gai_strerror(rc)));
-  }
-  return found;
-}
-
-void set_nodelay(int fd) {
-  const int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
-
-/// The Unix listener keeps PR 5's flock-on-`<path>.lock` ownership story
-/// verbatim (moved here from Server::start()): a probe-then-unlink has a
-/// window in which two concurrently starting daemons both see a dead socket
-/// and one unlinks the other's fresh bind; an flock dies with its holder,
-/// so a crashed server's path is reclaimed with no staleness heuristic.
-/// The small .lock file itself is deliberately never deleted — unlinking it
-/// would hand a second daemon a different inode to lock, reopening the race.
-class UnixListener final : public Listener {
- public:
-  explicit UnixListener(Endpoint endpoint) : endpoint_(std::move(endpoint)) {}
-  ~UnixListener() override {
-    close_fd();
-    cleanup();
-  }
-
-  void open() override {
-    sockaddr_un address = unix_address(endpoint_.path);
-    const std::string lock_path = endpoint_.path + ".lock";
-    lock_fd_ = ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-    if (lock_fd_ < 0) {
-      throw Error("serve: cannot open lock file '" + lock_path + "': " + errno_text());
-    }
-    if (::flock(lock_fd_, LOCK_EX | LOCK_NB) != 0) {
-      ::close(lock_fd_);
-      lock_fd_ = -1;
-      throw Error("serve: a server is already listening on '" + endpoint_.path +
-                  "' (shut it down first, or pick another --socket path)");
-    }
-    // Holding the lock, any file at the socket path is ours to replace: a
-    // previous owner either exited (unlinking it) or crashed (leaving it
-    // stale).
-    ::unlink(endpoint_.path.c_str());
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd_ < 0) {
-      const std::string why = errno_text();
-      cleanup();
-      throw Error("serve: cannot create socket: " + why);
-    }
-    if (::bind(fd_, reinterpret_cast<sockaddr*>(&address), sizeof address) != 0) {
-      const std::string why = errno_text();
-      close_fd();
-      cleanup();
-      throw Error("serve: cannot bind '" + endpoint_.path + "': " + why);
-    }
-    if (::listen(fd_, 64) != 0) {
-      const std::string why = errno_text();
-      close_fd();
-      ::unlink(endpoint_.path.c_str());
-      cleanup();
-      throw Error("serve: cannot listen on '" + endpoint_.path + "': " + why);
-    }
-    bound_ = true;
-  }
-
-  void cleanup() override {
-    if (bound_) {
-      ::unlink(endpoint_.path.c_str());
-      bound_ = false;
-    }
-    if (lock_fd_ >= 0) {
-      ::close(lock_fd_);  // closing drops the flock; the file stays
-      lock_fd_ = -1;
-    }
-  }
-
-  bool needs_handshake() const override { return false; }
-  const Endpoint& local_endpoint() const override { return endpoint_; }
-
- private:
-  Endpoint endpoint_;
-  int lock_fd_ = -1;
-  bool bound_ = false;
-};
-
-class TcpListener final : public Listener {
- public:
-  explicit TcpListener(Endpoint endpoint) : endpoint_(std::move(endpoint)) {}
-  ~TcpListener() override { close_fd(); }
-
-  void open() override {
-    addrinfo* found = resolve_tcp(endpoint_, /*passive=*/true);
-    std::string last_error = "no usable address";
-    for (addrinfo* entry = found; entry != nullptr; entry = entry->ai_next) {
-      fd_ = ::socket(entry->ai_family, entry->ai_socktype | SOCK_CLOEXEC,
-                     entry->ai_protocol);
-      if (fd_ < 0) {
-        last_error = errno_text();
-        continue;
-      }
-      // SO_REUSEADDR skips the TIME_WAIT cooldown on restart; a *live*
-      // listener on the port still refuses the bind — which is the whole
-      // TCP ownership story (no lock file: the kernel arbitrates).
-      const int one = 1;
-      (void)::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-      if (::bind(fd_, entry->ai_addr, entry->ai_addrlen) == 0 &&
-          ::listen(fd_, 64) == 0) {
-        break;
-      }
-      last_error = errno_text();
-      close_fd();
-    }
-    ::freeaddrinfo(found);
-    if (fd_ < 0) {
-      throw Error("serve: cannot listen on '" + endpoint_.describe() +
-                  "': " + last_error +
-                  " (is another daemon bound there? TCP ownership is "
-                  "bind-succeeds-or-refuse)");
-    }
-    // An ephemeral bind (port 0) learns its kernel-assigned port here, so
-    // local_endpoint() is always reconnectable.
-    sockaddr_storage bound{};
-    socklen_t length = sizeof bound;
-    if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &length) == 0) {
-      if (bound.ss_family == AF_INET) {
-        endpoint_.port =
-            ntohs(reinterpret_cast<const sockaddr_in*>(&bound)->sin_port);
-      } else if (bound.ss_family == AF_INET6) {
-        endpoint_.port =
-            ntohs(reinterpret_cast<const sockaddr_in6*>(&bound)->sin6_port);
-      }
-    }
-  }
-
-  void cleanup() override {}  // the kernel releases the port with the fd
-
-  void configure_connection(int connection_fd) const override {
-    set_nodelay(connection_fd);
-  }
-
-  bool needs_handshake() const override { return true; }
-  const Endpoint& local_endpoint() const override { return endpoint_; }
-
- private:
-  Endpoint endpoint_;
-};
 
 }  // namespace
 
-std::string Endpoint::describe() const {
-  return transport == Transport::Unix ? path : tcp_text(host, port);
+Endpoint unix_endpoint(std::string path) { return Endpoint{std::move(path)}; }
+
+Listener::~Listener() {
+  close_fd();
+  cleanup();
 }
 
-Endpoint unix_endpoint(std::string path) {
-  Endpoint endpoint;
-  endpoint.transport = Transport::Unix;
-  endpoint.path = std::move(path);
-  return endpoint;
+void Listener::open() {
+  sockaddr_un address = unix_address(path_);
+  const std::string lock_path = path_ + ".lock";
+  lock_fd_ = ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+  if (lock_fd_ < 0) {
+    throw Error("serve: cannot open lock file '" + lock_path + "': " + errno_text());
+  }
+  if (::flock(lock_fd_, LOCK_EX | LOCK_NB) != 0) {
+    ::close(lock_fd_);
+    lock_fd_ = -1;
+    throw Error("serve: a server is already listening on '" + path_ +
+                "' (shut it down first, or pick another --socket path)");
+  }
+  // Holding the lock, any file at the socket path is ours to replace: a
+  // previous owner either exited (unlinking it) or crashed (leaving it
+  // stale).
+  ::unlink(path_.c_str());
+  fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd_ < 0) {
+    const std::string why = errno_text();
+    cleanup();
+    throw Error("serve: cannot create socket: " + why);
+  }
+  if (::bind(fd_, reinterpret_cast<sockaddr*>(&address), sizeof address) != 0) {
+    const std::string why = errno_text();
+    close_fd();
+    cleanup();
+    throw Error("serve: cannot bind '" + path_ + "': " + why);
+  }
+  if (::listen(fd_, 64) != 0) {
+    const std::string why = errno_text();
+    close_fd();
+    ::unlink(path_.c_str());
+    cleanup();
+    throw Error("serve: cannot listen on '" + path_ + "': " + why);
+  }
+  bound_ = true;
 }
 
-Endpoint tcp_endpoint(std::string host, std::uint16_t port) {
-  Endpoint endpoint;
-  endpoint.transport = Transport::Tcp;
-  endpoint.host = std::move(host);
-  endpoint.port = port;
-  return endpoint;
+void Listener::cleanup() {
+  if (bound_) {
+    ::unlink(path_.c_str());
+    bound_ = false;
+  }
+  if (lock_fd_ >= 0) {
+    ::close(lock_fd_);  // closing drops the flock; the file stays
+    lock_fd_ = -1;
+  }
 }
-
-Endpoint parse_endpoint(const std::string& text) {
-  if (text.empty()) {
-    throw Error("endpoint must not be empty: expected a Unix socket path or "
-                "tcp://host:port");
-  }
-  constexpr std::string_view kPrefix = "tcp://";
-  if (text.rfind(kPrefix, 0) != 0) return unix_endpoint(text);
-
-  const std::string rest = text.substr(kPrefix.size());
-  const std::string grammar =
-      "'" + text + "': expected tcp://host:port (IPv6 in brackets, port 1..65535)";
-  std::string host;
-  std::string port_text;
-  if (!rest.empty() && rest.front() == '[') {
-    const std::size_t closing = rest.find(']');
-    if (closing == std::string::npos) {
-      throw Error("unterminated '[' in TCP endpoint " + grammar);
-    }
-    host = rest.substr(1, closing - 1);
-    if (closing + 1 >= rest.size() || rest[closing + 1] != ':') {
-      throw Error("missing ':port' after ']' in TCP endpoint " + grammar);
-    }
-    port_text = rest.substr(closing + 2);
-  } else {
-    const std::size_t colon = rest.find(':');
-    if (colon == std::string::npos) {
-      throw Error("missing ':port' in TCP endpoint " + grammar);
-    }
-    if (rest.find(':', colon + 1) != std::string::npos) {
-      throw Error("unbracketed IPv6 literal in TCP endpoint " + grammar);
-    }
-    host = rest.substr(0, colon);
-    port_text = rest.substr(colon + 1);
-  }
-  if (host.empty()) {
-    throw Error("missing host in TCP endpoint " + grammar);
-  }
-  if (port_text.empty() ||
-      port_text.find_first_not_of("0123456789") != std::string::npos ||
-      port_text.size() > 5) {
-    throw Error("malformed port in TCP endpoint " + grammar);
-  }
-  const unsigned long port = std::stoul(port_text);
-  if (port < 1 || port > 65535) {
-    throw Error("port out of range in TCP endpoint " + grammar);
-  }
-  return tcp_endpoint(std::move(host), static_cast<std::uint16_t>(port));
-}
-
-void Listener::configure_connection(int) const {}
 
 void Listener::close_fd() {
   if (fd_ >= 0) {
@@ -267,50 +97,18 @@ void Listener::close_fd() {
   }
 }
 
-std::unique_ptr<Listener> make_listener(Endpoint endpoint) {
-  if (endpoint.transport == Transport::Tcp) {
-    return std::make_unique<TcpListener>(std::move(endpoint));
-  }
-  return std::make_unique<UnixListener>(std::move(endpoint));
-}
-
-int connect_endpoint(const Endpoint& endpoint) {
-  if (endpoint.transport == Transport::Unix) {
-    sockaddr_un address = unix_address(endpoint.path);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) {
-      throw Error("cannot create socket: " + errno_text());
-    }
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&address), sizeof address) != 0) {
-      const std::string why = errno_text();
-      ::close(fd);
-      throw Error("cannot connect to '" + endpoint.path + "': " + why +
-                  " (is `punt serve --socket=" + endpoint.path + "` running?)");
-    }
-    return fd;
-  }
-  addrinfo* found = resolve_tcp(endpoint, /*passive=*/false);
-  std::string last_error = "no usable address";
-  int fd = -1;
-  for (addrinfo* entry = found; entry != nullptr; entry = entry->ai_next) {
-    fd = ::socket(entry->ai_family, entry->ai_socktype | SOCK_CLOEXEC,
-                  entry->ai_protocol);
-    if (fd < 0) {
-      last_error = errno_text();
-      continue;
-    }
-    if (::connect(fd, entry->ai_addr, entry->ai_addrlen) == 0) break;
-    last_error = errno_text();
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(found);
+int connect_endpoint(const std::string& socket_path) {
+  sockaddr_un address = unix_address(socket_path);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
-    throw Error("cannot connect to '" + endpoint.describe() + "': " + last_error +
-                " (is `punt serve --listen=" + endpoint.describe() +
-                "` running there?)");
+    throw Error("cannot create socket: " + errno_text());
   }
-  set_nodelay(fd);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&address), sizeof address) != 0) {
+    const std::string why = errno_text();
+    ::close(fd);
+    throw Error("cannot connect to '" + socket_path + "': " + why +
+                " (is `punt serve --socket=" + socket_path + "` running?)");
+  }
   return fd;
 }
 

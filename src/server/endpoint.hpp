@@ -1,97 +1,62 @@
-// Transport endpoints for `punt serve` (DESIGN.md §9): one `Endpoint` type
-// that both sides of every flag parse into — `--socket=<path>` /
-// `--listen=tcp://<addr>:<port>` on the daemon, `--connect=<path|tcp://…>`
-// on clients — plus the `Listener` seam that lets the accept loop in
-// server.cpp run identically over a Unix domain socket and a TCP socket.
-//
-// Grammar: a `tcp://` prefix selects TCP and must be followed by
-// `host:port` (IPv6 literals in brackets, `tcp://[::1]:9000`; port in
-// 1..65535 — 0 is rejected at parse time because a *named* endpoint must be
-// reconnectable, while tests and the self-spawned bench construct
-// ephemeral-port endpoints directly).  Anything else is a Unix socket path.
-//
-// Ownership stories differ per transport and live in the listeners: the
-// Unix listener keeps the flock-on-`<path>.lock` arbitration (a stale
+// The Unix domain socket of `punt serve` (DESIGN.md §9): the daemon's
+// `--socket=<path>` and its clients' `--connect=<path>` name the same
+// filesystem path.  The daemon side is `Listener`, which owns the listening
+// socket and arbitrates the path with an flock on `<path>.lock` (a stale
 // socket file left by a crash is reclaimed, a live daemon's path is
-// refused), while TCP needs none of it — the kernel already arbitrates a
-// (host, port): bind succeeds or the endpoint is taken.
+// refused); the client side is connect_endpoint.  Remote clients reach the
+// daemon by forwarding the socket over SSH.
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <string>
+#include <utility>
 
 namespace punt::server {
 
-enum class Transport : std::uint8_t { Unix, Tcp };
-
+/// Where a daemon listens: its Unix socket path.
 struct Endpoint {
-  Transport transport = Transport::Unix;
-  std::string path;         // Unix: the socket filesystem path
-  std::string host;         // Tcp: address or name, without brackets
-  std::uint16_t port = 0;   // Tcp: 0 = ephemeral (direct construction only)
-
-  /// Human-readable form for diagnostics and stats: the bare path for Unix,
-  /// "tcp://host:port" (IPv6 re-bracketed) for TCP.
-  std::string describe() const;
+  std::string path;
 };
 
 Endpoint unix_endpoint(std::string path);
-Endpoint tcp_endpoint(std::string host, std::uint16_t port);
 
-/// Parses the shared endpoint grammar above.  Throws Error on an empty
-/// string or a malformed/out-of-range `tcp://` form; never inspects the
-/// filesystem (a Unix path's validity is the bind's concern).
-Endpoint parse_endpoint(const std::string& text);
-
-/// One listening socket, owned.  open() binds and listens (throwing Error
-/// with the transport's own diagnostic), cleanup() idempotently releases
-/// whatever the transport holds beyond the fd (the Unix socket file and
-/// path lock; nothing for TCP).  The accept loop only ever touches fd().
+/// The daemon's listening socket, owned.  The flock on `<path>.lock` is
+/// held for the listener's life: a probe-then-unlink would leave a window
+/// in which two concurrently starting daemons both see a dead socket and
+/// one unlinks the other's fresh bind, while an flock dies with its holder,
+/// so a crashed daemon's path is reclaimed with no staleness heuristic.
+/// The .lock file itself is never deleted: unlinking it would hand a second
+/// daemon a different inode to lock, reopening the race.
 class Listener {
  public:
-  virtual ~Listener() = default;
+  explicit Listener(std::string path) : path_(std::move(path)) {}
+  ~Listener();
 
   Listener(const Listener&) = delete;
   Listener& operator=(const Listener&) = delete;
 
-  /// Binds and listens.  Throws Error when the endpoint is unavailable —
-  /// for TCP that *is* the ownership story: the kernel refuses a taken
-  /// (host, port), so there is no lock file to arbitrate.
-  virtual void open() = 0;
+  /// Takes the path lock, replaces any file at the path, binds and listens.
+  /// Throws Error when a live daemon holds the path or the bind fails.
+  void open();
 
-  /// Releases transport-held resources beyond the fd (socket file, path
-  /// lock).  Idempotent; called by the server's drain and destructor.
-  virtual void cleanup() = 0;
+  /// Unlinks the socket file and drops the path lock.  Idempotent; called
+  /// by the server's drain and destructor.
+  void cleanup();
 
-  /// Per-accepted-connection socket options (TCP_NODELAY on TCP — the
-  /// request/response frames are latency-bound, not throughput-bound).
-  virtual void configure_connection(int connection_fd) const;
-
-  /// Whether accepted connections must pass the HMAC handshake before any
-  /// request frame (true exactly for TCP; Unix connections are arbitrated
-  /// by filesystem permissions already and stay handshake-free).
-  virtual bool needs_handshake() const = 0;
-
-  /// The endpoint as actually bound — for TCP with an ephemeral port this
-  /// carries the kernel-assigned port after open().
-  virtual const Endpoint& local_endpoint() const = 0;
-
+  const std::string& path() const { return path_; }
   int fd() const { return fd_; }
   /// Closes the listening fd (stops accepting) without cleanup().
   void close_fd();
 
- protected:
-  Listener() = default;
+ private:
+  std::string path_;
   int fd_ = -1;
+  int lock_fd_ = -1;
+  bool bound_ = false;
 };
 
-/// The matching listener for an endpoint (not yet open()ed).
-std::unique_ptr<Listener> make_listener(Endpoint endpoint);
-
-/// Client side: a connected stream socket to `endpoint` (CLOEXEC;
-/// TCP_NODELAY on TCP).  Throws Error with a "is `punt serve` running?"
-/// hint when nothing listens there.
-int connect_endpoint(const Endpoint& endpoint);
+/// Client side: a connected stream socket to the daemon at `socket_path`
+/// (CLOEXEC).  Throws Error with a "is `punt serve` running?" hint when
+/// nothing listens there.
+int connect_endpoint(const std::string& socket_path);
 
 }  // namespace punt::server

@@ -1,15 +1,11 @@
 #include "src/server/protocol.hpp"
 
 #include <errno.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <cmath>
 #include <cstring>
 
 #include "src/util/error.hpp"
-#include "src/util/hmac.hpp"
 #include "src/util/json.hpp"
 
 namespace punt::server {
@@ -19,36 +15,26 @@ constexpr const char* kDocument = "serve request JSON";
 
 std::string errno_text() { return std::string(std::strerror(errno)); }
 
-enum class ReadStatus : std::uint8_t { Ok, Eof, Timeout };
-
-/// Reads exactly `count` bytes (retrying on EINTR and short reads) or
-/// reports how the stream ended: EOF or a receive-deadline expiry at byte 0
-/// are clean outcomes when `start_ok` (the stream is still at a frame
-/// boundary); either of them mid-count throws — a half-delivered frame
-/// cannot be resynchronised.
-ReadStatus read_exact(int fd, char* buffer, std::size_t count, bool start_ok) {
+/// Reads exactly `count` bytes (retrying on EINTR and short reads).  Returns
+/// false on EOF at byte 0 when `start_ok` (the stream is still at a frame
+/// boundary, so the close is clean); EOF mid-count throws — a half-delivered
+/// frame cannot be resynchronised.
+bool read_exact(int fd, char* buffer, std::size_t count, bool start_ok) {
   std::size_t got = 0;
   while (got < count) {
     const ssize_t n = ::read(fd, buffer + got, count - got);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // SO_RCVTIMEO expired (these fds are otherwise blocking).
-        if (got == 0 && start_ok) return ReadStatus::Timeout;
-        throw Error("serve protocol: read timed out mid-frame (" +
-                    std::to_string(got) + " of " + std::to_string(count) +
-                    " byte(s))");
-      }
       throw Error("serve protocol: read failed: " + errno_text());
     }
     if (n == 0) {
-      if (got == 0 && start_ok) return ReadStatus::Eof;
+      if (got == 0 && start_ok) return false;
       throw Error("serve protocol: peer closed the stream mid-frame (" +
                   std::to_string(got) + " of " + std::to_string(count) + " byte(s))");
     }
     got += static_cast<std::size_t>(n);
   }
-  return ReadStatus::Ok;
+  return true;
 }
 
 /// Writes all of `buffer`, retrying on EINTR and short writes.  SIGPIPE is
@@ -86,18 +72,6 @@ std::string optional_string(const util::JsonValue& object, const std::string& ke
 }
 
 }  // namespace
-
-sockaddr_un unix_address(const std::string& path) {
-  sockaddr_un address{};
-  address.sun_family = AF_UNIX;
-  if (path.empty() || path.size() >= sizeof address.sun_path) {
-    throw Error("serve socket path '" + path + "' must be 1.." +
-                std::to_string(sizeof address.sun_path - 1) +
-                " bytes (a Unix socket path limit)");
-  }
-  std::memcpy(address.sun_path, path.c_str(), path.size() + 1);
-  return address;
-}
 
 std::string to_json(const Request& request) {
   const char* op = nullptr;
@@ -256,29 +230,10 @@ Response response_from_json(std::string_view text) {
   return response;
 }
 
-void set_receive_timeout(int fd, double seconds) {
-  timeval deadline{};
-  if (seconds > 0) {
-    deadline.tv_sec = static_cast<time_t>(seconds);
-    deadline.tv_usec = static_cast<suseconds_t>(
-        (seconds - std::floor(seconds)) * 1e6);
-    // A sub-microsecond positive deadline must not round to "disabled".
-    if (deadline.tv_sec == 0 && deadline.tv_usec == 0) deadline.tv_usec = 1;
-  }
-  if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof deadline) != 0) {
-    throw Error("serve protocol: cannot set receive deadline: " + errno_text());
-  }
-}
-
 FrameStatus read_frame(int fd, std::string& payload) {
   unsigned char prefix[4];
-  switch (read_exact(fd, reinterpret_cast<char*>(prefix), sizeof prefix, true)) {
-    case ReadStatus::Eof:
-      return FrameStatus::Eof;
-    case ReadStatus::Timeout:
-      return FrameStatus::IdleTimeout;
-    case ReadStatus::Ok:
-      break;
+  if (!read_exact(fd, reinterpret_cast<char*>(prefix), sizeof prefix, true)) {
+    return FrameStatus::Eof;
   }
   const std::uint32_t length = static_cast<std::uint32_t>(prefix[0]) |
                                (static_cast<std::uint32_t>(prefix[1]) << 8) |
@@ -316,101 +271,6 @@ void write_frame(int fd, std::string_view payload) {
   // reason to copy a multi-megabyte payload just to prepend 4 bytes.
   write_exact(fd, reinterpret_cast<const char*>(prefix), sizeof prefix);
   write_exact(fd, payload.data(), payload.size());
-}
-
-namespace {
-
-/// Best-effort refusal verdict; the peer may already be gone.
-void send_refusal(int fd, const std::string& why) {
-  Response refusal;
-  refusal.error = "unauthorized: " + why;
-  try {
-    write_frame(fd, to_json(refusal));
-  } catch (...) {
-  }
-}
-
-}  // namespace
-
-std::string auth_mac_hex(const std::string& token, const std::string& nonce_hex) {
-  return util::to_hex(util::hmac_sha256(token, nonce_hex));
-}
-
-bool server_handshake(int fd, const std::string& token, std::string& why) {
-  std::string nonce_hex;
-  try {
-    nonce_hex = util::random_hex(kNonceBytes);
-    write_frame(fd, "{\"auth\": \"hmac-sha256\", \"nonce\": \"" + nonce_hex + "\"}");
-  } catch (const std::exception& e) {
-    why = e.what();
-    return false;
-  }
-  std::string mac;
-  try {
-    std::string payload;
-    switch (read_frame(fd, payload)) {
-      case FrameStatus::Eof:
-        why = "peer closed during the handshake";
-        return false;  // nobody left to refuse
-      case FrameStatus::IdleTimeout:
-        why = "handshake deadline expired";
-        send_refusal(fd, why);
-        return false;
-      case FrameStatus::Ok:
-        break;
-    }
-    const util::JsonValue root = util::parse_json(payload);
-    if (root.type != util::JsonValue::Type::Object) {
-      throw ParseError("serve auth answer must be a JSON object");
-    }
-    mac = util::json_string(root, "mac", "serve auth answer JSON");
-  } catch (const std::exception& e) {
-    why = std::string("malformed handshake answer: ") + e.what();
-    send_refusal(fd, why);
-    return false;
-  }
-  // Constant-time verify: a remote peer must not learn the prefix length at
-  // which its guess diverged.
-  if (!util::constant_time_equal(mac, auth_mac_hex(token, nonce_hex))) {
-    why = "MAC mismatch (wrong or missing token)";
-    send_refusal(fd, why);
-    return false;
-  }
-  Response admitted;
-  admitted.ok = true;
-  try {
-    write_frame(fd, to_json(admitted));
-  } catch (const std::exception& e) {
-    why = std::string("peer vanished before the auth verdict: ") + e.what();
-    return false;
-  }
-  return true;
-}
-
-void client_handshake(int fd, const std::string& token) {
-  std::string payload;
-  if (read_frame(fd, payload) == FrameStatus::Eof) {
-    throw Error("the server closed the connection during the auth handshake");
-  }
-  const util::JsonValue root = util::parse_json(payload);
-  if (root.type != util::JsonValue::Type::Object) {
-    throw ParseError("serve auth challenge must be a JSON object");
-  }
-  const std::string scheme = util::json_string(root, "auth", "serve auth challenge");
-  if (scheme != "hmac-sha256") {
-    throw Error("the server requires unsupported auth scheme '" + scheme + "'");
-  }
-  const std::string nonce_hex =
-      util::json_string(root, "nonce", "serve auth challenge");
-  write_frame(fd, "{\"mac\": \"" + auth_mac_hex(token, nonce_hex) + "\"}");
-  if (read_frame(fd, payload) == FrameStatus::Eof) {
-    throw Error("the server closed the connection without an auth verdict");
-  }
-  const Response verdict = response_from_json(payload);
-  if (!verdict.ok) {
-    throw Error("the server refused the connection: " + verdict.error +
-                " (does --token-file match the daemon's?)");
-  }
 }
 
 }  // namespace punt::server

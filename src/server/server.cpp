@@ -35,7 +35,7 @@ Server::Server(ServerOptions options)
                                                     ? core::ModelCache::kDefaultCapacity
                                                     : options_.cache_capacity)),
       executor_(options_.jobs),
-      listener_(make_listener(options_.endpoint)) {
+      listener_(options_.endpoint.path) {
   // Self-pipe for the accept loop: non-blocking (a full pipe must not block
   // a finishing handler — one unread byte is wake enough) and CLOEXEC.
   if (::pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
@@ -44,7 +44,7 @@ Server::Server(ServerOptions options)
 }
 
 Server::~Server() {
-  listener_->close_fd();
+  listener_.close_fd();
   reap_connections(true);
   for (int& fd : wake_fds_) {
     if (fd >= 0) {
@@ -52,7 +52,7 @@ Server::~Server() {
       fd = -1;
     }
   }
-  listener_->cleanup();
+  listener_.cleanup();
 }
 
 void Server::request_stop() {
@@ -73,28 +73,19 @@ void Server::start() {
   // A client vanishing mid-response must surface as an EPIPE write error on
   // that one connection, not kill the whole daemon.
   std::signal(SIGPIPE, SIG_IGN);
-
-  // An unauthenticated network listener is never acceptable; refusing here
-  // (not per-connection) means a misconfigured daemon fails loudly at
-  // startup instead of serving the world.
-  if (options_.endpoint.transport == Transport::Tcp && options_.token.empty()) {
-    throw Error("serve: a TCP listener requires --token-file (the daemon "
-                "refuses to serve the network unauthenticated)");
-  }
-  // Ownership arbitration lives in the listener: flock-on-<path>.lock for
-  // Unix, bind-succeeds-or-refuse for TCP (see endpoint.cpp).
-  listener_->open();
+  // Path ownership is arbitrated in the listener (flock on <path>.lock).
+  listener_.open();
 }
 
 void Server::serve() {
-  if (listener_->fd() < 0) throw Error("serve: start() the server before serve()");
+  if (listener_.fd() < 0) throw Error("serve: start() the server before serve()");
   while (!stop_.load(std::memory_order_relaxed)) {
     reap_connections(false);
     // Block until a connection arrives or the self-pipe is written (by
     // request_stop(), or by a handler finishing so it gets reaped).  No
     // timeout: an idle daemon makes no wakeups at all, where the old loop
     // re-polled a stop flag 10x a second.
-    pollfd poll_fds[2] = {{listener_->fd(), POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
+    pollfd poll_fds[2] = {{listener_.fd(), POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
     const int ready = ::poll(poll_fds, 2, -1);
     if (ready < 0) {
       if (errno == EINTR) continue;  // a signal; the loop re-checks stop_
@@ -108,7 +99,7 @@ void Server::serve() {
       }
     }
     if ((poll_fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept4(listener_->fd(), nullptr, nullptr, SOCK_CLOEXEC);
+    const int fd = ::accept4(listener_.fd(), nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
           errno == EWOULDBLOCK) {
@@ -124,14 +115,12 @@ void Server::serve() {
       }
       throw Error("serve: accept failed: " + errno_text());
     }
-    listener_->configure_connection(fd);
     const timeval send_timeout{options_.send_timeout_seconds, 0};
     (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout, sizeof send_timeout);
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    const bool authenticate = listener_->needs_handshake();
     auto done = std::make_shared<std::atomic<bool>>(false);
-    std::thread thread([this, fd, authenticate, done] {
-      handle_connection(fd, authenticate);
+    std::thread thread([this, fd, done] {
+      handle_connection(fd);
       done->store(true, std::memory_order_release);
       // Wake the accept loop so the finished thread is reaped promptly —
       // with an infinite poll timeout nobody else would notice.
@@ -142,9 +131,9 @@ void Server::serve() {
   }
   // Drain: no new connections; every accepted request runs to completion
   // (its graph finishes on the resident pool) before the socket goes away.
-  listener_->close_fd();
+  listener_.close_fd();
   reap_connections(true);
-  listener_->cleanup();
+  listener_.cleanup();
 }
 
 BatcherStats Server::batcher_stats() const {
@@ -219,28 +208,8 @@ void Server::reap_connections(bool all) {
   }
 }
 
-void Server::handle_connection(int fd, bool authenticate) {
+void Server::handle_connection(int fd) {
   active_connections_.fetch_add(1, std::memory_order_relaxed);
-  if (authenticate) {
-    // Handshake first, under its own (tighter) deadline: an off-host
-    // connection has proven nothing yet and gets no unbounded patience.
-    try {
-      set_receive_timeout(fd, options_.handshake_timeout_seconds);
-    } catch (...) {
-      // Deadline arming failed (fd already dead); the handshake read below
-      // will surface it.
-    }
-    std::string why;
-    if (!server_handshake(fd, options_.token, why)) {
-      auth_failures_.fetch_add(1, std::memory_order_relaxed);
-      active_connections_.fetch_sub(1, std::memory_order_relaxed);
-      return;  // the fd is closed by the reaper, like any other exit path
-    }
-    try {
-      set_receive_timeout(fd, options_.idle_timeout_seconds);
-    } catch (...) {
-    }
-  }
   // One read buffer for the connection's whole lifetime: read_frame resizes
   // it per frame, so steady traffic stops allocating once the buffer has
   // seen its largest request.
@@ -250,22 +219,7 @@ void Server::handle_connection(int fd, bool authenticate) {
     // (the stream cannot be trusted past a framing fault); request-level
     // failures are ordinary ok-responses carrying the CLI's exit code.
     try {
-      const FrameStatus status = read_frame(fd, payload);
-      if (status == FrameStatus::Eof) break;
-      if (status == FrameStatus::IdleTimeout) {
-        // The idle deadline expired at a frame boundary: the peer is merely
-        // quiet, so tell it why before closing (best-effort).
-        idle_timeouts_.fetch_add(1, std::memory_order_relaxed);
-        Response timed_out;
-        timed_out.error = "idle timeout: no request within " +
-                          std::to_string(options_.idle_timeout_seconds) +
-                          " second(s); reconnect to continue";
-        try {
-          write_frame(fd, to_json(timed_out));
-        } catch (...) {
-        }
-        break;
-      }
+      if (read_frame(fd, payload) == FrameStatus::Eof) break;
     } catch (const std::exception& e) {
       Response refusal;
       refusal.error = e.what();
@@ -300,12 +254,8 @@ void Server::handle_connection(int fd, bool authenticate) {
           ServeInfo info;
           info.requests_served = requests_served();
           info.jobs = executor_.jobs();
-          info.transport =
-              options_.endpoint.transport == Transport::Tcp ? "tcp" : "unix";
-          info.listen = listener_->local_endpoint().describe();
+          info.listen = listener_.path();
           info.connections = connections_accepted();
-          info.auth_failures = auth_failures();
-          info.idle_timeouts = idle_timeouts();
           response.output = cache_stats_json(cache_->stats(), info, batcher_stats());
           break;
         }

@@ -1,12 +1,8 @@
-// The `punt serve` daemon (DESIGN.md §9): a stream-socket server — Unix
-// domain or authenticated TCP, selected by the Endpoint in its options —
-// that keeps one ModelCache and one Executor (thread pool) resident across
+// The `punt serve` daemon (DESIGN.md §9): a Unix domain socket server that
+// keeps one ModelCache and one Executor (thread pool) resident across
 // requests, so repeated synthesis of the same STG pays neither process
 // startup nor phase-1 reconstruction — the regime where the
-// unfolding-segment approach amortises best.  TCP connections must pass the HMAC-SHA256
-// challenge–response handshake (protocol.hpp) before their first request
-// and live under per-connection handshake/idle receive deadlines; Unix
-// connections skip both, so existing local clients are untouched.
+// unfolding-segment approach amortises best.
 //
 // Concurrency model: an accept loop (poll on the listen fd plus a self-pipe
 // wake, so an idle daemon sleeps indefinitely yet stop/reap requests are
@@ -36,7 +32,6 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -48,12 +43,8 @@
 namespace punt::server {
 
 struct ServerOptions {
-  /// Where to listen: a Unix socket path (`--socket`) or a TCP address
-  /// (`--listen=tcp://…`).  Required.
+  /// Where to listen: the Unix socket path (`--socket`).  Required.
   Endpoint endpoint;
-  /// Shared auth secret (`--token-file` contents).  Required for TCP —
-  /// start() refuses an unauthenticated network listener; ignored for Unix.
-  std::string token;
   /// Resident executor width (`--jobs`; 0 = hardware default): the pool a
   /// lone synth request, `check` and deep lint fan out over.
   std::size_t jobs = 1;
@@ -65,13 +56,6 @@ struct ServerOptions {
   /// client that stops reading cannot pin its handler — and therefore the
   /// shutdown drain — forever.  Must be positive.
   long send_timeout_seconds = 30;
-  /// TCP only: how long an accepted connection may take to complete the
-  /// auth handshake (`--handshake-timeout`) and how long it may then sit
-  /// idle between requests (`--idle-timeout`) before the daemon closes it —
-  /// an off-host client that connects and stalls must not pin a handler
-  /// thread forever.  0 disables the respective deadline.
-  double handshake_timeout_seconds = 10;
-  double idle_timeout_seconds = 300;
 };
 
 class Server {
@@ -82,12 +66,10 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds and listens on the endpoint.  For Unix sockets, path ownership
-  /// is arbitrated by an flock on `<socket>.lock` (see endpoint.cpp) so a
-  /// stale socket file left by a crashed server is reclaimed while a live
-  /// daemon's path is refused; for TCP the kernel arbitrates the port —
-  /// bind succeeds or this throws.  A TCP endpoint without a token throws:
-  /// the network listener is never unauthenticated.
+  /// Binds and listens on the socket path.  Path ownership is arbitrated
+  /// by an flock on `<socket>.lock` (endpoint.hpp), so a stale socket file
+  /// left by a crashed server is reclaimed while a live daemon's path is
+  /// refused with a throw.
   void start();
 
   /// The accept loop; blocks until shutdown is requested, then drains
@@ -101,10 +83,6 @@ class Server {
   /// next-poll-interval.
   void request_stop();
 
-  /// The endpoint as actually bound — after start() on a TCP endpoint with
-  /// port 0 this carries the kernel-assigned ephemeral port, so it is what
-  /// clients (and the self-spawned bench) should connect to.
-  const Endpoint& endpoint() const { return listener_->local_endpoint(); }
   core::ModelCache& cache() { return *cache_; }
   std::size_t jobs() const { return executor_.jobs(); }
 
@@ -121,27 +99,16 @@ class Server {
     return active_connections_.load(std::memory_order_relaxed);
   }
 
-  /// Connections accepted since start() (whether or not they authenticated).
+  /// Connections accepted since start().
   std::size_t connections_accepted() const {
     return connections_accepted_.load(std::memory_order_relaxed);
-  }
-  /// TCP connections refused at the handshake (wrong/missing/garbled MAC,
-  /// handshake deadline) — the counter `punt-serve-stats` v3 reports.
-  std::size_t auth_failures() const {
-    return auth_failures_.load(std::memory_order_relaxed);
-  }
-  /// Connections closed by the idle deadline at a frame boundary.
-  std::size_t idle_timeouts() const {
-    return idle_timeouts_.load(std::memory_order_relaxed);
   }
 
  private:
   /// One connection's frame loop; runs on its own thread.  The fd is owned
   /// by the Connection record (closed by the reaper after the join), so the
   /// drain can safely ::shutdown() it while the handler still runs.
-  /// `authenticate` (TCP connections) runs the handshake — and arms the
-  /// receive deadlines — before the first request frame.
-  void handle_connection(int fd, bool authenticate);
+  void handle_connection(int fd);
 
   /// Joins finished connection threads (all of them when `all`, otherwise
   /// just the ones whose handler already returned) and closes their fds.
@@ -177,10 +144,9 @@ class Server {
   mutable std::mutex admission_mutex_;
   std::size_t running_ = 0;
   BatcherStats admission_;
-  /// The transport behind the accept loop (endpoint.hpp); owns the listen
-  /// fd and whatever the transport holds beyond it (Unix: socket file +
-  /// path lock).  Never null after construction.
-  std::unique_ptr<Listener> listener_;
+  /// The socket behind the accept loop (endpoint.hpp); owns the listen fd,
+  /// the socket file and the path lock.
+  Listener listener_;
   /// Self-pipe: [0] is polled by the accept loop, [1] is written by
   /// request_stop() / finishing handlers.  Created in the constructor so a
   /// pre-start() request_stop() still works.
@@ -189,8 +155,6 @@ class Server {
   std::atomic<std::size_t> requests_served_{0};
   std::atomic<std::size_t> active_connections_{0};
   std::atomic<std::size_t> connections_accepted_{0};
-  std::atomic<std::size_t> auth_failures_{0};
-  std::atomic<std::size_t> idle_timeouts_{0};
   std::mutex connections_mutex_;
   std::vector<Connection> connections_;
 };

@@ -281,14 +281,11 @@ std::string cache_stats_json(const core::ModelCacheStats& stats,
                              const ServeInfo& info, const BatcherStats& admission) {
   std::string out = "{\n";
   out += "  \"schema\": \"punt-serve-stats\",\n";
-  out += "  \"version\": 6,\n";
+  out += "  \"version\": 7,\n";
   out += printf_string("  \"requests\": %zu,\n", info.requests_served);
   out += printf_string("  \"jobs\": %zu,\n", info.jobs);
-  out += "  \"transport\": \"" + util::json_escape(info.transport) + "\",\n";
   out += "  \"listen\": \"" + util::json_escape(info.listen) + "\",\n";
   out += printf_string("  \"connections\": %zu,\n", info.connections);
-  out += printf_string("  \"auth_failures\": %zu,\n", info.auth_failures);
-  out += printf_string("  \"idle_timeouts\": %zu,\n", info.idle_timeouts);
   out += printf_string("  \"hits\": %zu,\n", stats.hits);
   out += printf_string("  \"misses\": %zu,\n", stats.misses);
   out += printf_string("  \"builds\": %zu,\n", stats.builds);

@@ -104,17 +104,12 @@ Response run_lint(const Request& request, core::ModelCache& cache,
                   core::Executor* executor);
 
 /// The daemon-identity slice of the {"op":"cache-stats"} payload: who is
-/// serving (transport, listen address, worker count) and the connection
-/// ledger (accepted / refused-at-handshake / idle-timed-out) the TCP
-/// transport introduced in v3.
+/// serving and how many connections it accepted.
 struct ServeInfo {
   std::size_t requests_served = 0;
   std::size_t jobs = 0;
-  std::string transport = "unix";  // "unix" | "tcp"
-  std::string listen;              // Endpoint::describe() of the listener
-  std::size_t connections = 0;     // accepted since start()
-  std::size_t auth_failures = 0;   // TCP handshakes refused
-  std::size_t idle_timeouts = 0;   // connections closed by the idle deadline
+  std::string listen;           // the socket path
+  std::size_t connections = 0;  // accepted since start()
 };
 
 /// The daemon's admission counters for synth requests, one self-consistent
@@ -133,12 +128,9 @@ struct BatcherStats {
   std::size_t shed() const { return shed_queue_full; }
 };
 
-/// The {"op":"cache-stats"} payload: resident cache counters plus the
-/// server identity/connection fields and the admission counters
-/// ("punt-serve-stats" schema, version 6 — v6 added fanned_out; v5 dropped
-/// the request-fusion fields; v4 dropped the disk-tier directory and
-/// counters; v3 added transport, listen, connections, auth_failures and
-/// idle_timeouts).
+/// The {"op":"cache-stats"} payload ("punt-serve-stats" schema, version 7):
+/// the ServeInfo fields, the resident cache counters and the admission
+/// counters.
 std::string cache_stats_json(const core::ModelCacheStats& stats,
                              const ServeInfo& info, const BatcherStats& admission);
 

@@ -19,9 +19,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed milliseconds since construction or the last restart().
-  double millis() const { return seconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -1,5 +1,5 @@
 // Tests for the shared Table-1 report helper: report construction from a
-// real registry batch, the JSON writers and the human table.
+// real registry batch, the JSON writer and the human table.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -129,74 +129,6 @@ TEST(Report, FormatShowsPaperColumnsAndErrors) {
   for (const auto& bench : table1()) {
     EXPECT_NE(table.find(bench.name), std::string::npos) << bench.name;
   }
-}
-
-TEST(Report, ServeBenchJsonRoundTripPreservesEveryField) {
-  ServeBenchReport report;
-  report.transport = "tcp";
-  report.clients = 8;
-  report.duration_seconds = 5;
-  report.wall_seconds = 5.25;
-  report.completed = 123;
-  report.failed = 2;
-  report.shed = 3;
-  report.transport_errors = 1;
-  report.throughput_rps = 23.4;
-  report.mean_ms = 41.5;
-  report.p50_ms = 30.25;
-  report.p95_ms = 120.5;
-  report.p99_ms = 250.75;
-  report.max_ms = 612.0;
-  report.queue_high_water = 9;
-  report.daemon_shed = 3;
-
-  constexpr const char* kServe = "serve-bench JSON";
-  const JsonValue root = util::parse_json(to_json(report));
-  EXPECT_EQ(util::json_string(root, "schema", kServe), "punt-serve-bench");
-  EXPECT_EQ(util::json_count(root, "version", kServe), 2u);
-  EXPECT_EQ(util::json_string(root, "transport", kServe), "tcp");
-  EXPECT_EQ(util::json_count(root, "clients", kServe), report.clients);
-  EXPECT_DOUBLE_EQ(util::json_number(root, "duration_seconds", kServe),
-                   report.duration_seconds);
-  EXPECT_DOUBLE_EQ(util::json_number(root, "wall_seconds", kServe), report.wall_seconds);
-  EXPECT_EQ(util::json_count(root, "completed", kServe), report.completed);
-  EXPECT_EQ(util::json_count(root, "failed", kServe), report.failed);
-  EXPECT_EQ(util::json_count(root, "shed", kServe), report.shed);
-  EXPECT_EQ(util::json_count(root, "transport_errors", kServe), report.transport_errors);
-  EXPECT_DOUBLE_EQ(util::json_number(root, "throughput_rps", kServe), report.throughput_rps);
-  EXPECT_DOUBLE_EQ(util::json_number(root, "mean_ms", kServe), report.mean_ms);
-  EXPECT_DOUBLE_EQ(util::json_number(root, "p50_ms", kServe), report.p50_ms);
-  EXPECT_DOUBLE_EQ(util::json_number(root, "p95_ms", kServe), report.p95_ms);
-  EXPECT_DOUBLE_EQ(util::json_number(root, "p99_ms", kServe), report.p99_ms);
-  EXPECT_DOUBLE_EQ(util::json_number(root, "max_ms", kServe), report.max_ms);
-  EXPECT_EQ(util::json_count(root, "queue_high_water", kServe), report.queue_high_water);
-  EXPECT_EQ(util::json_count(root, "daemon_shed", kServe), report.daemon_shed);
-  // v2 carries exactly these fields: v1's request-fusion fields are gone.
-  std::vector<std::string> keys;
-  keys.reserve(root.object.size());
-  for (const auto& field : root.object) keys.push_back(field.first);
-  const std::vector<std::string> expected = {
-      "schema", "version", "transport", "clients", "duration_seconds", "wall_seconds",
-      "completed", "failed", "shed", "transport_errors", "throughput_rps", "mean_ms",
-      "p50_ms", "p95_ms", "p99_ms", "max_ms", "queue_high_water", "daemon_shed"};
-  EXPECT_EQ(keys, expected);
-
-  const std::string summary = format_serve_summary(report);
-  EXPECT_NE(summary.find("tcp transport"), std::string::npos) << summary;
-}
-
-TEST(Report, ServeSummaryCountsEachShedRequestOnce) {
-  // The daemon's count is the same refusals the clients saw, so the
-  // CI-greppable `shed=N` is the client count alone, and the daemon's
-  // count carries a label of its own that no `shed=` grep can match.
-  ServeBenchReport report;
-  report.shed = 3;
-  report.daemon_shed = 3;
-  const std::string summary = format_serve_summary(report);
-  EXPECT_NE(summary.find("shed=3"), std::string::npos) << summary;
-  EXPECT_EQ(summary.find("shed=6"), std::string::npos) << summary;
-  EXPECT_EQ(summary.find("shed="), summary.rfind("shed=")) << summary;
-  EXPECT_NE(summary.find("daemon counted 3"), std::string::npos) << summary;
 }
 
 }  // namespace

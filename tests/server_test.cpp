@@ -5,11 +5,8 @@
 // (shedding past --max-queue, slots given back, refused specs answered
 // without a slot, a request admitted while another runs executing inline),
 // parse parity of prepare_synth with parse_g, resilience to
-// malformed/oversized frames, graceful
-// shutdown draining in-flight work — and the TCP transport: endpoint-grammar parsing, the
-// HMAC-SHA256 challenge–response handshake (refusals, fresh nonces, replay),
-// byte-parity of TCP clients with Unix clients, and the per-connection
-// handshake/idle deadlines.
+// malformed/oversized frames, graceful shutdown draining in-flight work, and
+// socket-path ownership.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -18,7 +15,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -277,201 +273,6 @@ TEST(ServerProtocol, TruncatedAndOversizedFramesThrow) {
   ::close(fds[1]);
 }
 
-// --- Endpoint grammar ---------------------------------------------------------
-
-TEST(ServerEndpoint, PlainTextIsAUnixSocketPath) {
-  const Endpoint absolute = parse_endpoint("/tmp/punt.sock");
-  EXPECT_EQ(absolute.transport, Transport::Unix);
-  EXPECT_EQ(absolute.path, "/tmp/punt.sock");
-  EXPECT_EQ(absolute.describe(), "/tmp/punt.sock");
-
-  // Relative paths and colon-bearing names without the scheme stay Unix.
-  EXPECT_EQ(parse_endpoint("punt.sock").transport, Transport::Unix);
-  EXPECT_EQ(parse_endpoint("dir/with:colon.sock").transport, Transport::Unix);
-}
-
-TEST(ServerEndpoint, TcpAuthoritiesParse) {
-  const Endpoint v4 = parse_endpoint("tcp://127.0.0.1:9000");
-  EXPECT_EQ(v4.transport, Transport::Tcp);
-  EXPECT_EQ(v4.host, "127.0.0.1");
-  EXPECT_EQ(v4.port, 9000);
-  EXPECT_EQ(v4.describe(), "tcp://127.0.0.1:9000");
-
-  const Endpoint named = parse_endpoint("tcp://localhost:1");
-  EXPECT_EQ(named.host, "localhost");
-  EXPECT_EQ(named.port, 1);
-
-  // IPv6 literals come bracketed and describe() re-brackets them.
-  const Endpoint v6 = parse_endpoint("tcp://[::1]:65535");
-  EXPECT_EQ(v6.transport, Transport::Tcp);
-  EXPECT_EQ(v6.host, "::1");
-  EXPECT_EQ(v6.port, 65535);
-  EXPECT_EQ(v6.describe(), "tcp://[::1]:65535");
-}
-
-TEST(ServerEndpoint, MalformedTcpAuthoritiesAreRejected) {
-  const char* const rejected[] = {
-      "",                   // nothing at all
-      "tcp://",             // scheme without an authority
-      "tcp://:9",           // empty host
-      "tcp://host",         // no port separator
-      "tcp://host:",        // empty port
-      "tcp://host:0",       // port 0 is not a *named* endpoint
-      "tcp://host:65536",   // beyond the TCP port range
-      "tcp://host:123456",  // too many digits
-      "tcp://host:9x",      // non-numeric port
-      "tcp://[::1:9",       // unterminated bracket
-      "tcp://[::1]",        // bracket without ':port'
-      "tcp://[::1]9",       // junk between ']' and the port
-      "tcp://::1:9000",     // IPv6 literal without brackets
-  };
-  for (const char* text : rejected) {
-    EXPECT_THROW((void)parse_endpoint(text), Error) << "'" << text << "'";
-  }
-}
-
-// --- HMAC handshake (socketpair, below the Server layer) ----------------------
-
-/// Runs server_handshake on a helper thread so the test can drive the
-/// client side of the same socketpair synchronously.  The daemon ignores
-/// SIGPIPE process-wide (Server::start); these below-the-Server tests must
-/// do the same or a best-effort refusal to a closed peer kills the suite.
-struct HandshakeServer {
-  HandshakeServer(int fd, std::string token)
-      : thread([this, fd, token = std::move(token)] {
-          std::signal(SIGPIPE, SIG_IGN);
-          ok = server_handshake(fd, token, why);
-        }) {}
-  void join() { thread.join(); }
-  // `thread` is declared LAST: members initialize in declaration order, and
-  // the lambda writes `ok`/`why`, which must be fully constructed before the
-  // thread can start.
-  bool ok = false;
-  std::string why;
-  std::thread thread;
-};
-
-/// Reads the server's challenge frame and returns its nonce.
-std::string read_nonce(int fd) {
-  std::string payload;
-  EXPECT_EQ(read_frame(fd, payload), FrameStatus::Ok);
-  const util::JsonValue root = util::parse_json(payload);
-  EXPECT_EQ(util::json_string(root, "auth", "auth challenge"), "hmac-sha256");
-  return util::json_string(root, "nonce", "auth challenge");
-}
-
-Response read_verdict(int fd) {
-  std::string payload;
-  EXPECT_EQ(read_frame(fd, payload), FrameStatus::Ok);
-  return response_from_json(payload);
-}
-
-TEST(ServerHandshake, GoodTokenAuthenticates) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
-  HandshakeServer server(fds[0], "sesame");
-  client_handshake(fds[1], "sesame");  // throws on refusal
-  server.join();
-  EXPECT_TRUE(server.ok) << server.why;
-  ::close(fds[0]);
-  ::close(fds[1]);
-}
-
-TEST(ServerHandshake, WrongTokenIsRefused) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
-  HandshakeServer server(fds[0], "sesame");
-  try {
-    client_handshake(fds[1], "open-barley");
-    FAIL() << "a wrong token must be refused";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("refused"), std::string::npos) << e.what();
-  }
-  server.join();
-  EXPECT_FALSE(server.ok);
-  EXPECT_NE(server.why.find("MAC mismatch"), std::string::npos) << server.why;
-  ::close(fds[0]);
-  ::close(fds[1]);
-}
-
-TEST(ServerHandshake, MalformedTruncatedAndVanishingAnswersAreRefused) {
-  {
-    // A syntactically broken answer frame: refused with a verdict.
-    int fds[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
-    HandshakeServer server(fds[0], "t");
-    (void)read_nonce(fds[1]);
-    write_frame(fds[1], "not json");
-    server.join();
-    EXPECT_FALSE(server.ok);
-    EXPECT_NE(server.why.find("malformed handshake answer"), std::string::npos)
-        << server.why;
-    const Response refusal = read_verdict(fds[1]);
-    EXPECT_FALSE(refusal.ok);
-    EXPECT_NE(refusal.error.find("unauthorized"), std::string::npos) << refusal.error;
-    ::close(fds[0]);
-    ::close(fds[1]);
-  }
-  {
-    // An answer frame that promises more bytes than ever arrive.
-    int fds[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
-    HandshakeServer server(fds[0], "t");
-    (void)read_nonce(fds[1]);
-    const unsigned char prefix[4] = {50, 0, 0, 0};
-    ASSERT_EQ(::write(fds[1], prefix, 4), 4);
-    ASSERT_EQ(::write(fds[1], "abc", 3), 3);
-    ::close(fds[1]);
-    server.join();
-    EXPECT_FALSE(server.ok);
-    ::close(fds[0]);
-  }
-  {
-    // A peer that takes the challenge and vanishes without answering: no
-    // verdict owed (reading first makes the EOF — not a failed challenge
-    // write — the thing the server observes).
-    int fds[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
-    HandshakeServer server(fds[0], "t");
-    (void)read_nonce(fds[1]);
-    ::close(fds[1]);
-    server.join();
-    EXPECT_FALSE(server.ok);
-    EXPECT_NE(server.why.find("peer closed"), std::string::npos) << server.why;
-    ::close(fds[0]);
-  }
-}
-
-TEST(ServerHandshake, NoncesAreFreshAndReplayedMacsAreRefused) {
-  const std::string token = "rotate-me";
-
-  // Connection one: an honest exchange, whose MAC we keep for the replay.
-  int first[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, first), 0);
-  HandshakeServer server_one(first[0], token);
-  const std::string nonce_one = read_nonce(first[1]);
-  const std::string mac_one = auth_mac_hex(token, nonce_one);
-  write_frame(first[1], "{\"mac\": \"" + mac_one + "\"}");
-  server_one.join();
-  EXPECT_TRUE(server_one.ok) << server_one.why;
-  EXPECT_TRUE(read_verdict(first[1]).ok);
-
-  // Connection two: a fresh nonce, so the captured MAC no longer verifies.
-  int second[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, second), 0);
-  HandshakeServer server_two(second[0], token);
-  const std::string nonce_two = read_nonce(second[1]);
-  EXPECT_NE(nonce_one, nonce_two) << "challenges must be fresh per connection";
-  write_frame(second[1], "{\"mac\": \"" + mac_one + "\"}");  // the replay
-  server_two.join();
-  EXPECT_FALSE(server_two.ok) << "a MAC for yesterday's nonce must not authenticate";
-  EXPECT_NE(server_two.why.find("MAC mismatch"), std::string::npos) << server_two.why;
-  ::close(first[0]);
-  ::close(first[1]);
-  ::close(second[0]);
-  ::close(second[1]);
-}
-
 // --- Server end-to-end --------------------------------------------------------
 
 TEST(Server, PingPongAndCacheStats) {
@@ -494,13 +295,8 @@ TEST(Server, PingPongAndCacheStats) {
   // an immediately following request may still read 0 — don't pin it).
   EXPECT_LE(util::json_count(root, "requests", "stats"), 1u);
   EXPECT_EQ(util::json_count(root, "builds", "stats"), 0u);
-  // Transport provenance (stats v3): a Unix daemon says so, with zero auth
-  // counters — the handshake never runs on this transport.
-  EXPECT_EQ(util::json_string(root, "transport", "stats"), "unix");
   EXPECT_EQ(util::json_string(root, "listen", "stats"), socket);
   EXPECT_GE(util::json_count(root, "connections", "stats"), 1u);
-  EXPECT_EQ(util::json_count(root, "auth_failures", "stats"), 0u);
-  EXPECT_EQ(util::json_count(root, "idle_timeouts", "stats"), 0u);
 }
 
 TEST(Server, ConcurrentClientsMatchDirectInvocationByteForByte) {
@@ -969,7 +765,7 @@ TEST(Server, PreparedJobParsesExactlyLikeParseG) {
   }
 }
 
-TEST(Server, CacheStatsReportsTheV6AdmissionSchema) {
+TEST(Server, CacheStatsReportsTheV7AdmissionSchema) {
   TempDir dir("stats");
   const std::string socket = dir.str() + "/punt.sock";
   ServerOptions options;
@@ -985,21 +781,21 @@ TEST(Server, CacheStatsReportsTheV6AdmissionSchema) {
   const Response stats = request_once(socket, stats_request);
   const util::JsonValue root = util::parse_json(stats.output);
   EXPECT_EQ(util::json_string(root, "schema", "stats"), "punt-serve-stats");
-  EXPECT_EQ(util::json_count(root, "version", "stats"), 6u);
+  EXPECT_EQ(util::json_count(root, "version", "stats"), 7u);
   EXPECT_EQ(util::json_count(root, "admitted", "stats"), 2u);
   // One client at a time: each request ran alone, so each fanned out.
   EXPECT_EQ(util::json_count(root, "fanned_out", "stats"), 2u);
   EXPECT_EQ(util::json_count(root, "queue_high_water", "stats"), 1u);
   EXPECT_EQ(util::json_count(root, "shed_queue_full", "stats"), 0u);
-  // v6 carries exactly these fields: v5's plus fanned_out.
+  // v7 carries exactly these fields.
   std::vector<std::string> keys;
   keys.reserve(root.object.size());
   for (const auto& field : root.object) keys.push_back(field.first);
   const std::vector<std::string> expected = {
-      "schema", "version", "requests", "jobs", "transport", "listen", "connections",
-      "auth_failures", "idle_timeouts", "hits", "misses", "builds", "evictions",
-      "failed_builds", "in_flight", "resident", "saved_seconds", "admitted",
-      "fanned_out", "queue_high_water", "shed_queue_full"};
+      "schema", "version", "requests", "jobs", "listen", "connections", "hits",
+      "misses", "builds", "evictions", "failed_builds", "in_flight", "resident",
+      "saved_seconds", "admitted", "fanned_out", "queue_high_water",
+      "shed_queue_full"};
   EXPECT_EQ(keys, expected);
 }
 
@@ -1058,149 +854,6 @@ TEST(Server, StaleSocketFileIsReclaimedAndLiveOneIsRefused) {
     // A *live* server on the path: a second one must refuse to start.
     Server rival(options);
     EXPECT_THROW(rival.start(), Error);
-  }
-}
-
-// --- TCP transport ------------------------------------------------------------
-
-TEST(Server, TcpListenerWithoutATokenRefusesToStart) {
-  ServerOptions options;
-  options.endpoint = tcp_endpoint("127.0.0.1", 0);
-  Server server(options);
-  try {
-    server.start();
-    FAIL() << "an unauthenticated TCP listener must be refused";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("--token-file"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(Server, TcpClientMatchesUnixClientByteForByte) {
-  TempDir dir("tcp-parity");
-  const std::string socket = dir.str() + "/punt.sock";
-  ServerOptions unix_options;
-  unix_options.endpoint = unix_endpoint(socket);
-  RunningServer unix_running(unix_options);
-
-  ServerOptions tcp_options;
-  tcp_options.endpoint = tcp_endpoint("127.0.0.1", 0);  // ephemeral port
-  tcp_options.token = "tcp-parity-token";
-  RunningServer tcp_running(tcp_options);
-  const Endpoint bound = tcp_running.server.endpoint();
-  EXPECT_GT(bound.port, 0) << "open() must learn the kernel-assigned port";
-
-  const Stg stg = stg::make_paper_fig1();
-  const Response via_unix = request_once(socket, synth_request(stg));
-  const Response via_tcp = request_once(bound, tcp_options.token, synth_request(stg));
-  EXPECT_EQ(via_unix.exit_code, 0);
-  EXPECT_EQ(via_tcp.exit_code, 0);
-  EXPECT_EQ(strip_timing(via_tcp.output), strip_timing(via_unix.output))
-      << "the TCP transport altered the response bytes";
-  EXPECT_EQ(strip_timing(via_tcp.output), direct_synth_output(stg));
-}
-
-TEST(Server, TcpRequiresAuthAndCountsRejects) {
-  ServerOptions options;
-  options.endpoint = tcp_endpoint("127.0.0.1", 0);
-  options.token = "right-token";
-  RunningServer running(options);
-  const Endpoint bound = running.server.endpoint();
-
-  // Wrong token: refused at the handshake, surfaced as a client-side throw.
-  try {
-    (void)request_once(bound, "wrong-token", Request{});
-    FAIL() << "a wrong token must be refused";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("refused"), std::string::npos) << e.what();
-  }
-  // Missing token: the client still answers the challenge (with an
-  // empty-key MAC), so this is a server-side refusal too, not a hang.
-  EXPECT_THROW((void)request_once(bound, "", Request{}), Error);
-
-  // The refusal frame races the server-side counter bump; wait it out.
-  while (running.server.auth_failures() < 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  // The right token gets through, and stats v3 carries the reject counters.
-  Request stats_request;
-  stats_request.op = Op::CacheStats;
-  const Response stats = request_once(bound, options.token, stats_request);
-  const util::JsonValue root = util::parse_json(stats.output);
-  EXPECT_EQ(util::json_count(root, "version", "stats"), 6u);
-  EXPECT_EQ(util::json_string(root, "transport", "stats"), "tcp");
-  EXPECT_EQ(util::json_string(root, "listen", "stats"), bound.describe());
-  EXPECT_EQ(util::json_count(root, "auth_failures", "stats"), 2u);
-  EXPECT_GE(util::json_count(root, "connections", "stats"), 3u);
-}
-
-TEST(Server, TcpHandshakeTimeoutFreesTheHandler) {
-  ServerOptions options;
-  options.endpoint = tcp_endpoint("127.0.0.1", 0);
-  options.token = "t";
-  options.handshake_timeout_seconds = 0.2;
-  RunningServer running(options);
-
-  // Connect and say nothing: the server must expire the handshake instead
-  // of parking a handler thread on a silent off-host peer forever.
-  const int fd = connect_endpoint(running.server.endpoint());
-  while (running.server.auth_failures() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  // The expiry is delivered as an unauthorized refusal before the close.
-  std::string payload;
-  ASSERT_EQ(read_frame(fd, payload), FrameStatus::Ok);  // the challenge
-  ASSERT_EQ(read_frame(fd, payload), FrameStatus::Ok);  // the refusal
-  const Response refusal = response_from_json(payload);
-  EXPECT_FALSE(refusal.ok);
-  EXPECT_NE(refusal.error.find("deadline"), std::string::npos) << refusal.error;
-  ::close(fd);
-
-  // An honest client is still served afterwards.
-  EXPECT_EQ(request_once(running.server.endpoint(), "t", Request{}).output, "pong\n");
-}
-
-TEST(Server, TcpIdleTimeoutClosesAQuietConnection) {
-  ServerOptions options;
-  options.endpoint = tcp_endpoint("127.0.0.1", 0);
-  options.token = "t";
-  options.idle_timeout_seconds = 0.2;
-  RunningServer running(options);
-
-  Client client(running.server.endpoint(), "t");
-  EXPECT_EQ(client.request(Request{}).output, "pong\n");  // inside the window
-
-  // Then go quiet past the deadline: the daemon counts the expiry, sends an
-  // explanatory refusal and closes; the next request on this connection
-  // surfaces that as a throw.
-  while (running.server.idle_timeouts() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_THROW((void)client.request(Request{}), Error);
-
-  // A fresh connection is served fine — the deadline is per connection.
-  EXPECT_EQ(request_once(running.server.endpoint(), "t", Request{}).output, "pong\n");
-}
-
-TEST(Server, SecondTcpServerOnTheSamePortIsRefused) {
-  ServerOptions options;
-  options.endpoint = tcp_endpoint("127.0.0.1", 0);
-  options.token = "t";
-  RunningServer running(options);
-
-  // The kernel arbitrates TCP ownership: binding the taken port must fail
-  // even though no lock file exists for this transport.
-  ServerOptions rival_options;
-  rival_options.endpoint = running.server.endpoint();
-  rival_options.token = "t";
-  Server rival(rival_options);
-  try {
-    rival.start();
-    FAIL() << "two daemons cannot share one TCP port";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("cannot listen"), std::string::npos)
-        << e.what();
   }
 }
 

@@ -9,7 +9,6 @@
 
 #include "src/util/bitset.hpp"
 #include "src/util/error.hpp"
-#include "src/util/hmac.hpp"
 #include "src/util/json.hpp"
 #include "src/util/strings.hpp"
 #include "src/util/xorshift.hpp"
@@ -227,58 +226,6 @@ TEST(Json, DeeplyNestedInputIsRejectedNotAStackOverflow) {
   std::string nested_ok = "1";
   for (int i = 0; i < 8; ++i) nested_ok = "[" + nested_ok + "]";
   EXPECT_NO_THROW((void)util::parse_json(nested_ok));
-}
-
-TEST(Hmac, Sha256MatchesTheFipsVectors) {
-  // FIPS 180-4 reference vectors: empty, one-block, and a message whose
-  // padding spills into a second block (56 bytes: the hardest length).
-  EXPECT_EQ(util::to_hex(util::sha256("")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(util::to_hex(util::sha256("abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-  EXPECT_EQ(
-      util::to_hex(util::sha256(
-          "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-  // A multi-block message (> 64 bytes) exercises the compression loop.
-  EXPECT_EQ(util::to_hex(util::sha256(std::string(1000, 'a'))),
-            util::to_hex(util::sha256(std::string(1000, 'a'))));
-  EXPECT_NE(util::to_hex(util::sha256(std::string(1000, 'a'))),
-            util::to_hex(util::sha256(std::string(1001, 'a'))));
-}
-
-TEST(Hmac, HmacSha256MatchesTheRfc4231Vectors) {
-  // RFC 4231 test case 1: key = 0x0b * 20, data = "Hi There".
-  EXPECT_EQ(util::to_hex(util::hmac_sha256(std::string(20, '\x0b'), "Hi There")),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-  // RFC 4231 test case 2: a key shorter than the block size.
-  EXPECT_EQ(util::to_hex(util::hmac_sha256("Jefe", "what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-  // A key longer than the 64-byte block is pre-hashed (RFC 2104); the MAC
-  // must equal the one computed with the hashed key spelled out.
-  const std::string long_key(131, 'K');
-  const auto direct = util::hmac_sha256(long_key, "message");
-  const auto hashed = util::sha256(long_key);
-  const std::string hashed_key(reinterpret_cast<const char*>(hashed.data()),
-                               hashed.size());
-  EXPECT_EQ(util::to_hex(direct), util::to_hex(util::hmac_sha256(hashed_key, "message")));
-}
-
-TEST(Hmac, ConstantTimeEqualComparesContentNotPrefix) {
-  EXPECT_TRUE(util::constant_time_equal("", ""));
-  EXPECT_TRUE(util::constant_time_equal("same-bytes", "same-bytes"));
-  EXPECT_FALSE(util::constant_time_equal("same-bytes", "same-byteZ"));
-  EXPECT_FALSE(util::constant_time_equal("short", "short-but-longer"));
-  EXPECT_FALSE(util::constant_time_equal("a", "b"));
-}
-
-TEST(Hmac, RandomHexIsFreshAndWellFormed) {
-  const std::string a = util::random_hex(32);
-  const std::string b = util::random_hex(32);
-  EXPECT_EQ(a.size(), 64u);  // two hex digits per byte
-  EXPECT_EQ(a.find_first_not_of("0123456789abcdef"), std::string::npos) << a;
-  EXPECT_NE(a, b) << "a 256-bit nonce must not repeat across draws";
-  EXPECT_EQ(util::random_bytes(7).size(), 7u);
 }
 
 TEST(XorShift, DeterministicForFixedSeed) {

@@ -5,7 +5,7 @@
 //              [--jobs=N] [--trace-schedule=<file>]
 //   punt check <file.g>            verify the general correctness criteria
 //   punt lint <file.g ...> [--json] [--Werror[=STG006,...]] [--deep] [--jobs=N]
-//             [--connect=<endpoint> [--token-file=<file>]] [--rules]
+//             [--connect=<socket>] [--rules]
 //                                  static analysis: every finding carries a
 //                                  stable rule id, severity, line:column span
 //                                  and fix hint; all findings of a file in
@@ -45,56 +45,38 @@
 //                                  per-worker occupancy, an ASCII Gantt lane
 //                                  per worker, queue-wait statistics and the
 //                                  critical path
-//   punt bench serve [--connect=<endpoint>] [--listen=tcp[://addr:port]]
-//                    [--token-file=<file>] [--clients=K] [--duration=S]
-//                    [--jobs=N] [--max-queue=N] [--no-warmup] [--json=<file>]
-//                                  closed-loop load generator against a serve
-//                                  daemon (self-spawned in-process unless
-//                                  --connect; --listen=tcp self-spawns over
-//                                  loopback TCP with a throwaway token, so
-//                                  the latency gate covers the network
-//                                  transport): p50/p95/p99 latency,
-//                                  throughput, shed count; --json writes the
-//                                  punt-serve-bench report
-//   punt cache stats --connect=<endpoint>
+//   punt cache stats --connect=<socket>
 //                                  a running daemon's resident cache counters
-//   punt serve (--socket=<path> | --listen=tcp://<addr>:<port>
-//              --token-file=<file>) [--jobs=N] [--max-queue=N]
-//              [--send-timeout=S] [--handshake-timeout=S] [--idle-timeout=S]
-//                                  run the warm-model daemon: one resident
-//                                  ModelCache + thread pool across requests;
-//                                  each synth request is parsed once and runs
-//                                  on its connection thread — over the pool
-//                                  when it runs alone, inline while others
-//                                  run — and one beyond --max-queue running
-//                                  at once is shed with an "overloaded"
-//                                  refusal.  --jobs sizes the pool a lone
-//                                  synth request, check and deep lint use.
-//                                  SIGTERM (or a client
-//                                  `punt shutdown`) drains admitted work and
-//                                  exits cleanly.  A TCP listener requires
-//                                  --token-file: every TCP connection must
-//                                  pass an HMAC-SHA256 challenge–response
-//                                  over the shared token before its first
-//                                  request (Unix sockets skip the handshake)
-//   punt synth <file.g> --connect=<endpoint> [synth flags]
-//   punt check <file.g> --connect=<endpoint>
-//   punt lint <file.g ...> --connect=<endpoint> [lint flags]
+//   punt serve --socket=<path> [--jobs=N] [--max-queue=N] [--send-timeout=S]
+//                                  run the warm-model daemon on a Unix
+//                                  socket: one resident ModelCache + thread
+//                                  pool across requests; each synth request
+//                                  is parsed once and runs on its connection
+//                                  thread — over the pool when it runs alone,
+//                                  inline while others run — and one beyond
+//                                  --max-queue running at once is shed with
+//                                  an "overloaded" refusal.  --jobs sizes the
+//                                  pool a lone synth request, check and deep
+//                                  lint use.  SIGTERM (or a client `punt
+//                                  shutdown`) drains admitted work and exits
+//                                  cleanly.  Remote clients forward the
+//                                  socket over SSH
+//   punt synth <file.g> --connect=<socket> [synth flags]
+//   punt check <file.g> --connect=<socket>
+//   punt lint <file.g ...> --connect=<socket> [lint flags]
 //                                  delegate to the daemon; the result (and
 //                                  the per-request hit/rebuild summary, on
-//                                  stderr) comes back over the socket.
-//                                  <endpoint> is a Unix socket path or
-//                                  tcp://host:port (with --token-file)
-//   punt ping --connect=<endpoint> daemon liveness probe
-//   punt shutdown --connect=<endpoint>
+//                                  stderr) comes back over the socket
+//   punt ping --connect=<socket>   daemon liveness probe
+//   punt shutdown --connect=<socket>
 //                                  ask the daemon to drain and exit
 //
 // Each command builds the phase-1 semantic models (unfolding segment or
 // state graph) it needs in memory and keeps nothing between runs.  `punt
 // serve` keeps them warm across client invocations, so a repeated
 // `--connect` synth costs no rebuild; the client prints the daemon's
-// hit/rebuild summary to stderr.  synth, check and bench run refuse unknown
-// flags, as lint and serve do.
+// hit/rebuild summary to stderr.  Every command refuses an unknown flag or
+// a stray operand with `unknown punt <command> flag`.
 //
 // Exit status: 0 on success, 1 on usage errors, 2 when the specification is
 // not implementable (with a diagnostic on stderr).
@@ -117,12 +99,7 @@
 #include <vector>
 
 #include <csignal>
-#include <exception>
-#include <thread>
 
-#include <unistd.h>
-
-#include "src/benchmarks/loadgen.hpp"
 #include "src/benchmarks/registry.hpp"
 #include "src/benchmarks/report.hpp"
 #include "src/benchmarks/trace_view.hpp"
@@ -146,7 +123,6 @@
 #include "src/unfolding/dot.hpp"
 #include "src/unfolding/unfolding.hpp"
 #include "src/util/error.hpp"
-#include "src/util/hmac.hpp"
 #include "src/util/json.hpp"
 #include "src/util/strings.hpp"
 #include "src/util/task_graph.hpp"
@@ -161,22 +137,17 @@ int usage() {
                "             [--no-minimize] [--jobs=N] [--trace-schedule=<file>]\n"
                "  punt check <file.g>\n"
                "  punt lint <file.g ...> [--json] [--Werror[=STG006,...]] [--deep]\n"
-               "            [--jobs=N] [--connect=<endpoint> [--token-file=<file>]] [--rules]\n"
+               "            [--jobs=N] [--connect=<socket>] [--rules]\n"
                "  punt resolve <file.g>\n"
                "  punt bench list | punt bench dump <name>\n"
                "  punt bench lint [--deep] [--json=<file>]\n"
                "  punt bench run [--jobs=N] [--method=...] [--arch=...]\n"
                "                 [--report=json] [--trace-schedule=<file>]\n"
                "  punt trace <trace.json>\n"
-               "  punt bench serve [--connect=<endpoint>] [--listen=tcp[://addr:port]]\n"
-               "                   [--token-file=<file>] [--clients=K] [--duration=S]\n"
-               "                   [--jobs=N] [--max-queue=N] [--no-warmup] [--json=<file>]\n"
-               "  punt cache stats --connect=<endpoint>\n"
-               "  punt serve (--socket=<path> | --listen=tcp://<addr>:<port>\n"
-               "             --token-file=<file>) [--jobs=N] [--max-queue=N]\n"
-               "             [--send-timeout=S] [--handshake-timeout=S] [--idle-timeout=S]\n"
-               "  punt ping --connect=<endpoint>\n"
-               "  punt shutdown --connect=<endpoint>\n"
+               "  punt cache stats --connect=<socket>\n"
+               "  punt serve --socket=<path> [--jobs=N] [--max-queue=N] [--send-timeout=S]\n"
+               "  punt ping --connect=<socket>\n"
+               "  punt shutdown --connect=<socket>\n"
                "(--jobs: worker threads; 0 = one per hardware thread.  For punt serve\n"
                " it sizes the pool used by a lone synth request, check and deep lint;\n"
                " a synth request that arrives while others run executes inline)\n"
@@ -186,9 +157,9 @@ int usage() {
                " print its critical-path summary to stderr; `punt trace` renders\n"
                " the dump as per-worker occupancy lanes)\n"
                "(--connect: delegate synth/check/lint to a running `punt serve`\n"
-               " daemon, whose models stay warm in memory across requests;\n"
-               " a Unix socket path or tcp://host:port — TCP endpoints need\n"
-               " --token-file=<file> holding the daemon's shared auth token)\n");
+               " daemon through its Unix socket; its models stay warm in memory\n"
+               " across requests.  Reach a remote daemon by forwarding its socket:\n"
+               " ssh -L /tmp/punt-local.sock:/tmp/punt.sock host)\n");
   return 1;
 }
 
@@ -221,7 +192,7 @@ std::size_t parse_jobs(const std::string& value) {
   return static_cast<std::size_t>(jobs);
 }
 
-/// Positive integer counts with a named bound (--max-queue, --clients).
+/// Positive integer counts with a named bound (--max-queue, --send-timeout).
 std::size_t parse_positive_count(const std::string& value, const char* flag,
                                  std::size_t max) {
   if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
@@ -234,31 +205,6 @@ std::size_t parse_positive_count(const std::string& value, const char* flag,
                       std::to_string(max));
   }
   return static_cast<std::size_t>(count);
-}
-
-/// Positive seconds (--duration, fractional OK; --send-timeout, integral).
-double parse_seconds(const std::string& value, const char* flag, double max) {
-  char* end = nullptr;
-  const double seconds = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size() || !(seconds > 0) ||
-      seconds > max) {
-    throw punt::Error(std::string("invalid ") + flag + " value '" + value +
-                      "'; expected seconds in (0, " + std::to_string(max) + "]");
-  }
-  return seconds;
-}
-
-/// Non-negative seconds (--handshake-timeout/--idle-timeout; 0 = disabled).
-double parse_timeout_seconds(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const double seconds = std::strtod(value.c_str(), &end);
-  constexpr double kMaxSeconds = 86'400;
-  if (value.empty() || end != value.c_str() + value.size() || !(seconds >= 0) ||
-      seconds > kMaxSeconds) {
-    throw punt::Error(std::string("invalid ") + flag + " value '" + value +
-                      "'; expected seconds in [0, 86400] (0 disables the deadline)");
-  }
-  return seconds;
 }
 
 punt::core::SynthesisOptions parse_options(const std::vector<std::string>& args) {
@@ -298,14 +244,13 @@ constexpr std::array<std::string_view, 8> kSynthesisFlags = {
     "--method=approx", "--method=exact", "--method=sg", "--arch=acg",
     "--arch=c",        "--arch=rs",      "--no-minimize", "--jobs="};
 
-/// Refuses the first "--" argument that is neither one of `flags` nor, with
+/// Refuses the first argument that is neither one of `flags` nor, with
 /// `synthesis`, one of kSynthesisFlags — the error `punt lint` and `punt
-/// serve` give, so a typo'd or retired flag fails instead of running a
-/// different configuration.
+/// serve` give, so a typo'd or retired flag, or a stray operand, fails
+/// instead of running a different configuration.
 void reject_unknown_flags(const std::vector<std::string>& args, const std::string& command,
                           bool synthesis, std::initializer_list<std::string_view> flags) {
   for (const std::string& arg : args) {
-    if (arg.rfind("--", 0) != 0) continue;
     const auto known = [&](std::string_view flag) {
       return flag.back() == '=' ? arg.rfind(flag, 0) == 0 : arg == flag;
     };
@@ -332,72 +277,19 @@ std::string trace_schedule_path(const std::vector<std::string>& args) {
   return std::string();
 }
 
-/// The payload of `--connect=<endpoint>`, or empty when absent.
+/// The payload of `--connect=<socket>`, or empty when absent.
 std::string connect_target(const std::vector<std::string>& args) {
   for (const std::string& arg : args) {
     if (arg.rfind("--connect=", 0) == 0) {
-      const std::string endpoint = arg.substr(10);
-      if (endpoint.empty()) {
-        throw punt::Error("--connect needs the daemon's endpoint "
-                          "(e.g. --connect=/tmp/punt.sock or "
-                          "--connect=tcp://127.0.0.1:7997)");
+      const std::string socket = arg.substr(10);
+      if (socket.empty()) {
+        throw punt::Error("--connect needs the daemon's socket path "
+                          "(e.g. --connect=/tmp/punt.sock)");
       }
-      return endpoint;
+      return socket;
     }
   }
   return std::string();
-}
-
-/// The payload of `--token-file=<file>`, or empty when absent.
-std::string token_file_path(const std::vector<std::string>& args) {
-  for (const std::string& arg : args) {
-    if (arg.rfind("--token-file=", 0) == 0) {
-      const std::string path = arg.substr(13);
-      if (path.empty()) {
-        throw punt::Error("--token-file needs a file path "
-                          "(e.g. --token-file=/etc/punt/token)");
-      }
-      return path;
-    }
-  }
-  return std::string();
-}
-
-/// The shared auth secret from a token file: its contents with trailing
-/// whitespace stripped (so `echo secret > token` round-trips).  An empty
-/// token is refused — it would make the handshake a formality.
-std::string read_token_file(const std::string& path) {
-  std::string token = read_file(path);
-  while (!token.empty() &&
-         (token.back() == '\n' || token.back() == '\r' || token.back() == ' ' ||
-          token.back() == '\t')) {
-    token.pop_back();
-  }
-  if (token.empty()) {
-    throw punt::Error("token file '" + path + "' is empty; put a shared secret "
-                      "in it (e.g. `head -c 32 /dev/urandom | base64 > " + path + "`)");
-  }
-  return token;
-}
-
-/// The --connect endpoint (parsed) plus the token a TCP endpoint needs.
-struct ConnectTarget {
-  punt::server::Endpoint endpoint;
-  std::string token;
-};
-
-ConnectTarget resolve_connect(const std::string& target,
-                              const std::vector<std::string>& args) {
-  ConnectTarget connect;
-  connect.endpoint = punt::server::parse_endpoint(target);
-  const std::string token_path = token_file_path(args);
-  if (!token_path.empty()) connect.token = read_token_file(token_path);
-  if (connect.endpoint.transport == punt::server::Transport::Tcp &&
-      connect.token.empty()) {
-    throw punt::Error("--connect=" + target + " is a TCP endpoint; pass "
-                      "--token-file=<file> with the daemon's shared auth token");
-  }
-  return connect;
 }
 
 /// Writes the executed schedule as JSON and prints the critical-path summary
@@ -416,9 +308,8 @@ void dump_trace(const punt::util::TaskTrace& trace, const std::string& path) {
 /// Round-trips `request` and replays the daemon's answer as if the work had
 /// run here: response.output to stdout, response.log (the diagnostic and
 /// the per-request hit/rebuild summary) to stderr, exit code passed through.
-int run_client(const ConnectTarget& target, const punt::server::Request& request) {
-  const punt::server::Response response =
-      punt::server::request_once(target.endpoint, target.token, request);
+int run_client(const std::string& socket, const punt::server::Request& request) {
+  const punt::server::Response response = punt::server::request_once(socket, request);
   std::fputs(response.output.c_str(), stdout);
   std::fputs(response.log.c_str(), stderr);
   return response.exit_code;
@@ -426,9 +317,7 @@ int run_client(const ConnectTarget& target, const punt::server::Request& request
 
 /// Flags that make no sense against a daemon (it owns its jobs policy and
 /// model cache; the dot writers and schedule trace are direct-mode only).
-/// Runs *before* the endpoint resolves, so the flag conflict is reported
-/// even when e.g. a TCP target is missing its --token-file — the user
-/// should fix the invocation, not the transport.
+/// Runs before dialling, so the conflict is reported without a daemon.
 void reject_direct_only_flags(const std::vector<std::string>& args) {
   for (const std::string& arg : args) {
     if (arg == "--dot" || arg == "--unfolding-dot" ||
@@ -442,7 +331,7 @@ void reject_direct_only_flags(const std::vector<std::string>& args) {
   }
 }
 
-int delegate_synth(const ConnectTarget& target, const std::string& path,
+int delegate_synth(const std::string& socket, const std::string& path,
                    const std::vector<std::string>& args) {
   punt::server::Request request;
   request.op = punt::server::Op::Synth;
@@ -458,25 +347,25 @@ int delegate_synth(const ConnectTarget& target, const std::string& path,
   }
   request.eqn = has_flag(args, "--eqn");
   request.verilog = has_flag(args, "--verilog");
-  return run_client(target, request);
+  return run_client(socket, request);
 }
 
-int delegate_check(const ConnectTarget& target, const std::string& path,
+int delegate_check(const std::string& socket, const std::string& path,
                    const std::vector<std::string>& /*args*/) {
   punt::server::Request request;
   request.op = punt::server::Op::Check;
   request.g_text = read_file(path);
-  return run_client(target, request);
+  return run_client(socket, request);
 }
 
 int cmd_synth(const std::string& path, const std::vector<std::string>& args) {
   reject_unknown_flags(args, "synth", /*synthesis=*/true,
                        {"--eqn", "--verilog", "--dot", "--unfolding-dot",
-                        "--trace-schedule=", "--connect=", "--token-file="});
-  const std::string target = connect_target(args);
-  if (!target.empty()) {
+                        "--trace-schedule=", "--connect="});
+  const std::string socket = connect_target(args);
+  if (!socket.empty()) {
     reject_direct_only_flags(args);
-    return delegate_synth(resolve_connect(target, args), path, args);
+    return delegate_synth(socket, path, args);
   }
   const punt::stg::Stg stg = punt::stg::parse_g(read_file(path));
   const punt::core::SynthesisOptions options = parse_options(args);
@@ -506,11 +395,11 @@ int cmd_synth(const std::string& path, const std::vector<std::string>& args) {
 }
 
 int cmd_check(const std::string& path, const std::vector<std::string>& args) {
-  reject_unknown_flags(args, "check", /*synthesis=*/false, {"--connect=", "--token-file="});
-  const std::string target = connect_target(args);
-  if (!target.empty()) {
+  reject_unknown_flags(args, "check", /*synthesis=*/false, {"--connect="});
+  const std::string socket = connect_target(args);
+  if (!socket.empty()) {
     reject_direct_only_flags(args);
-    return delegate_check(resolve_connect(target, args), path, args);
+    return delegate_check(socket, path, args);
   }
   // The direct path runs the same server::run_check the daemon dispatches
   // to, so `--connect` byte-parity holds by construction: one ModelCache
@@ -534,7 +423,7 @@ int cmd_check(const std::string& path, const std::vector<std::string>& args) {
 /// deciding whether --deep is worth a state-space build sees what it buys.
 void print_lint_rules() {
   std::printf("punt lint <file.g ...> [--json] [--Werror[=STG006,...]] [--deep]\n"
-              "          [--jobs=N] [--connect=<endpoint> [--token-file=<file>]] [--rules]\n"
+              "          [--jobs=N] [--connect=<socket>] [--rules]\n"
               "  static analysis of STG specs: every finding carries a rule id,\n"
               "  a severity, a line:column source span and a fix hint.  Exit 0\n"
               "  when no file has error-severity findings, 1 otherwise.\n"
@@ -560,7 +449,7 @@ void print_lint_rules() {
   }
 }
 
-int delegate_lint(const ConnectTarget& target, const std::vector<std::string>& files,
+int delegate_lint(const std::string& socket, const std::vector<std::string>& files,
                   bool deep, bool json, const punt::lint::LintOptions& options) {
   punt::server::Request request;
   request.op = punt::server::Op::Lint;
@@ -574,7 +463,7 @@ int delegate_lint(const ConnectTarget& target, const std::vector<std::string>& f
     // never client paths to open.
     request.lint_files.push_back({path, read_file(path)});
   }
-  return run_client(target, request);
+  return run_client(socket, request);
 }
 
 int cmd_lint(const std::vector<std::string>& args) {
@@ -598,9 +487,8 @@ int cmd_lint(const std::vector<std::string>& args) {
       options.deep = true;
     } else if (arg.rfind("--jobs=", 0) == 0) {
       jobs = parse_jobs(arg.substr(7));
-    } else if (arg.rfind("--connect=", 0) == 0 || arg.rfind("--token-file=", 0) == 0) {
-      // Parsed by the shared helpers below (connect_target, resolve_connect),
-      // which also validate the payloads.
+    } else if (arg.rfind("--connect=", 0) == 0) {
+      // Parsed and validated by connect_target below.
     } else if (arg == "--rules" || arg == "--help") {
       print_lint_rules();
       return 0;
@@ -614,11 +502,10 @@ int cmd_lint(const std::vector<std::string>& args) {
     throw punt::Error("punt lint needs at least one <file.g> "
                       "(--rules prints the rule catalog)");
   }
-  const std::string target = connect_target(args);
-  if (!target.empty()) {
+  const std::string socket = connect_target(args);
+  if (!socket.empty()) {
     reject_direct_only_flags(args);
-    return delegate_lint(resolve_connect(target, args), files, options.deep, json,
-                         options);
+    return delegate_lint(socket, files, options.deep, json, options);
   }
   // Direct mode.  The deep tier resolves its exact state-graph models
   // through a ModelCache, so a batch repeating one spec under different
@@ -919,15 +806,9 @@ extern "C" void handle_stop_signal(int) {
 int cmd_serve(const std::vector<std::string>& args) {
   punt::server::ServerOptions options;
   std::string socket_path;
-  std::string listen;
-  std::string token_path;
   for (const std::string& arg : args) {
     if (arg.rfind("--socket=", 0) == 0) {
       socket_path = arg.substr(9);
-    } else if (arg.rfind("--listen=", 0) == 0) {
-      listen = arg.substr(9);
-    } else if (arg.rfind("--token-file=", 0) == 0) {
-      token_path = token_file_path({arg});  // shares the validation
     } else if (arg.rfind("--jobs=", 0) == 0) {
       options.jobs = parse_jobs(arg.substr(7));
     } else if (arg.rfind("--max-queue=", 0) == 0) {
@@ -935,12 +816,6 @@ int cmd_serve(const std::vector<std::string>& args) {
     } else if (arg.rfind("--send-timeout=", 0) == 0) {
       options.send_timeout_seconds = static_cast<long>(
           parse_positive_count(arg.substr(15), "--send-timeout", 3600));
-    } else if (arg.rfind("--handshake-timeout=", 0) == 0) {
-      options.handshake_timeout_seconds =
-          parse_timeout_seconds(arg.substr(20), "--handshake-timeout");
-    } else if (arg.rfind("--idle-timeout=", 0) == 0) {
-      options.idle_timeout_seconds =
-          parse_timeout_seconds(arg.substr(15), "--idle-timeout");
     } else {
       // Strict, unlike the synthesis commands: a daemon started with a
       // typo'd flag would silently serve with the wrong configuration until
@@ -948,29 +823,10 @@ int cmd_serve(const std::vector<std::string>& args) {
       throw punt::Error("unknown punt serve flag '" + arg + "'");
     }
   }
-  if (socket_path.empty() == listen.empty()) {
-    throw punt::Error("punt serve needs exactly one of --socket=<path> (Unix "
-                      "socket) or --listen=tcp://<addr>:<port> (authenticated "
-                      "TCP; requires --token-file)");
+  if (socket_path.empty()) {
+    throw punt::Error("punt serve needs --socket=<path> naming its Unix socket");
   }
-  if (!socket_path.empty()) {
-    options.endpoint = punt::server::unix_endpoint(socket_path);
-  } else {
-    options.endpoint = punt::server::parse_endpoint(listen);
-    if (options.endpoint.transport != punt::server::Transport::Tcp) {
-      throw punt::Error("--listen=" + listen + " is not a tcp:// endpoint; "
-                        "use --socket=<path> for a Unix socket");
-    }
-  }
-  if (!token_path.empty()) options.token = read_token_file(token_path);
-  // An unauthenticated TCP daemon is also refused by Server::start(); the
-  // earlier CLI-level check just gives the flag-shaped diagnostic.
-  if (options.endpoint.transport == punt::server::Transport::Tcp &&
-      options.token.empty()) {
-    throw punt::Error("punt serve --listen=tcp://... requires --token-file=<file> "
-                      "holding the shared auth token (the daemon refuses to "
-                      "serve the network unauthenticated)");
-  }
+  options.endpoint = punt::server::unix_endpoint(socket_path);
   punt::server::Server server(std::move(options));
   server.start();
   // RAII so an error path (serve() throwing) also detaches the handlers
@@ -988,12 +844,7 @@ int cmd_serve(const std::vector<std::string>& args) {
       g_server = nullptr;
     }
   } signal_guard(&server);
-  const punt::server::Endpoint& bound = server.endpoint();
-  std::fprintf(stderr, "punt serve: listening on %s%s, %zu job(s)\n",
-               bound.describe().c_str(),
-               bound.transport == punt::server::Transport::Tcp
-                   ? " (HMAC-authenticated)"
-                   : "",
+  std::fprintf(stderr, "punt serve: listening on %s, %zu job(s)\n", socket_path.c_str(),
                server.jobs());
   server.serve();
   std::fprintf(stderr, "punt serve: drained; served %zu request(s)\n",
@@ -1003,186 +854,44 @@ int cmd_serve(const std::vector<std::string>& args) {
 }
 
 int cmd_ping(const std::vector<std::string>& args) {
-  const std::string target = connect_target(args);
-  if (target.empty()) {
-    throw punt::Error("punt ping needs --connect=<endpoint> naming the daemon");
+  reject_unknown_flags(args, "ping", /*synthesis=*/false, {"--connect="});
+  const std::string socket = connect_target(args);
+  if (socket.empty()) {
+    throw punt::Error("punt ping needs --connect=<socket> naming the daemon");
   }
   punt::server::Request request;
   request.op = punt::server::Op::Ping;
-  return run_client(resolve_connect(target, args), request);
+  return run_client(socket, request);
 }
 
 int cmd_shutdown(const std::vector<std::string>& args) {
-  const std::string target = connect_target(args);
-  if (target.empty()) {
-    throw punt::Error("punt shutdown needs --connect=<endpoint> naming the daemon");
+  reject_unknown_flags(args, "shutdown", /*synthesis=*/false, {"--connect="});
+  const std::string socket = connect_target(args);
+  if (socket.empty()) {
+    throw punt::Error("punt shutdown needs --connect=<socket> naming the daemon");
   }
   punt::server::Request request;
   request.op = punt::server::Op::Shutdown;
-  const int exit_code = run_client(resolve_connect(target, args), request);
+  const int exit_code = run_client(socket, request);
   std::fprintf(stderr, "server at %s acknowledged shutdown; it drains in-flight "
-               "requests and exits\n", target.c_str());
+               "requests and exits\n", socket.c_str());
   return exit_code;
 }
 
 int cmd_cache(const std::vector<std::string>& args) {
   if (args.empty() || args[0] != "stats") return usage();
   const std::vector<std::string> rest{args.begin() + 1, args.end()};
-  const std::string target = connect_target(rest);
-  if (target.empty()) {
-    throw punt::Error("punt cache stats needs --connect=<endpoint> naming the daemon");
+  reject_unknown_flags(rest, "cache stats", /*synthesis=*/false, {"--connect="});
+  const std::string socket = connect_target(rest);
+  if (socket.empty()) {
+    throw punt::Error("punt cache stats needs --connect=<socket> naming the daemon");
   }
   punt::server::Request request;
   request.op = punt::server::Op::CacheStats;
-  return run_client(resolve_connect(target, rest), request);
-}
-
-// --- punt bench serve ---------------------------------------------------------
-
-int cmd_bench_serve(const std::vector<std::string>& args) {
-  punt::benchmarks::LoadgenOptions load;
-  punt::server::ServerOptions daemon;
-  daemon.jobs = 0;  // a self-spawned daemon defaults to the hardware width
-  std::string connect;
-  std::string listen;
-  std::string token_path;
-  std::string json_path;
-  bool daemon_flags = false;
-  for (const std::string& arg : args) {
-    if (arg.rfind("--connect=", 0) == 0) {
-      connect = arg.substr(10);
-    } else if (arg.rfind("--listen=", 0) == 0) {
-      // Transport of the *self-spawned* daemon: "tcp" picks loopback with an
-      // ephemeral port and a throwaway token; a full tcp:// endpoint pins
-      // the address.  (Without --listen the private Unix socket of PR 6.)
-      listen = arg.substr(9);
-      daemon_flags = true;
-    } else if (arg.rfind("--token-file=", 0) == 0) {
-      token_path = token_file_path({arg});  // shares the validation
-    } else if (arg.rfind("--clients=", 0) == 0) {
-      load.clients = parse_positive_count(arg.substr(10), "--clients", 256);
-    } else if (arg.rfind("--duration=", 0) == 0) {
-      load.duration_seconds = parse_seconds(arg.substr(11), "--duration", 3600);
-    } else if (arg == "--no-warmup") {
-      load.warmup = false;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-      if (json_path.empty()) {
-        throw punt::Error("--json needs a file path (e.g. --json=BENCH_serve.json)");
-      }
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      daemon.jobs = parse_jobs(arg.substr(7));
-      daemon_flags = true;
-    } else if (arg.rfind("--max-queue=", 0) == 0) {
-      daemon.max_queue = parse_positive_count(arg.substr(12), "--max-queue", 65536);
-      daemon_flags = true;
-    } else {
-      // Strict like `punt serve`: a typo'd flag would silently bench the
-      // wrong configuration.
-      throw punt::Error("unknown punt bench serve flag '" + arg + "'");
-    }
-  }
-  if (!connect.empty() && daemon_flags) {
-    throw punt::Error(
-        "--jobs/--max-queue/--listen configure the self-spawned "
-        "daemon; with --connect they belong to the already-running `punt serve`");
-  }
-
-  // Without --connect, spawn the daemon in-process on a private endpoint so
-  // one command measures a fresh, correctly-configured server end to end.
-  std::unique_ptr<punt::server::Server> server;
-  std::thread serve_thread;
-  std::exception_ptr serve_error;
-  if (connect.empty()) {
-    if (listen.empty()) {
-      daemon.endpoint = punt::server::unix_endpoint(
-          "/tmp/punt-bench-serve-" + std::to_string(::getpid()) + ".sock");
-    } else {
-      // "tcp" shorthand: loopback, kernel-assigned port — the transport-
-      // overhead measurement needs no pinned address.
-      daemon.endpoint = listen == "tcp"
-                            ? punt::server::tcp_endpoint("127.0.0.1", 0)
-                            : punt::server::parse_endpoint(listen);
-      if (daemon.endpoint.transport != punt::server::Transport::Tcp) {
-        throw punt::Error("--listen=" + listen + " is not a tcp endpoint; the "
-                          "self-spawned bench daemon is Unix by default");
-      }
-      // A throwaway token: the daemon lives and dies inside this process,
-      // so the secret never needs to leave it (a --token-file can still pin
-      // one, e.g. to drive the same run from outside).
-      daemon.token = token_path.empty() ? punt::util::random_hex(16)
-                                        : read_token_file(token_path);
-    }
-    load.token = daemon.token;
-    server = std::make_unique<punt::server::Server>(daemon);
-    server->start();
-    // Connect (and bench) against the *bound* endpoint: for tcp port 0 this
-    // carries the kernel-assigned port.
-    load.endpoint = server->endpoint();
-    serve_thread = std::thread([&server, &serve_error] {
-      try {
-        server->serve();
-      } catch (...) {
-        serve_error = std::current_exception();
-      }
-    });
-    std::fprintf(stderr,
-                 "punt bench serve: in-process daemon on %s, %zu job(s), "
-                 "at most %zu synth request(s) at once\n",
-                 server->endpoint().describe().c_str(), server->jobs(),
-                 daemon.max_queue);
-  } else {
-    load.endpoint = punt::server::parse_endpoint(connect);
-    if (!token_path.empty()) load.token = read_token_file(token_path);
-    if (load.endpoint.transport == punt::server::Transport::Tcp &&
-        load.token.empty()) {
-      throw punt::Error("--connect=" + connect + " is a TCP endpoint; pass "
-                        "--token-file=<file> with the daemon's shared auth token");
-    }
-  }
-  struct DaemonGuard {
-    punt::server::Server* server;
-    std::thread* thread;
-    ~DaemonGuard() {
-      if (server != nullptr) {
-        server->request_stop();
-        if (thread->joinable()) thread->join();
-      }
-    }
-  } daemon_guard{server.get(), &serve_thread};
-
-  const punt::benchmarks::ServeBenchReport report = punt::benchmarks::run_loadgen(load);
-  std::printf("%s", punt::benchmarks::format_serve_summary(report).c_str());
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) throw punt::Error("cannot write '" + json_path + "'");
-    out << punt::benchmarks::to_json(report);
-    if (!out.flush()) throw punt::Error("short write to '" + json_path + "'");
-    std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-  }
-
-  if (server != nullptr) {
-    server->request_stop();
-    serve_thread.join();
-    daemon_guard.server = nullptr;
-    if (serve_error) std::rethrow_exception(serve_error);
-  }
-  if (report.completed == 0) {
-    std::fprintf(stderr, "error: no request completed inside the window\n");
-    return 2;
-  }
-  if (report.transport_errors > 0) {
-    std::fprintf(stderr, "error: %zu transport error(s) during the measured window\n",
-                 report.transport_errors);
-    return 2;
-  }
-  return 0;
+  return run_client(socket, request);
 }
 
 int cmd_bench(const std::vector<std::string>& args) {
-  if (!args.empty() && args[0] == "serve") {
-    return cmd_bench_serve({args.begin() + 1, args.end()});
-  }
   if (!args.empty() && args[0] == "run") {
     return cmd_bench_run({args.begin() + 1, args.end()});
   }
@@ -1190,6 +899,7 @@ int cmd_bench(const std::vector<std::string>& args) {
     return cmd_bench_lint({args.begin() + 1, args.end()});
   }
   if (!args.empty() && args[0] == "list") {
+    reject_unknown_flags({args.begin() + 1, args.end()}, "bench list", /*synthesis=*/false, {});
     for (const auto& bench : punt::benchmarks::table1()) {
       std::printf("%-24s %3zu signals  # %s\n", bench.name.c_str(), bench.signals,
                   bench.note.c_str());
@@ -1197,6 +907,7 @@ int cmd_bench(const std::vector<std::string>& args) {
     return 0;
   }
   if (args.size() >= 2 && args[0] == "dump") {
+    reject_unknown_flags({args.begin() + 2, args.end()}, "bench dump", /*synthesis=*/false, {});
     std::printf("%s", punt::stg::write_g(punt::benchmarks::find(args[1]).make()).c_str());
     return 0;
   }
@@ -1219,8 +930,10 @@ int main(int argc, char** argv) {
     if (command == "lint" && args.size() >= 2) {
       return cmd_lint({args.begin() + 1, args.end()});
     }
-    if (command == "resolve" && args.size() >= 2) return cmd_resolve(args[1]);
-    if (command == "trace" && args.size() >= 2) return cmd_trace(args[1]);
+    if ((command == "resolve" || command == "trace") && args.size() >= 2) {
+      reject_unknown_flags({args.begin() + 2, args.end()}, command, /*synthesis=*/false, {});
+      return command == "resolve" ? cmd_resolve(args[1]) : cmd_trace(args[1]);
+    }
     if (command == "bench") return cmd_bench({args.begin() + 1, args.end()});
     if (command == "cache") return cmd_cache({args.begin() + 1, args.end()});
     if (command == "serve") return cmd_serve({args.begin() + 1, args.end()});
