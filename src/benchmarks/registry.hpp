@@ -22,9 +22,10 @@ struct Benchmark {
   std::function<stg::Stg()> make; // our substitute spec (same signal count)
   std::string note;               // what the substitute is built from
 
-  // Paper-reported reference values (seconds / literals), for EXPERIMENTS.md
-  // side-by-side tables.  LitCnt for "other tools" keeps the first number of
-  // entries like "20/17".
+  // Paper-reported reference values (seconds / literals).  `punt bench run`
+  // prints paperTot and papLit beside the measured columns (report.hpp), and
+  // tests/benchmarks_test.cpp pins the two literal totals, 592 and 580.
+  // LitCnt for "other tools" keeps the first number of entries like "20/17".
   double paper_unf_time = 0;
   double paper_syn_time = 0;
   double paper_esp_time = 0;

@@ -1,6 +1,6 @@
-// Table-1 reporting: one formatting/serialisation helper shared by
-// `punt bench run` and bench/table1_acg.cpp, so the paper-column comparison
-// (paperTot / papLit) exists in exactly one place.
+// Table-1 reporting: the formatting and serialisation behind `punt bench
+// run`, the one place that knows the paper-column comparison (paperTot /
+// papLit).
 #pragma once
 
 #include <cstddef>
@@ -43,9 +43,8 @@ struct Table1Report {
 Table1Report make_report(const core::BatchResult& batch);
 
 /// The human Table-1 table: header, one line per row (error text for failed
-/// rows), separator and a Total line.  Shared by `punt bench run` and
-/// bench_table1_acg — callers append their own footers (wall clock,
-/// speedups).
+/// rows), separator and a Total line.  `punt bench run` appends its own
+/// footer (wall clock and critical path).
 std::string format_table1(const Table1Report& report);
 
 /// JSON serialisation of a report ("punt-table1-report" schema, version 2;

@@ -1,9 +1,9 @@
 // ModelCache — shared semantic models across synthesis runs (DESIGN.md §8).
 //
 // Phase 1 (unfolding-segment or state-graph construction) dominates the
-// per-benchmark cost, yet repeated workloads — `punt check`, the
-// exact-vs-approx ablation, the A4 architecture sweep — rebuild the same
-// model three or more times per STG.  The cache maps
+// per-benchmark cost, yet repeated workloads — `punt check`, exact and
+// approximate synthesis of one STG, a sweep over the three architectures —
+// rebuild the same model three or more times per STG.  The cache maps
 //
 //   (canonical STG digest, model kind, model-affecting options)
 //     → shared immutable SemanticModel
@@ -40,7 +40,8 @@
 
 namespace punt::core {
 
-/// Lookup statistics, folded into the timing reports of the benches.
+/// Lookup statistics, reported by `punt serve` (per request and in `punt
+/// cache stats`), `punt check` and `punt bench lint --deep`.
 /// Mostly monotonic counters; `in_flight` and `resident` are gauges
 /// snapshotted when stats() is called.
 struct ModelCacheStats {

@@ -52,7 +52,7 @@ class ModelCache;  // model_cache.hpp; forward-declared to avoid a cycle
 /// change what SemanticModel::build() produces.  Everything else in
 /// SynthesisOptions (architecture, approximation policy, minimisation,
 /// cut budget, CSC handling, jobs) only steers the per-signal derivation, so
-/// A1/A4 architecture variants — and the exact and approximate unfolding
+/// the architecture variants — and the exact and approximate unfolding
 /// methods, which consume the same segment — of one STG share one model.
 struct ModelOptions {
   /// Which semantic object phase 1 constructs.  Method::UnfoldingApprox and
@@ -194,7 +194,7 @@ struct BatchOptions {
   /// Worker threads across the union graph; 1 = inline, 0 = hardware default.
   std::size_t jobs = 1;
   /// Optional shared model cache.  Entries of one batch — and successive
-  /// batches over the same STGs (the A4 architecture sweep) — then share
+  /// batches over the same STGs (an architecture sweep) — then share
   /// one SemanticModel per distinct (STG, model options) pair.  Within a
   /// batch, repeats of one key *depend on* the first builder's node instead
   /// of racing it: distinct keys get built first and duplicate entries

@@ -22,7 +22,8 @@
 
 namespace punt::logic {
 
-/// Size bookkeeping for reports and the ablation bench.
+/// Size bookkeeping: cube and literal counts before and after minimisation
+/// (kept per signal in SignalImplementation::min_stats; perfbench sums them).
 struct MinimizeStats {
   std::size_t initial_cubes = 0;
   std::size_t initial_literals = 0;

@@ -1,5 +1,5 @@
-// Wall-clock stopwatch used by the benchmark harnesses to reproduce the
-// paper's UnfTim / SynTim / EspTim / TotTim columns.
+// Wall-clock and thread-CPU stopwatches behind the pipeline's UnfTim /
+// SynTim / EspTim / TotTim columns and the executor's per-node trace times.
 #pragma once
 
 #include <chrono>

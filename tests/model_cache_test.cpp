@@ -291,7 +291,7 @@ TEST(ModelCachePipeline, CacheOnMatchesCacheOffAcrossTheRegistry) {
   const BatchResult cached = synthesize_batch(stgs, with_cache);
   const BatchResult fresh = synthesize_batch(stgs, without_cache);
   // A second cached sweep is served entirely from the cache and must still
-  // match (this is the `punt check` / ablation reuse pattern).
+  // match (the reuse pattern of `punt check` and of a warm `punt serve`).
   const BatchResult cached_again = synthesize_batch(stgs, with_cache);
   EXPECT_EQ(cache.stats().misses, registry.size());
   EXPECT_EQ(cache.stats().hits, registry.size());

@@ -238,6 +238,15 @@ TEST(Unfolding, MullerSegmentGrowsAtMostQuadratically) {
   // ... while the SG grows exponentially (see sg_test); the segment for 16
   // stages stays small.
   EXPECT_LT(u16.stats().events, 500u);
+  // The paper's premise (§3.1): past the registry sizes the segment stays a
+  // few hundred events where the state graph outgrows a 20,000-state budget.
+  sg::BuildOptions sg_options;
+  sg_options.state_budget = 20000;
+  for (const auto& [spec, events] : {std::pair{stg::make_muller_pipeline(24), 326u},
+                                     std::pair{stg::make_counterflow_pipeline(16), 308u}}) {
+    EXPECT_EQ(Unfolding::build(spec).stats().events, events);
+    EXPECT_THROW(sg::StateGraph::build(spec, sg_options), CapacityError);
+  }
 }
 
 TEST(Unfolding, EventBudgetEnforced) {

@@ -78,8 +78,13 @@
 // hit/rebuild summary to stderr.  Every command refuses an unknown flag or
 // a stray operand with `unknown punt <command> flag`.
 //
-// Exit status: 0 on success, 1 on usage errors, 2 when the specification is
-// not implementable (with a diagnostic on stderr).
+// Exit status: 0 on success.  1 on a usage error (no command, an unknown
+// command or subcommand, a missing operand), when `punt lint` reports an
+// error-severity finding, and when a `punt bench lint` check fails.  2 on
+// every other error, with a diagnostic on stderr: an unknown flag, an
+// unreadable file, a bad --jobs value, a specification that is not
+// implementable, failed `punt bench run` rows.  A --connect client exits
+// with the daemon's status for its request.
 #include <algorithm>
 #include <array>
 #include <chrono>
