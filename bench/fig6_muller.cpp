@@ -10,9 +10,10 @@
 //
 // PUNT runs past the paper's 60 signals, up to 120, and the sweep stops
 // after the first point whose PUNT time exceeds a fixed budget.  Each point
-// prints the segment's events and the unfold and derive times, and the
-// sweep ends with the slope of log(derive) against log(events) from 29
-// stages up; the smaller points take milliseconds, too little to fit.
+// prints the segment's events, the unfold and derive times and the
+// refinement iterations summed over its signals, and the sweep ends with
+// the slope of log(derive) against log(events) from 29 stages up; the
+// smaller points take milliseconds, too little to fit.
 //
 // The circled dot of Fig. 6 — the 34-signal counterflow pipeline — is
 // reproduced as the final rows.
@@ -48,6 +49,7 @@ struct PuntPoint {
   std::size_t events = 0;
   double unfold_seconds = 0;
   double derive_seconds = 0;
+  std::size_t refinement_iterations = 0;
   double total_seconds = 0;
 };
 
@@ -57,7 +59,7 @@ PuntPoint punt_run(const punt::stg::Stg& stg) {
   options.method = Method::UnfoldingApprox;
   const punt::core::SynthesisResult result = punt::core::synthesize(stg, options);
   return {result.unfold_stats.events, result.unfold_seconds, result.derive_seconds,
-          sw.seconds()};
+          result.refinement_iterations, sw.seconds()};
 }
 
 /// Returns negative when the probe found more than kSgStateThreshold states
@@ -113,8 +115,9 @@ void print_exponent(const char* what, const char* against,
 
 void print_row(const char* label, std::size_t signals, const PuntPoint& punt, double sg_seconds,
                std::size_t sg_states) {
-  std::printf("%8s %8zu %8zu | %8.3f %8.3f %8.3f | ", label, signals, punt.events,
-              punt.unfold_seconds, punt.derive_seconds, punt.total_seconds);
+  std::printf("%8s %8zu %8zu | %8.3f %8.3f %8zu %8.3f | ", label, signals, punt.events,
+              punt.unfold_seconds, punt.derive_seconds, punt.refinement_iterations,
+              punt.total_seconds);
   if (sg_seconds >= 0) {
     std::printf("%22.3f %10zu\n", sg_seconds, sg_states);
   } else {
@@ -126,10 +129,10 @@ void print_row(const char* label, std::size_t signals, const PuntPoint& punt, do
 
 int main() {
   std::printf("Figure 6 — Muller pipeline scalability (time in seconds)\n\n");
-  std::printf("%8s %8s %8s | %8s %8s %8s | %22s %10s\n", "stages", "signals", "events",
-              "unfold", "derive", "PUNT", "SG-flow", "SG-states");
+  std::printf("%8s %8s %8s | %8s %8s %8s %8s | %22s %10s\n", "stages", "signals", "events",
+              "unfold", "derive", "refine", "PUNT", "SG-flow", "SG-states");
   std::printf("---------------------------------------------------------------------------"
-              "---------------\n");
+              "------------------------\n");
 
   std::vector<std::pair<double, double>> punt_points;
   std::vector<std::pair<double, double>> sg_points;

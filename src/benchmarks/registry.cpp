@@ -16,72 +16,54 @@ std::vector<Benchmark> build_table1() {
 
   std::vector<Benchmark> rows;
   auto add = [&rows](std::string name, std::size_t sigs, std::function<stg::Stg()> make,
-                     std::string note, double unf, double syn, double esp, double tot,
-                     std::size_t lit, double petrify, double sis, std::size_t lit2) {
+                     std::string note, double tot, std::size_t lit, std::size_t lit2) {
     Benchmark b;
     b.name = std::move(name);
     b.signals = sigs;
     b.make = std::move(make);
     b.note = std::move(note);
-    b.paper_unf_time = unf;
-    b.paper_syn_time = syn;
-    b.paper_esp_time = esp;
     b.paper_total_time = tot;
     b.paper_literals = lit;
-    b.paper_petrify_time = petrify;
-    b.paper_sis_time = sis;
     b.paper_other_literals = lit2;
     rows.push_back(std::move(b));
   };
 
   using V = std::vector<std::size_t>;
   add("imec-master-read.csc", 18,
-      [] { return choice_controller("imec-master-read.csc", V{8, 8}); }, kChoice,
-      0.39, 73.56, 3.05, 77.00, 83, 125.66, 630.52, 69);
+      [] { return choice_controller("imec-master-read.csc", V{8, 8}); }, kChoice, 77.00, 83, 69);
   add("nowick.asn", 7, [] { return choice_controller("nowick.asn", V{2, 3}); }, kChoice,
-      0.02, 0.26, 0.69, 0.97, 17, 1.44, 0.51, 20);
-  add("nowick", 6, [] { return choice_controller("nowick", V{2, 2}); }, kChoice,
-      0.02, 0.17, 0.38, 0.57, 15, 1.10, 0.23, 14);
-  add("par_4.csc", 14, [] { return fork_join("par_4.csc", V{3, 3, 3, 4}); }, kFork,
-      0.03, 1.12, 2.48, 3.63, 36, 12.31, 168.55, 36);
+      0.97, 17, 20);
+  add("nowick", 6, [] { return choice_controller("nowick", V{2, 2}); }, kChoice, 0.57, 15, 14);
+  add("par_4.csc", 14, [] { return fork_join("par_4.csc", V{3, 3, 3, 4}); }, kFork, 3.63, 36, 36);
   add("sis-master-read.csc", 14,
-      [] { return choice_controller("sis-master-read.csc", V{6, 6}); }, kChoice,
-      0.16, 4.53, 1.09, 5.78, 48, 27.09, 130.66, 48);
+      [] { return choice_controller("sis-master-read.csc", V{6, 6}); }, kChoice, 5.78, 48, 48);
   add("tsbmSIBRK", 25, [] { return choice_controller("tsbmSIBRK", V{8, 7, 7}); },
-      kChoice, 0.44, 37.64, 4.62, 42.70, 72, 299.90, 141.51, 72);
+      kChoice, 42.70, 72, 72);
   add("pn_stg_example", 6,
-      [] { return fork_join("pn_stg_example", V{1, 1, 1, 1, 1}); }, kFork,
-      0.01, 0.19, 1.57, 1.77, 19, 4.20, 6.84, 19);
+      [] { return fork_join("pn_stg_example", V{1, 1, 1, 1, 1}); }, kFork, 1.77, 19, 19);
   add("forever_ordered", 8, [] { return handshake_chain("forever_ordered", 8); },
-      kChain, 0.03, 0.31, 1.12, 1.46, 20, 5.24, 8.81, 16);
+      kChain, 1.46, 20, 16);
   add("alloc-outbound", 9, [] { return choice_controller("alloc-outbound", V{3, 4}); },
-      kChoice, 0.05, 0.32, 0.48, 0.85, 16, 1.75, 1.53, 16);
+      kChoice, 0.85, 16, 16);
   add("mp-forward-pkt", 20,
-      [] { return fork_join("mp-forward-pkt", V{5, 5, 5, 4}); }, kFork,
-      0.02, 0.34, 0.47, 0.83, 17, 1.50, 0.22, 17);
-  add("nak-pa", 10, [] { return choice_controller("nak-pa", V{4, 4}); }, kChoice,
-      0.02, 0.37, 0.57, 0.96, 20, 2.28, 0.29, 20);
+      [] { return fork_join("mp-forward-pkt", V{5, 5, 5, 4}); }, kFork, 0.83, 17, 17);
+  add("nak-pa", 10, [] { return choice_controller("nak-pa", V{4, 4}); }, kChoice, 0.96, 20, 20);
   add("pe-send-ifc", 17, [] { return choice_controller("pe-send-ifc", V{7, 8}); },
-      kChoice, 0.12, 1.91, 0.50, 2.53, 68, 19.50, 1.16, 75);
+      kChoice, 2.53, 68, 75);
   add("ram-read-sbuf", 11,
-      [] { return fork_join("ram-read-sbuf", V{2, 2, 2, 2, 2}); }, kFork,
-      0.02, 0.48, 0.58, 1.08, 25, 3.28, 0.26, 22);
-  add("rcv-setup", 5, [] { return choice_controller("rcv-setup", V{2, 1}); }, kChoice,
-      0.02, 0.06, 0.17, 0.25, 8, 0.72, 0.14, 8);
-  add("sbuf-ram-write", 12, [] { return stg::make_muller_pipeline(11); }, kPipe,
-      0.04, 0.80, 0.64, 1.48, 23, 4.04, 0.38, 23);
+      [] { return fork_join("ram-read-sbuf", V{2, 2, 2, 2, 2}); }, kFork, 1.08, 25, 22);
+  add("rcv-setup", 5, [] { return choice_controller("rcv-setup", V{2, 1}); }, kChoice, 0.25, 8, 8);
+  add("sbuf-ram-write", 12, [] { return stg::make_muller_pipeline(11); }, kPipe, 1.48, 23, 23);
   add("sbuf-read-ctl.old", 8, [] { return fork_join("sbuf-read-ctl.old", V{3, 4}); },
-      kFork, 0.03, 0.36, 0.47, 0.86, 15, 1.29, 0.19, 15);
-  add("sbuf-read-ctl", 8, [] { return stg::make_muller_pipeline(7); }, kPipe,
-      0.02, 0.22, 0.47, 0.71, 15, 0.99, 0.16, 15);
+      kFork, 0.86, 15, 15);
+  add("sbuf-read-ctl", 8, [] { return stg::make_muller_pipeline(7); }, kPipe, 0.71, 15, 15);
   add("sbuf-send-ctl", 8, [] { return choice_controller("sbuf-send-ctl", V{3, 3}); },
-      kChoice, 0.02, 0.37, 0.49, 0.88, 19, 1.95, 0.21, 19);
+      kChoice, 0.88, 19, 19);
   add("sbuf-send-pkt2", 9, [] { return fork_join("sbuf-send-pkt2", V{2, 2, 2, 2}); },
-      kFork, 0.02, 0.49, 0.48, 0.99, 19, 2.16, 0.23, 19);
+      kFork, 0.99, 19, 19);
   add("sbuf-send-pkt2.yun", 9, [] { return fork_join("sbuf-send-pkt2.yun", V{4, 4}); },
-      kFork, 0.04, 0.58, 0.45, 1.07, 31, 3.43, 0.26, 31);
-  add("sendr-done", 4, [] { return handshake_chain("sendr-done", 4); }, kChain,
-      0.02, 0.02, 0.19, 0.23, 6, 0.33, 0.14, 6);
+      kFork, 1.07, 31, 31);
+  add("sendr-done", 4, [] { return handshake_chain("sendr-done", 4); }, kChain, 0.23, 6, 6);
   return rows;
 }
 

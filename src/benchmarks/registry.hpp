@@ -26,13 +26,8 @@ struct Benchmark {
   // prints paperTot and papLit beside the measured columns (report.hpp), and
   // tests/benchmarks_test.cpp pins the two literal totals, 592 and 580.
   // LitCnt for "other tools" keeps the first number of entries like "20/17".
-  double paper_unf_time = 0;
-  double paper_syn_time = 0;
-  double paper_esp_time = 0;
   double paper_total_time = 0;
   std::size_t paper_literals = 0;
-  double paper_petrify_time = 0;
-  double paper_sis_time = 0;
   std::size_t paper_other_literals = 0;
 };
 

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/core/slices.hpp"
@@ -51,23 +52,38 @@ struct SliceElement {
   static SliceElement of(unf::ConditionId c) { return SliceElement{false, {}, c}; }
 };
 
-/// One contribution to an approximated cover, refined independently.
+/// One contribution to an approximated cover, refined independently: the
+/// cubes [first, first + count) of its owner's cube array.
 struct CoverAtom {
   SliceElement element;
   std::size_t slice_index = 0;  // into ApproxCover::slices
-  logic::Cover cover;
+  std::size_t first = 0;
+  std::size_t count = 0;
 };
 
 /// The approximated cover of one signal's on- or off-set, kept in atom form
 /// so refinement can re-constrain individual pieces.
+///
+/// Every atom cube is packed (DESIGN.md §5): ⌈variables/64⌉ code words, then
+/// as many DC words, bit v%64 of word v/64 standing for variable v.  A code
+/// bit under a DC bit is clear, and so is every bit past the last variable,
+/// so equal cubes have equal words.
 struct ApproxCover {
   stg::SignalId signal;
   bool value = true;
+  std::size_t variables = 0;
   std::vector<Slice> slices;
   std::vector<Bitset> slice_event_sets;  // slice_events of each slice
   std::vector<CoverAtom> atoms;
+  std::vector<std::uint64_t> cubes;  // the atom cubes, packed; a refined atom's
+                                     // cubes replace its range at the end
 
-  /// Union of all atom covers (single-cube containment removed).
+  /// The cubes of atom k, in order.
+  logic::Cover cover(std::size_t k) const;
+
+  /// Union of all atom covers with single-cube containment removed: the
+  /// cubes, in order, that adding every atom's cover in atom order and
+  /// then calling make_irredundant_scc keeps.
   logic::Cover combined(std::size_t variable_count) const;
 };
 
@@ -87,8 +103,8 @@ std::vector<Bitset> concurrent_signals(const unf::Unfolding& unf,
 
 /// concurrent_signals(unf, {c}, slice_events(unf, slice)) for a condition
 /// `c` sequential to the slice's entry, read from the segment's instance
-/// ranks with one comparison per signal (DESIGN.md §5).  Valid only when
-/// every signal's instances form a causal chain
+/// ranks and successor rows with one bit per signal (DESIGN.md §5).  Valid
+/// only when every signal's instances form a causal chain
 /// (!unf.branching_signal().valid()); approximate_cover takes this path
 /// then, and the fold otherwise.
 Bitset ranked_concurrent_signals(const unf::Unfolding& unf, unf::ConditionId c,
@@ -123,11 +139,12 @@ std::vector<unf::ConditionId> refining_set(const unf::Unfolding& unf,
 logic::Cube refinement_mr_cover(const unf::Unfolding& unf, unf::ConditionId c,
                                 const SliceElement& element, const Bitset& slice_events);
 
-/// One refinement step: intersects the atom's cover with the sum of
-/// restricted MR covers over P'r (Fig. 4(c): refining the d e' cover of p5
-/// w.r.t. signal a yields a c' d e' + b c d e').  Returns true when the
-/// cover changed.
-bool refine_atom(const unf::Unfolding& unf, const ApproxCover& owner, CoverAtom& atom,
+/// One refinement step on owner.atoms[k]: intersects the atom's cover with
+/// the sum of restricted MR covers over P'r (Fig. 4(c): refining the d e'
+/// cover of p5 w.r.t. signal a yields a c' d e' + b c d e').  A refined
+/// atom keeps its cubes normalized (Cover::normalize).  Returns true when
+/// the cover changed.
+bool refine_atom(const unf::Unfolding& unf, ApproxCover& owner, std::size_t k,
                  stg::SignalId offending);
 
 // --- Whole-signal approximation and refinement ------------------------------

@@ -175,16 +175,16 @@ void DeriveTask::run(const PipelineContext& context) {
         impl.off_cover = std::move(stats.off_union);
         if (need_er) {
           // The refined excitation atoms are the approximated ER covers.
-          er_on = Cover(n);
-          for (const CoverAtom& atom : on.atoms) {
-            if (atom.element.is_event) er_on.add_all(atom.cover);
-          }
-          er_off = Cover(n);
-          for (const CoverAtom& atom : off.atoms) {
-            if (atom.element.is_event) er_off.add_all(atom.cover);
-          }
-          er_on.make_irredundant_scc();
-          er_off.make_irredundant_scc();
+          const auto excitation_atoms = [n](const ApproxCover& approx) {
+            Cover out(n);
+            for (std::size_t k = 0; k < approx.atoms.size(); ++k) {
+              if (approx.atoms[k].element.is_event) out.add_all(approx.cover(k));
+            }
+            out.make_irredundant_scc();
+            return out;
+          };
+          er_on = excitation_atoms(on);
+          er_off = excitation_atoms(off);
         }
       } else {
         // Refinement stalled: restore exactness per slice (DESIGN.md §5).

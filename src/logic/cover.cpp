@@ -155,22 +155,20 @@ std::vector<Cube> complement_rec(const std::vector<Cube>& cubes, ColumnStats& st
   return out;
 }
 
-/// Single-cube containment over the cubes cube_at(0..count): the indices of
-/// the kept cubes, larger cubes first so that removal is a single pass.
-/// Each literal count is computed once, and std::sort over the same keys
-/// permutes the (count, index) pairs exactly as it would the cubes.
-template <typename CubeAt>
-std::vector<std::size_t> scc_kept(std::size_t count, CubeAt cube_at) {
+/// Single-cube containment over `cubes`: the indices of the kept cubes,
+/// larger cubes first so that removal is a single pass.  Each literal count
+/// is computed once, and std::sort over the same keys permutes the (count,
+/// index) pairs exactly as it would the cubes.
+std::vector<std::size_t> scc_kept(const std::vector<Cube>& cubes) {
   std::vector<std::pair<std::size_t, std::size_t>> order;
-  order.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) order.emplace_back(cube_at(i).literal_count(), i);
+  order.reserve(cubes.size());
+  for (std::size_t i = 0; i < cubes.size(); ++i) order.emplace_back(cubes[i].literal_count(), i);
   std::sort(order.begin(), order.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<std::size_t> kept;
   for (const auto& [literals, i] : order) {
-    const Cube& c = cube_at(i);
     if (std::none_of(kept.begin(), kept.end(),
-                     [&](std::size_t k) { return cube_at(k).contains(c); })) {
+                     [&](std::size_t k) { return cubes[k].contains(cubes[i]); })) {
       kept.push_back(i);
     }
   }
@@ -356,26 +354,9 @@ void Cover::remove_duplicates() {
 }
 
 void Cover::make_irredundant_scc() {
-  const auto cube_at = [this](std::size_t k) -> const Cube& { return cubes_[k]; };
   std::vector<Cube> kept;
-  for (const std::size_t i : scc_kept(cubes_.size(), cube_at)) {
-    kept.push_back(std::move(cubes_[i]));
-  }
+  for (const std::size_t i : scc_kept(cubes_)) kept.push_back(std::move(cubes_[i]));
   cubes_ = std::move(kept);
-}
-
-Cover Cover::union_of(std::size_t variable_count, const std::vector<const Cover*>& covers) {
-  std::vector<const Cube*> cubes;
-  for (const Cover* cover : covers) {
-    if (cover->variable_count_ != variable_count) {
-      throw ValidationError("cube width does not match the cover's variable count");
-    }
-    for (const Cube& c : cover->cubes_) cubes.push_back(&c);
-  }
-  const auto cube_at = [&cubes](std::size_t k) -> const Cube& { return *cubes[k]; };
-  Cover out(variable_count);
-  for (const std::size_t i : scc_kept(cubes.size(), cube_at)) out.cubes_.push_back(*cubes[i]);
-  return out;
 }
 
 Cover Cover::cofactor(const Cube& c) const {

@@ -57,11 +57,6 @@ class Cover {
   /// the cubes' relative order (a hash set over the cube words).
   void remove_duplicates();
 
-  /// The covers' union with single-cube containment removed: the cubes, in
-  /// order, that add_all of each cover followed by make_irredundant_scc
-  /// keeps, without copying the cubes it drops.
-  static Cover union_of(std::size_t variable_count, const std::vector<const Cover*>& covers);
-
   /// Shannon cofactor of the cover w.r.t. a cube (the subspace where the
   /// cube's constant literals hold).  Cubes disjoint from `c` are dropped;
   /// surviving cubes get DC at c's constant positions.

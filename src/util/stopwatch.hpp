@@ -12,9 +12,7 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  void restart() { start_ = Clock::now(); }
-
-  /// Elapsed seconds since construction or the last restart().
+  /// Elapsed seconds since construction.
   double seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
@@ -33,9 +31,7 @@ class ThreadCpuStopwatch {
  public:
   ThreadCpuStopwatch() : start_(now()) {}
 
-  void restart() { start_ = now(); }
-
-  /// Elapsed CPU seconds of this thread since construction / restart().
+  /// Elapsed CPU seconds of this thread since construction.
   double seconds() const { return now() - start_; }
 
  private:

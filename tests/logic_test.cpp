@@ -158,26 +158,6 @@ TEST(Cover, SccKeepsTheOrderOfStdSortByLiteralCount) {
   EXPECT_EQ(f.cubes(), expected);
 }
 
-TEST(Cover, UnionOfMatchesAddAllThenScc) {
-  std::vector<Cube> cubes = disjoint_cubes_with_tied_sizes();
-  // Contained cubes and duplicates that the containment pass must drop.
-  cubes.push_back(Cube::from_string("0000000-----"));
-  cubes.push_back(Cube::from_string("000000010000"));
-  cubes.push_back(cubes[17]);
-  std::vector<Cover> parts(9, Cover(12));
-  for (std::size_t i = 0; i < cubes.size(); ++i) parts[i % parts.size()].add(cubes[i]);
-  Cover expected(12);
-  std::vector<const Cover*> pointers;
-  for (const Cover& part : parts) {
-    expected.add_all(part);
-    pointers.push_back(&part);
-  }
-  expected.make_irredundant_scc();
-  EXPECT_EQ(Cover::union_of(12, pointers), expected);
-  EXPECT_LT(expected.cube_count(), cubes.size());
-  EXPECT_THROW(Cover::union_of(11, pointers), ValidationError);
-}
-
 TEST(Cover, TautologyBasics) {
   EXPECT_TRUE(Cover::one(4).tautology());
   EXPECT_FALSE(Cover(4).tautology());
