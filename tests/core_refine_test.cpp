@@ -274,10 +274,12 @@ RefineStats all_pairs_refine(const Unfolding& unf, const ApproxCover& on_owner,
   return stats;
 }
 
-/// The swept specs: every registry row, Muller pipelines of 4, 9, 14 and 29
-/// stages, counterflow pipelines of 3 and 16 stages (cfpp34, Fig. 6's
-/// circled dot), the paper's Fig. 1, Fig. 4(a/b) and Fig. 4(c), and the VME
-/// bus controller.  muller29's last stage takes 55 refinement iterations.
+/// The swept specs: every registry row, Muller pipelines of 4, 9 and 14
+/// stages, a counterflow pipeline of 3 stages, the paper's Fig. 1, Fig. 4(a/b)
+/// and Fig. 4(c), the VME bus controller, and then two long runs: muller29,
+/// whose last stage takes 55 refinement iterations, and cfpp34, the 16-stage
+/// counterflow pipeline of Fig. 6's circled dot.  The long runs come last so
+/// that the other specs keep their parameter indices.
 constexpr int kSweptSpecs = 31;
 
 std::pair<std::string, Stg> swept_spec(int index) {
@@ -290,13 +292,13 @@ std::pair<std::string, Stg> swept_spec(int index) {
     case 0: return {"muller4", stg::make_muller_pipeline(4)};
     case 1: return {"muller9", stg::make_muller_pipeline(9)};
     case 2: return {"muller14", stg::make_muller_pipeline(14)};
-    case 3: return {"muller29", stg::make_muller_pipeline(29)};
-    case 4: return {"counterflow3", stg::make_counterflow_pipeline(3)};
-    case 5: return {"cfpp34", stg::make_counterflow_pipeline(16)};
-    case 6: return {"fig1", stg::make_paper_fig1()};
-    case 7: return {"fig4ab", stg::make_paper_fig4ab()};
-    case 8: return {"fig4c", stg::make_paper_fig4c()};
-    default: return {"vme", stg::make_vme_bus()};
+    case 3: return {"counterflow3", stg::make_counterflow_pipeline(3)};
+    case 4: return {"fig1", stg::make_paper_fig1()};
+    case 5: return {"fig4ab", stg::make_paper_fig4ab()};
+    case 6: return {"fig4c", stg::make_paper_fig4c()};
+    case 7: return {"vme", stg::make_vme_bus()};
+    case 8: return {"muller29", stg::make_muller_pipeline(29)};
+    default: return {"cfpp34", stg::make_counterflow_pipeline(16)};
   }
 }
 
