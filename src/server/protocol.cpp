@@ -93,6 +93,13 @@ std::string to_json(const Request& request) {
     out += std::string(", \"minimize\": ") + (request.minimize ? "true" : "false");
     out += std::string(", \"eqn\": ") + (request.eqn ? "true" : "false");
     out += std::string(", \"verilog\": ") + (request.verilog ? "true" : "false");
+    // Written only when set, so a synth request that uses neither DOT
+    // writer nor a label has the bytes an older client sends.
+    if (request.dot) out += ", \"dot\": true";
+    if (request.unfolding_dot) out += ", \"unfolding_dot\": true";
+    if (request.name != Request::kDefaultName) {
+      out += ", \"name\": \"" + util::json_escape(request.name) + "\"";
+    }
   }
   if (request.op == Op::Lint) {
     out += ", \"files\": [";
@@ -171,6 +178,9 @@ Request request_from_json(std::string_view text) {
     request.minimize = optional_bool(root, "minimize", request.minimize);
     request.eqn = optional_bool(root, "eqn", request.eqn);
     request.verilog = optional_bool(root, "verilog", request.verilog);
+    request.dot = optional_bool(root, "dot", request.dot);
+    request.unfolding_dot = optional_bool(root, "unfolding_dot", request.unfolding_dot);
+    request.name = optional_string(root, "name", request.name);
   }
   if (request.op == Op::Lint) {
     const util::JsonValue& files =

@@ -15,7 +15,10 @@
 // Requests ({"op": ...}):
 //   {"op":"synth","g":<.g text>,
 //    "method":"approx"|"exact"|"sg", "arch":"acg"|"c"|"rs",
-//    "minimize":bool, "eqn":bool, "verilog":bool}   (all but "g" optional)
+//    "minimize":bool, "eqn":bool, "verilog":bool,
+//    "dot":bool, "unfolding_dot":bool, "name":<label>}  (all but "g" optional;
+//    "dot", "unfolding_dot" and "name" are written only when they differ
+//    from false, false and "request.g")
 //   {"op":"check","g":<.g text>}
 //   {"op":"lint","files":[{"name":<label>,"g":<.g text>},...],
 //    "deep":bool, "json":bool, "werror":bool,
@@ -51,11 +54,14 @@ constexpr std::uint32_t kMaxFrameBytes = 16u << 20;  // 16 MiB
 
 enum class Op : std::uint8_t { Synth, Check, Lint, CacheStats, Ping, Shutdown };
 
-/// One decoded request.  The synthesis fields mirror the CLI flags a
-/// `--connect` client forwards; they are carried as validated enums-as-text
-/// (parse_request rejects unknown values, so the service layer never sees
-/// an invalid method/arch).
+/// One decoded request: what `punt synth`, `punt check` and `punt lint`
+/// build from their flags, whether they run it in-process or send it to a
+/// daemon.  Method and arch are carried as validated enums-as-text
+/// (request_from_json rejects unknown values, so the service layer never
+/// sees an invalid method/arch).
 struct Request {
+  static constexpr const char* kDefaultName = "request.g";
+
   /// One spec of a lint batch: the client's filename (a display label on
   /// the server — never opened there) plus the `.g` text it read locally.
   struct LintFile {
@@ -70,6 +76,9 @@ struct Request {
   bool minimize = true;           // synth: run espresso
   bool eqn = false;               // synth: explicit .eqn writer
   bool verilog = false;           // synth: Verilog writer
+  bool dot = false;               // synth: the STG as Graphviz DOT
+  bool unfolding_dot = false;     // synth: the unfolding segment as DOT
+  std::string name = kDefaultName;  // synth: the label lint refusals show
   std::vector<LintFile> lint_files;            // lint: the batch, in order
   bool lint_deep = false;                      // lint: semantic tier too
   bool lint_json = false;                      // lint: one v2 JSON document

@@ -31,9 +31,7 @@ std::string errno_text() { return std::string(std::strerror(errno)); }
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      cache_(std::make_shared<core::ModelCache>(options_.cache_capacity == 0
-                                                    ? core::ModelCache::kDefaultCapacity
-                                                    : options_.cache_capacity)),
+      cache_(std::make_shared<core::ModelCache>()),
       executor_(options_.jobs),
       listener_(options_.endpoint.path) {
   // Self-pipe for the accept loop: non-blocking (a full pipe must not block
@@ -144,7 +142,7 @@ BatcherStats Server::batcher_stats() const {
 }
 
 Response Server::synth(const SynthJob& job) {
-  if (!job.ok) return run_synth(job, cache_.get(), &executor_);
+  if (!job.ok) return job.failure;
   bool alone = false;
   {
     std::lock_guard<std::mutex> lock(admission_mutex_);
@@ -234,7 +232,9 @@ void Server::handle_connection(int fd) {
     bool shutdown = false;
     try {
       Request request = request_from_json(payload);
-      switch (request.op) {
+      const Op op = request.op;
+      const core::ModelCacheStats before = cache_->stats();
+      switch (op) {
         case Op::Synth:
           // Shed work comes back ok=false and the `!ok` exit below closes
           // the connection, per the protocol contract.
@@ -267,6 +267,12 @@ void Server::handle_connection(int fd) {
           response.ok = true;
           shutdown = true;
           break;
+      }
+      if (op == Op::Synth || op == Op::Check || op == Op::Lint) {
+        // The request's share of the resident cache, the line a client
+        // streams to its stderr.  Concurrent requests' deltas can bleed
+        // into each other; the line is attribution for humans.
+        response.log += core::summarize(core::delta_stats(before, cache_->stats()));
       }
     } catch (const std::exception& e) {
       response = Response{};

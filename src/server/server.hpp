@@ -8,17 +8,17 @@
 // wake, so an idle daemon sleeps indefinitely yet stop/reap requests are
 // honoured immediately) hands each connection to its own thread; every
 // connection thread parses frames, dispatches into server/service.hpp over
-// the *shared* cache and executor, and writes response frames.  A synth
-// request is parsed once (lint admission and the job's Stg share the
-// parse) and runs on its connection thread as a one-entry batch, once it
-// holds one of `max_queue` admission slots; with every slot taken it is
-// shed with an explicit "overloaded" refusal instead of waiting without
-// bound.  A request admitted while no other synth request runs fans its
-// graph out over the resident pool, so a lone large spec keeps its
-// parallelism; one admitted while others run executes inline on its
-// connection thread, since the busy cores gain nothing from a thread hop
-// each way.  Requests for one model key share its build through the
-// cache's in-flight joins, whichever path they take.
+// the *shared* cache and executor, appends the request's cache summary line
+// and writes response frames.  A synth request is parsed once (lint
+// admission and the job's Stg share the parse) and runs on its connection
+// thread as a one-entry batch, once it holds one of `max_queue` admission
+// slots; with every slot taken it is shed with an explicit "overloaded"
+// refusal instead of waiting without bound.  A request admitted while no
+// other synth request runs fans its graph out over the resident pool, so a
+// lone large spec keeps its parallelism; one admitted while others run
+// executes inline on its connection thread, since the busy cores gain
+// nothing from a thread hop each way.  Requests for one model key share
+// its build through the cache's in-flight joins, whichever path they take.
 //
 // Lifecycle: serve() accepts until stop is requested — by a client
 // {"op":"shutdown"} (acknowledged before the drain begins) or by
@@ -48,7 +48,6 @@ struct ServerOptions {
   /// Resident executor width (`--jobs`; 0 = hardware default): the pool a
   /// lone synth request, `check` and deep lint fan out over.
   std::size_t jobs = 1;
-  std::size_t cache_capacity = core::ModelCache::kDefaultCapacity;
   /// How many synth requests may run at once across the daemon
   /// (`--max-queue`); one more is shed with an "overloaded" refusal.
   std::size_t max_queue = 256;

@@ -11,7 +11,10 @@
 #include "src/lint/lint.hpp"
 #include "src/util/diagnostics.hpp"
 #include "src/netlist/netlist.hpp"
+#include "src/stg/dot.hpp"
 #include "src/stg/g_format.hpp"
+#include "src/unfolding/dot.hpp"
+#include "src/unfolding/unfolding.hpp"
 #include "src/util/error.hpp"
 #include "src/util/json.hpp"
 #include "src/util/strings.hpp"
@@ -20,8 +23,34 @@ namespace punt::server {
 namespace {
 
 // Non-truncating (util/strings.hpp): an STG name or diagnostic longer than
-// any stack buffer must still match the direct CLI's printf byte for byte.
+// any stack buffer must still render in full.
 using punt::printf_string;
+
+/// Runs one STG as a one-entry batch on `executor` (inline when null).
+core::BatchEntry run_one(const stg::Stg& stg, const core::SynthesisOptions& options,
+                         core::ModelCache* cache, core::Executor* executor,
+                         util::TaskTrace* trace = nullptr) {
+  core::BatchOptions batch_options;
+  batch_options.cache = cache;
+  batch_options.executor = executor;
+  batch_options.trace = trace;
+  const core::BatchRequest one{&stg, options};
+  core::BatchResult batch =
+      core::synthesize_batch(std::span<const core::BatchRequest>(&one, 1), batch_options);
+  return std::move(batch.entries.front());
+}
+
+/// The entry's result; a failed entry rethrows its own typed exception, so
+/// the callers' catch blocks render what an inline run would have thrown.
+const core::SynthesisResult& result_of(const core::BatchEntry& entry) {
+  if (!entry.ok) {
+    if (entry.exception) std::rethrow_exception(entry.exception);
+    throw Error(entry.error);
+  }
+  return entry.result;
+}
+
+}  // namespace
 
 core::SynthesisOptions options_of(const Request& request) {
   core::SynthesisOptions options;
@@ -43,42 +72,6 @@ core::SynthesisOptions options_of(const Request& request) {
   return options;
 }
 
-/// Runs one STG through the pipeline on the (possibly resident) executor
-/// and rethrows the entry's own typed exception on failure — the shape the
-/// CLI-identical catch blocks below expect.
-core::SynthesisResult synthesize_on(const stg::Stg& stg,
-                                    const core::SynthesisOptions& options,
-                                    core::ModelCache* cache,
-                                    core::Executor* executor) {
-  core::BatchOptions batch_options;
-  batch_options.synthesis = options;
-  batch_options.jobs = 1;  // executor (when given) supersedes this
-  batch_options.cache = cache;
-  batch_options.executor = executor;
-  const std::span<const stg::Stg> one(&stg, 1);
-  core::BatchResult batch = core::synthesize_batch(one, batch_options);
-  core::BatchEntry& entry = batch.entries.front();
-  if (!entry.ok) {
-    if (entry.exception) std::rethrow_exception(entry.exception);
-    throw Error(entry.error);
-  }
-  return std::move(entry.result);
-}
-
-/// The snapshot the per-request delta is computed against; zeros without a
-/// cache (no summary line is emitted then).
-core::ModelCacheStats snapshot(const core::ModelCache* cache) {
-  return cache != nullptr ? cache->stats() : core::ModelCacheStats{};
-}
-
-void append_cache_summary(Response& response, const core::ModelCache* cache,
-                          const core::ModelCacheStats& before) {
-  if (cache == nullptr) return;
-  response.log += core::summarize(core::delta_stats(before, cache->stats()));
-}
-
-}  // namespace
-
 SynthJob prepare_synth(Request request) {
   SynthJob job;
   job.request = std::move(request);
@@ -87,15 +80,15 @@ SynthJob prepare_synth(Request request) {
   // with every defect rendered (rule ids, line:column spans, hints) and
   // never takes an admission slot or reaches the ModelCache or the executor.
   // Lint errors are a strict subset of what parse_g/validate reject, so this
-  // gate never refuses a spec direct `punt synth` would accept.  One
-  // collecting parse serves both: lint reads it, then finish_parse turns it
-  // into the job's Stg exactly as parse_g would.
+  // gate refuses no spec that parse_g accepts.  One collecting parse serves
+  // both: lint reads it, then finish_parse turns it into the job's Stg
+  // exactly as parse_g would.
   util::DiagnosticSink sink;
   stg::ParsedG parsed = stg::parse_g_collect(job.request.g_text, sink);
   const std::vector<util::Diagnostic> defects = lint::lint_errors(parsed, sink);
   if (!defects.empty()) {
     job.failure.ok = true;
-    job.failure.log = util::render_diagnostics(defects, job.request.g_text, "request.g") +
+    job.failure.log = util::render_diagnostics(defects, job.request.g_text, job.request.name) +
                       printf_string("error: specification refused by lint: %zu defect(s)\n",
                                     defects.size());
     job.failure.exit_code = 2;
@@ -107,8 +100,8 @@ SynthJob prepare_synth(Request request) {
     job.ok = true;
   } catch (const Error& e) {
     // Dynamic rejections lint cannot see statically (initial-code inference
-    // inconsistencies, capacity limits): same diagnostic (and exit code) a
-    // direct `punt synth` prints; render_synth is never reached for this job.
+    // inconsistencies, capacity limits): parse_g's message, exit code 2;
+    // render_synth is never reached for this job.
     job.failure.ok = true;
     job.failure.log = printf_string("error: %s\n", e.what());
     job.failure.exit_code = 2;
@@ -121,28 +114,23 @@ Response render_synth(const SynthJob& job, const core::BatchEntry& entry) {
   Response response;
   response.ok = true;
   try {
-    if (!entry.ok) {
-      // Rethrow the entry's own typed exception so the catch blocks below
-      // render exactly what an inline run would have.
-      if (entry.exception) std::rethrow_exception(entry.exception);
-      throw Error(entry.error);
-    }
-    const core::SynthesisResult& result = entry.result;
+    const core::SynthesisResult& result = result_of(entry);
     const stg::Stg& stg = job.stg;
+    const Request& request = job.request;
     const net::Netlist netlist = net::Netlist::from_synthesis(stg, result);
-
-    // Byte-for-byte the stdout of a direct `punt synth` (tools/punt_cli.cpp
-    // cmd_synth); the server_test and the CI smoke job compare the two.
     response.output += printf_string("# %s: %zu signals, %zu literals\n",
-                                   stg.name().c_str(), stg.signal_count(),
-                                   netlist.literal_count());
+                                     stg.name().c_str(), stg.signal_count(),
+                                     netlist.literal_count());
     response.output += printf_string(
         "# unfold %.4fs derive %.4fs minimise %.4fs total %.4fs\n",
         result.unfold_seconds, result.derive_seconds, result.minimize_seconds,
         result.total_seconds);
-    const bool any_writer = job.request.eqn || job.request.verilog;
-    if (job.request.eqn || !any_writer) response.output += netlist.to_eqn();
-    if (job.request.verilog) response.output += netlist.to_verilog(stg.name());
+    const bool any_writer =
+        request.eqn || request.verilog || request.dot || request.unfolding_dot;
+    if (request.eqn || !any_writer) response.output += netlist.to_eqn();
+    if (request.verilog) response.output += netlist.to_verilog(stg.name());
+    if (request.dot) response.output += stg::to_dot(stg);
+    if (request.unfolding_dot) response.output += unf::to_dot(unf::Unfolding::build(stg));
     response.exit_code = 0;
   } catch (const CscError& e) {
     response.log += printf_string("CSC conflict: %s\n(try `punt resolve`)\n", e.what());
@@ -155,23 +143,9 @@ Response render_synth(const SynthJob& job, const core::BatchEntry& entry) {
 }
 
 Response run_synth(const SynthJob& job, core::ModelCache* cache,
-                   core::Executor* executor) {
-  const core::ModelCacheStats before = snapshot(cache);
-  Response response;
-  if (!job.ok) {
-    response = job.failure;
-  } else {
-    core::BatchOptions batch_options;
-    batch_options.jobs = 1;  // executor (when given) supersedes this
-    batch_options.cache = cache;
-    batch_options.executor = executor;
-    const core::BatchRequest one{&job.stg, job.options};
-    const core::BatchResult batch = core::synthesize_batch(
-        std::span<const core::BatchRequest>(&one, 1), batch_options);
-    response = render_synth(job, batch.entries.front());
-  }
-  append_cache_summary(response, cache, before);
-  return response;
+                   core::Executor* executor, util::TaskTrace* trace) {
+  if (!job.ok) return job.failure;
+  return render_synth(job, run_one(job.stg, job.options, cache, executor, trace));
 }
 
 Response run_synth(const Request& request, core::ModelCache* cache,
@@ -180,7 +154,7 @@ Response run_synth(const Request& request, core::ModelCache* cache,
 }
 
 Response run_check(const Request& request, core::ModelCache& cache,
-                   core::Executor* executor, bool summarize_cache) {
+                   core::Executor* executor) {
   Response response;
   response.ok = true;
   const core::ModelCacheStats before = cache.stats();
@@ -189,7 +163,7 @@ Response run_check(const Request& request, core::ModelCache& cache,
     core::SynthesisOptions options;
     options.throw_on_csc = false;
     // Persistency is reported below, not thrown, so the check prints a full
-    // verdict for non-semi-modular STGs too (mirrors cmd_check).
+    // verdict for non-semi-modular STGs too.
     options.check_persistency = false;
     const auto model = cache.lookup_or_build(stg, options);
     const unf::Unfolding& unfolding = *model->unfolding;
@@ -210,7 +184,8 @@ Response run_check(const Request& request, core::ModelCache& cache,
     response.output += printf_string(
         "output persistency          : %s\n",
         persistency.empty() ? "yes" : persistency.front().describe(unfolding).c_str());
-    const core::SynthesisResult result = synthesize_on(stg, options, &cache, executor);
+    const core::BatchEntry entry = run_one(stg, options, &cache, executor);
+    const core::SynthesisResult& result = result_of(entry);
     bool csc_ok = true;
     for (const auto& impl : result.signals) {
       if (impl.csc_conflict) {
@@ -220,10 +195,9 @@ Response run_check(const Request& request, core::ModelCache& cache,
       }
     }
     if (csc_ok) response.output += "complete state coding       : yes\n";
-    // This *request's* share of the resident cache: on a cold daemon the
-    // delta equals what a direct `punt check` reports; on a warm one it
-    // truthfully reads "built 0 time(s)" — the saving the daemon exists to
-    // deliver.
+    // This *request's* share of the cache: on a fresh cache (a direct run,
+    // a cold daemon) one build; on a warm daemon it truthfully reads "built
+    // 0 time(s)" — the saving the daemon exists to deliver.
     const core::ModelCacheStats stats = core::delta_stats(before, cache.stats());
     response.output += printf_string(
         "semantic model              : built %zu time(s), reused %zu time(s) "
@@ -234,7 +208,6 @@ Response run_check(const Request& request, core::ModelCache& cache,
     response.log += printf_string("error: %s\n", e.what());
     response.exit_code = 2;
   }
-  if (summarize_cache) append_cache_summary(response, &cache, before);
   return response;
 }
 
@@ -242,7 +215,6 @@ Response run_lint(const Request& request, core::ModelCache& cache,
                   core::Executor* executor) {
   Response response;
   response.ok = true;
-  const core::ModelCacheStats before = cache.stats();
   lint::LintOptions options;
   options.promote_all_warnings = request.lint_werror;
   options.promote_rules = request.lint_werror_rules;
@@ -259,8 +231,8 @@ Response run_lint(const Request& request, core::ModelCache& cache,
     bool any_errors = false;
     for (std::size_t i = 0; i < lints.size(); ++i) {
       any_errors = any_errors || !lints[i].ok();
-      // Render against the request's own text so excerpts and caret lines
-      // match a direct invocation over the same file byte for byte.
+      // Render against the request's own text, which carries the excerpts
+      // and caret lines.
       if (!request.lint_json) {
         response.output += lint::render_human(lints[i], inputs[i].text);
       }
@@ -273,7 +245,6 @@ Response run_lint(const Request& request, core::ModelCache& cache,
     response.log += printf_string("error: %s\n", e.what());
     response.exit_code = 2;
   }
-  append_cache_summary(response, &cache, before);
   return response;
 }
 

@@ -1,20 +1,20 @@
-// Request handlers behind `punt serve`: one function per traffic-bearing op,
-// mapping a decoded protocol::Request onto the synthesis pipeline and
-// rendering the exact stdout/stderr text (and exit code) the equivalent
-// direct `punt` invocation produces.  Keeping the rendering here — not in
-// the connection loop — is what makes the daemon's responses byte-comparable
-// to the CLI and lets tests drive the handlers without a socket.
+// The handlers behind `punt synth`, `punt check` and `punt lint`: one
+// function per traffic-bearing op, mapping a protocol::Request onto the
+// synthesis pipeline and rendering the exact stdout/stderr text and exit
+// code of the command.  The CLI calls them in-process and `punt serve`
+// dispatches to them, so direct and served runs print the same bytes by
+// construction; the daemon appends only its per-request cache summary line.
 //
-// Handlers never throw: every failure (unparseable .g text, CSC conflict,
-// capacity blowup) becomes a Response with ok=true, a nonzero exit code and
-// the same diagnostic a direct invocation prints to stderr.  Protocol-level
+// Handlers never throw on request content: every failure (unparseable .g
+// text, CSC conflict, capacity blowup) becomes a Response with ok=true, a
+// nonzero exit code and the diagnostic in its log.  Protocol-level
 // failures are the caller's (the connection loop's) concern.
 //
 // A synth request is split in two so the daemon can admit it in between:
 // prepare_synth parses the text once — lint's error rules and the job's Stg
 // read the same collecting parse — and run_synth executes the prepared job
 // on whichever executor the caller picks (the daemon's pool for a lone
-// request, none for one that runs inline).
+// request, none for one that runs inline, the `--jobs` pool for the CLI).
 #pragma once
 
 #include <cstddef>
@@ -31,13 +31,21 @@ struct ModelCacheStats;
 struct BatchEntry;
 }  // namespace punt::core
 
+namespace punt::util {
+struct TaskTrace;
+}  // namespace punt::util
+
 namespace punt::server {
 
-/// Handles {"op":"synth"}.  `cache` (nullable) resolves phase 1; when given,
-/// the per-request cache delta summary is appended to the response log —
-/// the line a `--connect` client streams to its stderr.  `executor`
-/// (nullable) runs the graph; a null runs it inline on the calling thread.
-/// The output does not depend on the executor.
+/// The one mapping from a request's synthesis flags (method, arch,
+/// minimize) to SynthesisOptions; `punt bench run` reads its flags through
+/// it too.
+core::SynthesisOptions options_of(const Request& request);
+
+/// Handles {"op":"synth"}: prepare_synth, then run_synth of the job.
+/// `cache` (nullable) resolves phase 1; `executor` (nullable) runs the
+/// graph, inline on the calling thread when null.  The output does not
+/// depend on either.
 Response run_synth(const Request& request, core::ModelCache* cache,
                    core::Executor* executor);
 
@@ -58,48 +66,39 @@ struct SynthJob {
 /// then stg::finish_parse builds the Stg from it, as stg::parse_g would —
 /// and maps its method/arch flags; never throws — an unparseable request
 /// comes back with ok=false and `failure` carrying exactly the Response
-/// run_synth would have produced (minus the cache summary line, which the
-/// caller appends).
+/// run_synth would have produced.  A lint refusal labels its findings with
+/// the request's `name`.
 SynthJob prepare_synth(Request request);
 
-/// Runs a prepared job as a one-entry batch and renders it, appending the
-/// cache summary line when `cache` is given; a job that failed to prepare
-/// answers its `failure` (plus the summary).  run_synth is prepare_synth
-/// followed by this.
+/// Runs a prepared job as a one-entry batch and renders it; a job that
+/// failed to prepare answers its `failure`.  `trace` (nullable) receives
+/// the executed schedule (`punt synth --trace-schedule`), failed runs
+/// included.  run_synth is prepare_synth followed by this.
 Response run_synth(const SynthJob& job, core::ModelCache* cache,
-                   core::Executor* executor);
+                   core::Executor* executor, util::TaskTrace* trace = nullptr);
 
 /// Renders the response for a prepared job from its executed batch entry:
-/// the same bytes a direct `punt synth` prints for the same request.
-/// Never throws; entry failures re-surface as the CLI's stderr diagnostics
-/// with exit code 2.  The caller appends the cache summary line.
+/// the header and timing lines, then the writers the request asks for —
+/// the equations (also when it asks for none), Verilog, the STG's DOT and
+/// the unfolding's DOT, in that order.  Never throws on a failed entry:
+/// it re-surfaces as the CLI's stderr diagnostic with exit code 2.
 Response render_synth(const SynthJob& job, const core::BatchEntry& entry);
 
-/// Handles {"op":"check"} — and IS the direct `punt check` implementation
-/// (tools/punt_cli.cpp prints the returned output/log verbatim), so the
-/// daemon's byte-parity with the CLI holds by construction rather than by
-/// hand-maintained duplication.  The cache is required (the checks and the
-/// embedded synthesis run share one semantic model through it — the same
-/// single-build guarantee `punt check` has); the "semantic model" verdict
-/// line reports this *request's* cache delta, so a warm daemon truthfully
-/// prints "built 0 time(s)".  `summarize_cache` controls the trailing
-/// per-request summary line in the log: the daemon wants it, the direct CLI
-/// does not.
+/// Handles {"op":"check"}.  The cache is required: the checks and the
+/// embedded synthesis run share one semantic model through it, so the
+/// segment is built once.  The "semantic model" verdict line reports this
+/// *request's* cache delta, so a warm daemon truthfully prints "built 0
+/// time(s)".
 Response run_check(const Request& request, core::ModelCache& cache,
-                   core::Executor* executor, bool summarize_cache = true);
+                   core::Executor* executor);
 
-/// Handles {"op":"lint"} — the whole client batch in one request, linted
-/// as one TaskGraph on the daemon's resident executor so multi-file deep
-/// lints parallelise under the daemon's --jobs exactly like a direct
-/// `punt lint --deep --jobs=N`.  The response output is byte-identical to
-/// the direct CLI's stdout for the same files (per-file human renderings in
-/// request order, or one punt-lint-report v2 document), and the exit code
-/// follows the same rule (1 when any file has an error-severity finding).
-/// The cache is required: deep lint resolves its exact state-graph models
-/// through it, so a warm daemon deep-lints a known spec with zero rebuilds —
-/// the per-request delta summary appended to the log is the proof.  The
-/// structural tier never touches the cache, so structural-only lints report
-/// an all-zero delta.
+/// Handles {"op":"lint"}: the whole batch in one request, linted as one
+/// TaskGraph on `executor`, so multi-file deep lints parallelise under
+/// `--jobs` in-process or on the daemon.  The output is the per-file human
+/// renderings in request order, or one punt-lint-report v2 document, and
+/// the exit code is 1 when any file has an error-severity finding.  The
+/// cache is required: deep lint resolves its exact state-graph models
+/// through it, so a warm daemon deep-lints a known spec with zero rebuilds.
 Response run_lint(const Request& request, core::ModelCache& cache,
                   core::Executor* executor);
 

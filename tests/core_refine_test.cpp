@@ -274,13 +274,23 @@ RefineStats all_pairs_refine(const Unfolding& unf, const ApproxCover& on_owner,
   return stats;
 }
 
+/// A 4-signal spec whose output a falls by one of two instances, each
+/// behind a choice between inputs: a condition of a's slices meets two
+/// compatible bounds, so approximate_cover intersects their restricted
+/// covers (once 2 cubes by 2), which no other swept spec does.
+constexpr const char* kTwoBoundSpec =
+    ".model twobound\n.inputs i j k\n.outputs a\n.graph\n"
+    "a+ p q u\nq i+ j+\nu k+\ni+ r1\nj+ r2\nk+ t\np a- a-/2\nr1 a-\nr2 a-/2\n"
+    "t a- a-/2\na- s1 v1\na-/2 s2 v2\ns1 i-\nv1 k-\ns2 j-\nv2 k-/2\ni- m0\nj- m0\n"
+    "k- m1\nk-/2 m1\nm0 a+\nm1 a+\n.marking { m0 m1 }\n.end\n";
+
 /// The swept specs: every registry row, Muller pipelines of 4, 9 and 14
 /// stages, a counterflow pipeline of 3 stages, the paper's Fig. 1, Fig. 4(a/b)
-/// and Fig. 4(c), the VME bus controller, and then two long runs: muller29,
+/// and Fig. 4(c), the VME bus controller, then two long runs: muller29,
 /// whose last stage takes 55 refinement iterations, and cfpp34, the 16-stage
-/// counterflow pipeline of Fig. 6's circled dot.  The long runs come last so
-/// that the other specs keep their parameter indices.
-constexpr int kSweptSpecs = 31;
+/// counterflow pipeline of Fig. 6's circled dot; and last the two-bound spec
+/// above.  New specs go last so that the others keep their parameter indices.
+constexpr int kSweptSpecs = 32;
 
 std::pair<std::string, Stg> swept_spec(int index) {
   const auto& registry = benchmarks::table1();
@@ -298,7 +308,8 @@ std::pair<std::string, Stg> swept_spec(int index) {
     case 6: return {"fig4c", stg::make_paper_fig4c()};
     case 7: return {"vme", stg::make_vme_bus()};
     case 8: return {"muller29", stg::make_muller_pipeline(29)};
-    default: return {"cfpp34", stg::make_counterflow_pipeline(16)};
+    case 9: return {"cfpp34", stg::make_counterflow_pipeline(16)};
+    default: return {"twobound", stg::parse_g(kTwoBoundSpec)};
   }
 }
 
@@ -731,16 +742,49 @@ TEST(PackedAtoms, SweepMeetsMultiCubeRestrictedAtoms) {
   EXPECT_GT(multi_cube, 0u);
 }
 
-TEST(InstanceRanks, OnlyFig1HasBranchingInstances) {
-  // Fig. 1's choice gives one signal two unordered instances; every other
-  // swept spec, muller29 and cfpp34 among them, keeps each signal on one
-  // chain.
+TEST(PackedAtoms, SweepIntersectsMultiCubeRestrictedCovers) {
+  // A condition with several compatible bounds gets the intersection of
+  // their restricted covers, which approximate_cover forms on packed cube
+  // lists.  PrimitiveEquivalence checks that against Cover::intersect only
+  // if the sweep holds such a condition with a restricted cover of several
+  // cubes.
+  std::size_t multi_cube = 0;
+  for (int index = 0; index < kSweptSpecs; ++index) {
+    const auto [name, stg] = swept_spec(index);
+    const Unfolding unf = Unfolding::build(stg);
+    for (const SignalId s : stg.non_input_signals()) {
+      for (const bool value : {true, false}) {
+        for (const Slice& slice : signal_slices(unf, s, value)) {
+          const Bitset events = slice_events(unf, slice);
+          for (const ConditionId c : slice_conditions(unf, slice, events)) {
+            if (unf.is_cutoff(unf.producer(c))) continue;
+            std::vector<std::size_t> cubes;
+            for (const EventId g : slice.bounds) {
+              const auto& pre = unf.preset(g);
+              if (!unf.co(c, g) && std::find(pre.begin(), pre.end(), c) == pre.end()) continue;
+              cubes.push_back(restricted_next_cover(unf, c, g, events).cube_count());
+            }
+            if (cubes.size() > 1 && *std::max_element(cubes.begin(), cubes.end()) > 1) {
+              ++multi_cube;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(multi_cube, 0u);
+}
+
+TEST(InstanceRanks, OnlyFig1AndTwoBoundHaveBranchingInstances) {
+  // Fig. 1's choice gives one signal two unordered instances, and the
+  // two-bound spec's choices give a and k two each; every other swept spec,
+  // muller29 and cfpp34 among them, keeps each signal on one chain.
   std::vector<std::string> branching;
   for (int index = 0; index < kSweptSpecs; ++index) {
     const auto [name, stg] = swept_spec(index);
     if (Unfolding::build(stg).branching_signal().valid()) branching.push_back(name);
   }
-  EXPECT_EQ(branching, std::vector<std::string>{"fig1"});
+  EXPECT_EQ(branching, (std::vector<std::string>{"fig1", "twobound"}));
 }
 
 TEST(InstanceRanks, FindTheBranchingSignalInEveryPosition) {

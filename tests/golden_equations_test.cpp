@@ -1,10 +1,10 @@
 // Byte identity of the synthesized equations against a committed golden file.
 //
 // Each line of tests/data/equations.golden pins one (spec, method, arch) run
-// of `punt synth`, rendered in-process by the daemon's handler
-// (server::run_synth, byte-identical to the CLI): the exit status, the
-// literal count and the FNV-1a 64 hash of stdout without the `# unfold`
-// timing line.  The specs are the Table 1 registry, small Muller and
+// of `punt synth`, rendered in-process by server::run_synth, the handler
+// that `punt synth` runs, so the file pins the CLI's bytes by construction:
+// the exit status, the literal count and the FNV-1a 64 hash of stdout
+// without the `# unfold` timing line.  The specs are the Table 1 registry, small Muller and
 // counterflow pipelines under every method and architecture, and the Fig. 6
 // pipelines (muller29/44/59/89, cfpp34) under the default flow.
 //
@@ -109,13 +109,19 @@ struct Rendered {
   std::string output;  // stdout without the timing line
 };
 
-Rendered render(const Spec& spec, const Flags& run, core::ModelCache& cache,
-                core::Executor& executor) {
+/// The request `punt synth --method=<method> --arch=<arch>` builds.
+server::Request request_of(const Flags& run) {
   server::Request request;
   request.op = server::Op::Synth;
-  request.g_text = spec.g_text;
   request.method = run.method;
   request.arch = run.arch;
+  return request;
+}
+
+Rendered render(const Spec& spec, const Flags& run, core::ModelCache& cache,
+                core::Executor& executor) {
+  server::Request request = request_of(run);
+  request.g_text = spec.g_text;
   const server::Response response = server::run_synth(request, &cache, &executor);
   Rendered rendered;
   rendered.output = without_timings(response.output);
@@ -168,17 +174,6 @@ TEST(GoldenEquations, EverySpecMatchesTheGoldenFile) {
   }
 }
 
-core::SynthesisOptions options_of(const Flags& run) {
-  core::SynthesisOptions options;
-  options.method = run.method == "exact" ? core::Method::UnfoldingExact
-                   : run.method == "sg"  ? core::Method::StateGraph
-                                         : core::Method::UnfoldingApprox;
-  options.architecture = run.arch == "c"    ? core::Architecture::StandardC
-                         : run.arch == "rs" ? core::Architecture::RsLatch
-                                            : core::Architecture::ComplexGate;
-  return options;
-}
-
 TEST(GoldenEquations, CareSetEspressoMatchesTheDcReference) {
   // Every espresso input of the golden runs: a complex gate minimises on
   // against off and off against on, C and RS minimise er_on against off and
@@ -193,7 +188,7 @@ TEST(GoldenEquations, CareSetEspressoMatchesTheDcReference) {
     const stg::Stg stg = stg::parse_g(spec.g_text);
     for (const Flags& run : spec.runs) {
       const core::PipelineContext context =
-          core::PipelineContext::build(stg, options_of(run), &cache);
+          core::PipelineContext::build(stg, server::options_of(request_of(run)), &cache);
       const bool gate = context.options.architecture == core::Architecture::ComplexGate;
       for (const stg::SignalId signal : context.model->targets) {
         core::DeriveTask derive;

@@ -13,6 +13,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -179,6 +180,9 @@ TEST(ServerProtocol, RequestJsonRoundTrips) {
   request.minimize = false;
   request.eqn = true;
   request.verilog = true;
+  request.dot = true;
+  request.unfolding_dot = true;
+  request.name = "specs/x.g";
   const Request parsed = request_from_json(to_json(request));
   EXPECT_EQ(parsed.op, Op::Synth);
   EXPECT_EQ(parsed.g_text, request.g_text);
@@ -187,6 +191,22 @@ TEST(ServerProtocol, RequestJsonRoundTrips) {
   EXPECT_FALSE(parsed.minimize);
   EXPECT_TRUE(parsed.eqn);
   EXPECT_TRUE(parsed.verilog);
+  EXPECT_TRUE(parsed.dot);
+  EXPECT_TRUE(parsed.unfolding_dot);
+  EXPECT_EQ(parsed.name, "specs/x.g");
+
+  // The DOT writers and the label stay off the wire at their defaults, so
+  // a plain synth request keeps the bytes it had before they existed.
+  Request plain;
+  plain.op = Op::Synth;
+  plain.g_text = "x";
+  EXPECT_EQ(to_json(plain),
+            R"({"op": "synth", "g": "x", "method": "approx", "arch": "acg", )"
+            R"("minimize": true, "eqn": false, "verilog": false})");
+  const Request parsed_plain = request_from_json(to_json(plain));
+  EXPECT_FALSE(parsed_plain.dot);
+  EXPECT_FALSE(parsed_plain.unfolding_dot);
+  EXPECT_EQ(parsed_plain.name, "request.g");
 
   for (const Op op : {Op::Check, Op::CacheStats, Op::Ping, Op::Shutdown}) {
     Request probe;
@@ -225,6 +245,10 @@ TEST(ServerProtocol, MalformedRequestsAreRejected) {
   EXPECT_THROW((void)request_from_json(R"({"op": "synth", "g": "x", "arch": "fpga"})"),
                ParseError);
   EXPECT_THROW((void)request_from_json(R"({"op": "synth", "g": "x", "eqn": 1})"),
+               ParseError);
+  EXPECT_THROW((void)request_from_json(R"({"op": "synth", "g": "x", "dot": 1})"),
+               ParseError);
+  EXPECT_THROW((void)request_from_json(R"({"op": "synth", "g": "x", "name": 3})"),
                ParseError);
 }
 
@@ -422,12 +446,43 @@ TEST(Server, CheckReportsWhetherSignalInstancesFormChains) {
     request.op = Op::Check;
     request.g_text = stg::write_g(spec);
     core::ModelCache cache;
-    const Response direct = run_check(request, cache, nullptr, /*summarize_cache=*/false);
+    const Response direct = run_check(request, cache, nullptr);
     const Response served = request_once(socket, request);
     EXPECT_NE(direct.output.find(line), std::string::npos) << direct.output;
     EXPECT_EQ(served.output, direct.output);
     EXPECT_EQ(served.exit_code, direct.exit_code);
   }
+}
+
+TEST(Server, ServedLintIsTheHandlersResponsePlusItsCacheDelta) {
+  TempDir dir("lint-served");
+  const std::string socket = dir.str() + "/punt.sock";
+  ServerOptions options;
+  options.endpoint = unix_endpoint(socket);
+  RunningServer running(options);
+
+  Request request;
+  request.op = Op::Lint;
+  request.lint_files.push_back({"fig1.g", stg::write_g(stg::make_paper_fig1())});
+  request.lint_deep = true;
+  request.lint_json = true;
+  core::ModelCache cache;
+  const Response direct = run_lint(request, cache, nullptr);
+
+  // The connection loop appends one line to the handler's log: the
+  // request's cache delta, which the warm pass reads as zero rebuilds.
+  const Response cold = request_once(socket, request);
+  const Response warm = request_once(socket, request);
+  for (const Response* served : {&cold, &warm}) {
+    EXPECT_EQ(served->output, direct.output);
+    EXPECT_EQ(served->exit_code, direct.exit_code);
+    ASSERT_TRUE(served->log.starts_with(direct.log + "model cache: ")) << served->log;
+    EXPECT_EQ(std::count(served->log.begin(), served->log.end(), '\n'),
+              std::count(direct.log.begin(), direct.log.end(), '\n') + 1)
+        << served->log;
+  }
+  EXPECT_NE(cold.log.find(" 1 rebuild(s)"), std::string::npos) << cold.log;
+  EXPECT_NE(warm.log.find(" 0 rebuild(s)"), std::string::npos) << warm.log;
 }
 
 TEST(Server, SynthesisFailuresAnswerLikeTheCliAndKeepServing) {

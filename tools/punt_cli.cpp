@@ -1,82 +1,5 @@
 // punt — command-line synthesis of speed-independent circuits from STGs.
-//
-//   punt synth <file.g> [--method=approx|exact|sg] [--arch=acg|c|rs]
-//              [--eqn] [--verilog] [--dot] [--unfolding-dot] [--no-minimize]
-//              [--jobs=N] [--trace-schedule=<file>]
-//   punt check <file.g>            verify the general correctness criteria
-//   punt lint <file.g ...> [--json] [--Werror[=STG006,...]] [--deep] [--jobs=N]
-//             [--connect=<socket>] [--rules]
-//                                  static analysis: every finding carries a
-//                                  stable rule id, severity, line:column span
-//                                  and fix hint; all findings of a file in
-//                                  one pass (no first-error bail).  --json
-//                                  emits punt-lint-report v2; --Werror
-//                                  promotes warnings to errors.  --deep adds
-//                                  the semantic tier (STG1xx): exact CSC,
-//                                  persistency, 1-safety, consistency and
-//                                  liveness verdicts over the reachable state
-//                                  space, each carrying a witness firing
-//                                  sequence mapped to source spans; exact
-//                                  verdicts retract the structural
-//                                  pre-screens they decide.  Files lint as
-//                                  task-graph nodes (--jobs parallelises the
-//                                  batch); deep models resolve through the
-//                                  ModelCache (--connect reuses a daemon's
-//                                  warm ones).  Exit 0 when no error-severity
-//                                  finding, else 1
-//   punt resolve <file.g>          repair CSC conflicts by signal insertion
-//   punt bench list                list the Table-1 registry
-//   punt bench dump <name>         print a registry entry as .g text
-//   punt bench run [--jobs=N] [--method=...] [--arch=...] [--report=json]
-//                  [--trace-schedule=<file>]
-//                                  synthesise the registry through the
-//                                  task-graph executor; Table-1 table with
-//                                  paper columns, or JSON.  --trace-schedule
-//                                  dumps the executed graph (nodes, workers,
-//                                  timings) as JSON and prints the
-//                                  critical-path summary
-//   punt bench lint [--deep] [--json=<file>]
-//                                  lint throughput over the registry (the
-//                                  serve-admission budget check); asserts the
-//                                  error-only admission fast path beats the
-//                                  full pass.  --deep measures the semantic
-//                                  tier over a warm shared ModelCache
-//   punt trace <trace.json>        analyse a --trace-schedule dump offline:
-//                                  per-worker occupancy, an ASCII Gantt lane
-//                                  per worker, queue-wait statistics and the
-//                                  critical path
-//   punt cache stats --connect=<socket>
-//                                  a running daemon's resident cache counters
-//   punt serve --socket=<path> [--jobs=N] [--max-queue=N] [--send-timeout=S]
-//                                  run the warm-model daemon on a Unix
-//                                  socket: one resident ModelCache + thread
-//                                  pool across requests; each synth request
-//                                  is parsed once and runs on its connection
-//                                  thread — over the pool when it runs alone,
-//                                  inline while others run — and one beyond
-//                                  --max-queue running at once is shed with
-//                                  an "overloaded" refusal.  --jobs sizes the
-//                                  pool a lone synth request, check and deep
-//                                  lint use.  SIGTERM (or a client `punt
-//                                  shutdown`) drains admitted work and exits
-//                                  cleanly.  Remote clients forward the
-//                                  socket over SSH
-//   punt synth <file.g> --connect=<socket> [synth flags]
-//   punt check <file.g> --connect=<socket>
-//   punt lint <file.g ...> --connect=<socket> [lint flags]
-//                                  delegate to the daemon; the result (and
-//                                  the per-request hit/rebuild summary, on
-//                                  stderr) comes back over the socket
-//   punt ping --connect=<socket>   daemon liveness probe
-//   punt shutdown --connect=<socket>
-//                                  ask the daemon to drain and exit
-//
-// Each command builds the phase-1 semantic models (unfolding segment or
-// state graph) it needs in memory and keeps nothing between runs.  `punt
-// serve` keeps them warm across client invocations, so a repeated
-// `--connect` synth costs no rebuild; the client prints the daemon's
-// hit/rebuild summary to stderr.  Every command refuses an unknown flag or
-// a stray operand with `unknown punt <command> flag`.
+// `punt` with no arguments lists the commands and their flags.
 //
 // Exit status: 0 on success.  1 on a usage error (no command, an unknown
 // command or subcommand, a missing operand), when `punt lint` reports an
@@ -86,21 +9,17 @@
 // implementable, failed `punt bench run` rows.  A --connect client exits
 // with the daemon's status for its request.
 #include <algorithm>
-#include <array>
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <initializer_list>
-#include <iostream>
-#include <memory>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include <csignal>
@@ -111,7 +30,6 @@
 #include "src/core/csc_resolve.hpp"
 #include "src/core/model_cache.hpp"
 #include "src/core/pipeline.hpp"
-#include "src/core/synthesis.hpp"
 #include "src/lint/lint.hpp"
 #include "src/lint/rules.hpp"
 #include "src/lint/semantic_rules.hpp"
@@ -120,15 +38,8 @@
 #include "src/server/protocol.hpp"
 #include "src/server/server.hpp"
 #include "src/server/service.hpp"
-#include "src/netlist/netlist.hpp"
-#include "src/sg/analysis.hpp"
-#include "src/sg/state_graph.hpp"
-#include "src/stg/dot.hpp"
 #include "src/stg/g_format.hpp"
-#include "src/unfolding/dot.hpp"
-#include "src/unfolding/unfolding.hpp"
 #include "src/util/error.hpp"
-#include "src/util/json.hpp"
 #include "src/util/strings.hpp"
 #include "src/util/task_graph.hpp"
 
@@ -212,89 +123,66 @@ std::size_t parse_positive_count(const std::string& value, const char* flag,
   return static_cast<std::size_t>(count);
 }
 
-punt::core::SynthesisOptions parse_options(const std::vector<std::string>& args) {
-  punt::core::SynthesisOptions options;
-  for (const std::string& arg : args) {
-    if (arg == "--method=approx") {
-      options.method = punt::core::Method::UnfoldingApprox;
-    } else if (arg == "--method=exact") {
-      options.method = punt::core::Method::UnfoldingExact;
-    } else if (arg == "--method=sg") {
-      options.method = punt::core::Method::StateGraph;
-    } else if (arg == "--arch=acg") {
-      options.architecture = punt::core::Architecture::ComplexGate;
-    } else if (arg == "--arch=c") {
-      options.architecture = punt::core::Architecture::StandardC;
-    } else if (arg == "--arch=rs") {
-      options.architecture = punt::core::Architecture::RsLatch;
-    } else if (arg == "--no-minimize") {
-      options.minimize = false;
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs = parse_jobs(arg.substr(7));
-    }
-  }
-  return options;
+/// One flag of a command's table.  A name ending in '=' takes a value: it
+/// matches every argument it prefixes, and `apply` gets the rest.
+struct Flag {
+  std::string_view name;
+  std::function<void(const std::string&)> apply;
+};
+
+/// An `apply` that sets `field` to `value`.
+template <typename Field, typename Value>
+std::function<void(const std::string&)> set(Field& field, Value value) {
+  return [&field, value](const std::string&) { field = value; };
 }
 
-bool has_flag(const std::vector<std::string>& args, const char* flag) {
+/// Applies `args` to `table` in order and returns the operands: the
+/// arguments that do not start with "--", which only a command that
+/// `takes_operands` accepts.  Every argument is matched before any is
+/// applied, so an unknown flag or a stray operand is refused wherever it
+/// stands, and every value is checked before the command acts.
+std::vector<std::string> parse_flags(const std::vector<std::string>& args,
+                                     const std::string& command,
+                                     const std::vector<Flag>& table,
+                                     bool takes_operands = false) {
+  std::vector<std::pair<const Flag*, std::string>> matched;
+  std::vector<std::string> operands;
   for (const std::string& arg : args) {
-    if (arg == flag) return true;
-  }
-  return false;
-}
-
-/// The flags parse_options reads; `punt synth` and `punt bench run` take
-/// them.  A flag ending in '=' takes a value.
-constexpr std::array<std::string_view, 8> kSynthesisFlags = {
-    "--method=approx", "--method=exact", "--method=sg", "--arch=acg",
-    "--arch=c",        "--arch=rs",      "--no-minimize", "--jobs="};
-
-/// Refuses the first argument that is neither one of `flags` nor, with
-/// `synthesis`, one of kSynthesisFlags — the error `punt lint` and `punt
-/// serve` give, so a typo'd or retired flag, or a stray operand, fails
-/// instead of running a different configuration.
-void reject_unknown_flags(const std::vector<std::string>& args, const std::string& command,
-                          bool synthesis, std::initializer_list<std::string_view> flags) {
-  for (const std::string& arg : args) {
-    const auto known = [&](std::string_view flag) {
-      return flag.back() == '=' ? arg.rfind(flag, 0) == 0 : arg == flag;
-    };
-    if (std::any_of(flags.begin(), flags.end(), known) ||
-        (synthesis && std::any_of(kSynthesisFlags.begin(), kSynthesisFlags.end(), known))) {
-      continue;
-    }
-    throw punt::Error("unknown punt " + command + " flag '" + arg + "'");
-  }
-}
-
-/// The payload of `--trace-schedule=<file>`, or empty when absent.
-std::string trace_schedule_path(const std::vector<std::string>& args) {
-  for (const std::string& arg : args) {
-    if (arg.rfind("--trace-schedule=", 0) == 0) {
-      const std::string path = arg.substr(17);
-      if (path.empty()) {
-        throw punt::Error("--trace-schedule needs a file path "
-                          "(e.g. --trace-schedule=schedule.json)");
-      }
-      return path;
+    const auto flag = std::find_if(table.begin(), table.end(), [&arg](const Flag& f) {
+      return f.name.back() == '=' ? arg.starts_with(f.name) : arg == f.name;
+    });
+    if (flag != table.end()) {
+      matched.emplace_back(&*flag, arg.substr(flag->name.size()));
+    } else if (takes_operands && !arg.starts_with("--")) {
+      operands.push_back(arg);
+    } else {
+      throw punt::Error("unknown punt " + command + " flag '" + arg + "'");
     }
   }
-  return std::string();
+  for (const auto& [flag, value] : matched) flag->apply(value);
+  return operands;
 }
 
-/// The payload of `--connect=<socket>`, or empty when absent.
-std::string connect_target(const std::vector<std::string>& args) {
-  for (const std::string& arg : args) {
-    if (arg.rfind("--connect=", 0) == 0) {
-      const std::string socket = arg.substr(10);
-      if (socket.empty()) {
-        throw punt::Error("--connect needs the daemon's socket path "
-                          "(e.g. --connect=/tmp/punt.sock)");
-      }
-      return socket;
-    }
-  }
-  return std::string();
+Flag connect_flag(std::string& socket) {
+  return {"--connect=", [&socket](const std::string& value) {
+            if (value.empty()) {
+              throw punt::Error("--connect needs the daemon's socket path "
+                                "(e.g. --connect=/tmp/punt.sock)");
+            }
+            socket = value;
+          }};
+}
+
+/// The flags that choose a synthesis configuration, read into a request
+/// that server::options_of maps; `punt synth` and `punt bench run` take them.
+std::vector<Flag> synthesis_flags(punt::server::Request& request) {
+  return {{"--method=approx", set(request.method, "approx")},
+          {"--method=exact", set(request.method, "exact")},
+          {"--method=sg", set(request.method, "sg")},
+          {"--arch=acg", set(request.arch, "acg")},
+          {"--arch=c", set(request.arch, "c")},
+          {"--arch=rs", set(request.arch, "rs")},
+          {"--no-minimize", set(request.minimize, false)}};
 }
 
 /// Writes the executed schedule as JSON and prints the critical-path summary
@@ -308,118 +196,110 @@ void dump_trace(const punt::util::TaskTrace& trace, const std::string& path) {
   std::fprintf(stderr, "schedule trace written to %s\n", path.c_str());
 }
 
-// --- Serve-mode client side ---------------------------------------------------
-
-/// Round-trips `request` and replays the daemon's answer as if the work had
-/// run here: response.output to stdout, response.log (the diagnostic and
-/// the per-request hit/rebuild summary) to stderr, exit code passed through.
-int run_client(const std::string& socket, const punt::server::Request& request) {
-  const punt::server::Response response = punt::server::request_once(socket, request);
+/// Prints a handler's or a daemon's response as this process's own output
+/// and returns its exit code.
+int print(const punt::server::Response& response) {
   std::fputs(response.output.c_str(), stdout);
   std::fputs(response.log.c_str(), stderr);
   return response.exit_code;
 }
 
-/// Flags that make no sense against a daemon (it owns its jobs policy and
-/// model cache; the dot writers and schedule trace are direct-mode only).
-/// Runs before dialling, so the conflict is reported without a daemon.
-void reject_direct_only_flags(const std::vector<std::string>& args) {
-  for (const std::string& arg : args) {
-    if (arg == "--dot" || arg == "--unfolding-dot" ||
-        arg.rfind("--trace-schedule=", 0) == 0 || arg.rfind("--jobs=", 0) == 0) {
-      throw punt::Error("'" + arg.substr(0, arg.find('=')) +
-                        "' is a direct-only flag and cannot be combined with "
-                        "--connect: the daemon owns its worker pool and model "
-                        "cache, and writers beyond --eqn/--verilog run only in "
-                        "direct mode");
+/// A `punt synth`, `punt check` or `punt lint` run — and the synthesis
+/// settings of `punt bench run` — as read from the command's flags.
+struct Invocation {
+  punt::server::Request request;
+  std::vector<std::string> paths;  // the spec files, read only when it runs
+  std::string socket;              // --connect
+  std::size_t jobs = 1;            // --jobs
+  std::string trace_path;          // --trace-schedule
+  bool direct_only = false;        // --jobs or --trace-schedule was given
+
+  explicit Invocation(punt::server::Op op) { request.op = op; }
+  Invocation(const Invocation&) = delete;  // its flags hold `this`
+  Invocation& operator=(const Invocation&) = delete;
+
+  // --jobs and --trace-schedule configure this process, so a run sent to
+  // a daemon refuses them.
+  Flag jobs_flag() {
+    return {"--jobs=", [this](const std::string& value) {
+              jobs = parse_jobs(value);
+              direct_only = true;
+            }};
+  }
+  Flag trace_flag() {
+    return {"--trace-schedule=", [this](const std::string& value) {
+              if (value.empty()) {
+                throw punt::Error("--trace-schedule needs a file path "
+                                  "(e.g. --trace-schedule=schedule.json)");
+              }
+              trace_path = value;
+              direct_only = true;
+            }};
+  }
+};
+
+/// Runs a synth, check or lint request through the handler `punt serve`
+/// dispatches to, in-process, or sends it to the daemon named by
+/// --connect; either way the response prints the same bytes.
+int run(Invocation& invocation) {
+  if (!invocation.socket.empty() && invocation.direct_only) {
+    // Before dialling, so the conflict is reported without a daemon.
+    throw punt::Error("--jobs and --trace-schedule are direct-only flags and cannot be "
+                      "combined with --connect: they configure this process, and the "
+                      "daemon runs on its own worker pool");
+  }
+  punt::server::Request& request = invocation.request;
+  for (const std::string& path : invocation.paths) {
+    // Files are read *here*: a daemon sees only text and display labels,
+    // never client paths to open.
+    if (request.op == punt::server::Op::Lint) {
+      request.lint_files.push_back({path, read_file(path)});
+    } else {
+      request.g_text = read_file(path);
+      request.name = path;
     }
   }
-}
-
-int delegate_synth(const std::string& socket, const std::string& path,
-                   const std::vector<std::string>& args) {
-  punt::server::Request request;
-  request.op = punt::server::Op::Synth;
-  request.g_text = read_file(path);
-  for (const std::string& arg : args) {
-    if (arg == "--method=approx") request.method = "approx";
-    else if (arg == "--method=exact") request.method = "exact";
-    else if (arg == "--method=sg") request.method = "sg";
-    else if (arg == "--arch=acg") request.arch = "acg";
-    else if (arg == "--arch=c") request.arch = "c";
-    else if (arg == "--arch=rs") request.arch = "rs";
-    else if (arg == "--no-minimize") request.minimize = false;
+  if (!invocation.socket.empty()) {
+    return print(punt::server::request_once(invocation.socket, request));
   }
-  request.eqn = has_flag(args, "--eqn");
-  request.verilog = has_flag(args, "--verilog");
-  return run_client(socket, request);
-}
-
-int delegate_check(const std::string& socket, const std::string& path,
-                   const std::vector<std::string>& /*args*/) {
-  punt::server::Request request;
-  request.op = punt::server::Op::Check;
-  request.g_text = read_file(path);
-  return run_client(socket, request);
+  punt::core::ModelCache cache;
+  punt::core::Executor executor(invocation.jobs);
+  if (request.op == punt::server::Op::Check) {
+    return print(punt::server::run_check(request, cache, &executor));
+  }
+  if (request.op == punt::server::Op::Lint) {
+    return print(punt::server::run_lint(request, cache, &executor));
+  }
+  const punt::server::SynthJob job = punt::server::prepare_synth(std::move(request));
+  punt::util::TaskTrace trace;
+  const bool traced = !invocation.trace_path.empty();
+  const punt::server::Response response =
+      punt::server::run_synth(job, &cache, &executor, traced ? &trace : nullptr);
+  if (traced && job.ok) dump_trace(trace, invocation.trace_path);
+  return print(response);
 }
 
 int cmd_synth(const std::string& path, const std::vector<std::string>& args) {
-  reject_unknown_flags(args, "synth", /*synthesis=*/true,
-                       {"--eqn", "--verilog", "--dot", "--unfolding-dot",
-                        "--trace-schedule=", "--connect="});
-  const std::string socket = connect_target(args);
-  if (!socket.empty()) {
-    reject_direct_only_flags(args);
-    return delegate_synth(socket, path, args);
-  }
-  const punt::stg::Stg stg = punt::stg::parse_g(read_file(path));
-  const punt::core::SynthesisOptions options = parse_options(args);
-  const std::string trace_path = trace_schedule_path(args);
-  punt::util::TaskTrace trace;
-  const punt::core::SynthesisResult result = punt::core::synthesize(
-      stg, options, nullptr, trace_path.empty() ? nullptr : &trace);
-  if (!trace_path.empty()) dump_trace(trace, trace_path);
-  const punt::net::Netlist netlist = punt::net::Netlist::from_synthesis(stg, result);
-
-  std::printf("# %s: %zu signals, %zu literals\n", stg.name().c_str(),
-              stg.signal_count(), netlist.literal_count());
-  std::printf("# unfold %.4fs derive %.4fs minimise %.4fs total %.4fs\n",
-              result.unfold_seconds, result.derive_seconds, result.minimize_seconds,
-              result.total_seconds);
-  const bool any_writer = has_flag(args, "--eqn") || has_flag(args, "--verilog") ||
-                          has_flag(args, "--dot") || has_flag(args, "--unfolding-dot");
-  if (has_flag(args, "--eqn") || !any_writer) std::printf("%s", netlist.to_eqn().c_str());
-  if (has_flag(args, "--verilog")) {
-    std::printf("%s", netlist.to_verilog(stg.name()).c_str());
-  }
-  if (has_flag(args, "--dot")) std::printf("%s", punt::stg::to_dot(stg).c_str());
-  if (has_flag(args, "--unfolding-dot")) {
-    std::printf("%s", punt::unf::to_dot(punt::unf::Unfolding::build(stg)).c_str());
-  }
-  return 0;
+  Invocation synth(punt::server::Op::Synth);
+  synth.paths = {path};
+  punt::server::Request& request = synth.request;
+  std::vector<Flag> flags = synthesis_flags(request);
+  flags.insert(flags.end(), {{"--eqn", set(request.eqn, true)},
+                             {"--verilog", set(request.verilog, true)},
+                             {"--dot", set(request.dot, true)},
+                             {"--unfolding-dot", set(request.unfolding_dot, true)},
+                             synth.jobs_flag(),
+                             synth.trace_flag(),
+                             connect_flag(synth.socket)});
+  parse_flags(args, "synth", flags);
+  return run(synth);
 }
 
 int cmd_check(const std::string& path, const std::vector<std::string>& args) {
-  reject_unknown_flags(args, "check", /*synthesis=*/false, {"--connect="});
-  const std::string socket = connect_target(args);
-  if (!socket.empty()) {
-    reject_direct_only_flags(args);
-    return delegate_check(socket, path, args);
-  }
-  // The direct path runs the same server::run_check the daemon dispatches
-  // to, so `--connect` byte-parity holds by construction: one ModelCache
-  // shared between the criteria checks and the embedded CSC synthesis run
-  // (the unfolding segment is built exactly once), verdict lines and the
-  // delta-based "semantic model" summary rendered in exactly one place.
-  punt::core::ModelCache cache;
-  punt::server::Request request;
-  request.op = punt::server::Op::Check;
-  request.g_text = read_file(path);
-  const punt::server::Response response =
-      punt::server::run_check(request, cache, nullptr, /*summarize_cache=*/false);
-  std::fputs(response.output.c_str(), stdout);
-  std::fputs(response.log.c_str(), stderr);
-  return response.exit_code;
+  Invocation check(punt::server::Op::Check);
+  check.paths = {path};
+  parse_flags(args, "check", {connect_flag(check.socket)});
+  return run(check);
 }
 
 // --- punt lint ----------------------------------------------------------------
@@ -454,89 +334,37 @@ void print_lint_rules() {
   }
 }
 
-int delegate_lint(const std::string& socket, const std::vector<std::string>& files,
-                  bool deep, bool json, const punt::lint::LintOptions& options) {
-  punt::server::Request request;
-  request.op = punt::server::Op::Lint;
-  request.lint_deep = deep;
-  request.lint_json = json;
-  request.lint_werror = options.promote_all_warnings;
-  request.lint_werror_rules = options.promote_rules;
-  request.lint_files.reserve(files.size());
-  for (const std::string& path : files) {
-    // Files are read *here*: the daemon sees only text and display labels,
-    // never client paths to open.
-    request.lint_files.push_back({path, read_file(path)});
-  }
-  return run_client(socket, request);
-}
-
 int cmd_lint(const std::vector<std::string>& args) {
-  std::vector<std::string> files;
-  punt::lint::LintOptions options;
-  bool json = false;
-  std::size_t jobs = 1;
-  for (const std::string& arg : args) {
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--Werror") {
-      options.promote_all_warnings = true;
-    } else if (arg.rfind("--Werror=", 0) == 0) {
-      for (const std::string& id : punt::split(arg.substr(9), ",")) {
-        options.promote_rules.push_back(id);
-      }
-      if (options.promote_rules.empty()) {
-        throw punt::Error("--Werror= needs rule ids (e.g. --Werror=STG006,STG008)");
-      }
-    } else if (arg == "--deep") {
-      options.deep = true;
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = parse_jobs(arg.substr(7));
-    } else if (arg.rfind("--connect=", 0) == 0) {
-      // Parsed and validated by connect_target below.
-    } else if (arg == "--rules" || arg == "--help") {
-      print_lint_rules();
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      throw punt::Error("unknown punt lint flag '" + arg + "'");
-    } else {
-      files.push_back(arg);
+  Invocation lint(punt::server::Op::Lint);
+  punt::server::Request& request = lint.request;
+  bool rules = false;
+  const auto werror_rules = [&request](const std::string& ids) {
+    const std::vector<std::string> split = punt::split(ids, ",");
+    if (split.empty()) {
+      throw punt::Error("--Werror= needs rule ids (e.g. --Werror=STG006,STG008)");
     }
+    request.lint_werror_rules.insert(request.lint_werror_rules.end(), split.begin(),
+                                     split.end());
+  };
+  lint.paths = parse_flags(args, "lint",
+                           {{"--json", set(request.lint_json, true)},
+                            {"--Werror", set(request.lint_werror, true)},
+                            {"--Werror=", werror_rules},
+                            {"--deep", set(request.lint_deep, true)},
+                            lint.jobs_flag(),
+                            connect_flag(lint.socket),
+                            {"--rules", set(rules, true)},
+                            {"--help", set(rules, true)}},
+                           /*takes_operands=*/true);
+  if (rules) {
+    print_lint_rules();
+    return 0;
   }
-  if (files.empty()) {
+  if (lint.paths.empty()) {
     throw punt::Error("punt lint needs at least one <file.g> "
                       "(--rules prints the rule catalog)");
   }
-  const std::string socket = connect_target(args);
-  if (!socket.empty()) {
-    reject_direct_only_flags(args);
-    return delegate_lint(socket, files, options.deep, json, options);
-  }
-  // Direct mode.  The deep tier resolves its exact state-graph models
-  // through a ModelCache, so a batch repeating one spec under different
-  // names still builds it once.
-  punt::core::ModelCache cache;
-  if (options.deep) options.cache = &cache;
-  std::unique_ptr<punt::core::Executor> executor;
-  if (jobs != 1) {
-    executor = std::make_unique<punt::core::Executor>(jobs);
-    options.executor = executor.get();
-  }
-  std::vector<punt::lint::FileInput> inputs;
-  inputs.reserve(files.size());
-  for (const std::string& path : files) {
-    inputs.push_back({path, read_file(path)});
-  }
-  const std::vector<punt::lint::FileLint> lints = punt::lint::lint_files(inputs, options);
-  bool any_errors = false;
-  for (std::size_t i = 0; i < lints.size(); ++i) {
-    any_errors = any_errors || !lints[i].ok();
-    if (!json) {
-      std::printf("%s", punt::lint::render_human(lints[i], inputs[i].text).c_str());
-    }
-  }
-  if (json) std::printf("%s", punt::lint::render_json(lints).c_str());
-  return any_errors ? 1 : 0;
+  return run(lint);
 }
 
 /// A deliberately concurrency-heavy spec for the admission fast-path
@@ -583,18 +411,15 @@ std::string lint_stress_spec(std::size_t branches) {
 int cmd_bench_lint(const std::vector<std::string>& args) {
   std::string json_path;
   bool deep = false;
-  for (const std::string& arg : args) {
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-      if (json_path.empty()) {
-        throw punt::Error("--json needs a file path (e.g. --json=BENCH_lint.json)");
-      }
-    } else if (arg == "--deep") {
-      deep = true;
-    } else {
-      throw punt::Error("unknown punt bench lint flag '" + arg + "'");
-    }
-  }
+  parse_flags(args, "bench lint",
+              {{"--json=",
+                [&json_path](const std::string& path) {
+                  if (path.empty()) {
+                    throw punt::Error("--json needs a file path (e.g. --json=BENCH_lint.json)");
+                  }
+                  json_path = path;
+                }},
+               {"--deep", set(deep, true)}});
   std::vector<std::string> texts;
   for (const auto& bench : punt::benchmarks::table1()) {
     texts.push_back(punt::stg::write_g(bench.make()));
@@ -746,24 +571,26 @@ int cmd_resolve(const std::string& path) {
 }
 
 int cmd_bench_run(const std::vector<std::string>& args) {
-  reject_unknown_flags(args, "bench run", /*synthesis=*/true,
-                       {"--report=", "--trace-schedule="});
+  Invocation invocation(punt::server::Op::Synth);
+  bool json = false;
+  std::vector<Flag> flags = synthesis_flags(invocation.request);
+  flags.insert(flags.end(), {invocation.jobs_flag(),
+                             invocation.trace_flag(),
+                             {"--report=", [&json](const std::string& format) {
+                                if (format != "json") {
+                                  throw punt::Error("invalid --report value '" + format +
+                                                    "'; the only supported report format "
+                                                    "is 'json'");
+                                }
+                                json = true;
+                              }}});
+  parse_flags(args, "bench run", flags);
   punt::core::BatchOptions batch_options;
-  batch_options.synthesis = parse_options(args);
-  batch_options.jobs = batch_options.synthesis.jobs;
+  batch_options.synthesis = punt::server::options_of(invocation.request);
+  batch_options.jobs = invocation.jobs;
   // Benchmarks with genuine CSC conflicts should report, not abort the run.
   batch_options.synthesis.throw_on_csc = false;
-
-  bool json = false;
-  for (const std::string& arg : args) {
-    if (arg == "--report=json") {
-      json = true;
-    } else if (arg.rfind("--report=", 0) == 0) {
-      throw punt::Error("invalid --report value '" + arg.substr(9) +
-                        "'; the only supported report format is 'json'");
-    }
-  }
-  const std::string trace_path = trace_schedule_path(args);
+  const std::string& trace_path = invocation.trace_path;
   punt::util::TaskTrace trace;
   if (!trace_path.empty()) batch_options.trace = &trace;
 
@@ -811,23 +638,18 @@ extern "C" void handle_stop_signal(int) {
 int cmd_serve(const std::vector<std::string>& args) {
   punt::server::ServerOptions options;
   std::string socket_path;
-  for (const std::string& arg : args) {
-    if (arg.rfind("--socket=", 0) == 0) {
-      socket_path = arg.substr(9);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs = parse_jobs(arg.substr(7));
-    } else if (arg.rfind("--max-queue=", 0) == 0) {
-      options.max_queue = parse_positive_count(arg.substr(12), "--max-queue", 65536);
-    } else if (arg.rfind("--send-timeout=", 0) == 0) {
-      options.send_timeout_seconds = static_cast<long>(
-          parse_positive_count(arg.substr(15), "--send-timeout", 3600));
-    } else {
-      // Strict, unlike the synthesis commands: a daemon started with a
-      // typo'd flag would silently serve with the wrong configuration until
-      // someone noticed.
-      throw punt::Error("unknown punt serve flag '" + arg + "'");
-    }
-  }
+  parse_flags(args, "serve",
+              {{"--socket=", [&socket_path](const std::string& path) { socket_path = path; }},
+               {"--jobs=",
+                [&options](const std::string& value) { options.jobs = parse_jobs(value); }},
+               {"--max-queue=",
+                [&options](const std::string& value) {
+                  options.max_queue = parse_positive_count(value, "--max-queue", 65536);
+                }},
+               {"--send-timeout=", [&options](const std::string& value) {
+                  options.send_timeout_seconds =
+                      static_cast<long>(parse_positive_count(value, "--send-timeout", 3600));
+                }}});
   if (socket_path.empty()) {
     throw punt::Error("punt serve needs --socket=<path> naming its Unix socket");
   }
@@ -858,42 +680,28 @@ int cmd_serve(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_ping(const std::vector<std::string>& args) {
-  reject_unknown_flags(args, "ping", /*synthesis=*/false, {"--connect="});
-  const std::string socket = connect_target(args);
+/// The --connect=<socket> of a command that only talks to a daemon.
+std::string daemon_socket(const std::vector<std::string>& args, const std::string& command) {
+  std::string socket;
+  parse_flags(args, command, {connect_flag(socket)});
   if (socket.empty()) {
-    throw punt::Error("punt ping needs --connect=<socket> naming the daemon");
+    throw punt::Error("punt " + command + " needs --connect=<socket> naming the daemon");
   }
+  return socket;
+}
+
+int send_op(punt::server::Op op, const std::string& socket) {
   punt::server::Request request;
-  request.op = punt::server::Op::Ping;
-  return run_client(socket, request);
+  request.op = op;
+  return print(punt::server::request_once(socket, request));
 }
 
 int cmd_shutdown(const std::vector<std::string>& args) {
-  reject_unknown_flags(args, "shutdown", /*synthesis=*/false, {"--connect="});
-  const std::string socket = connect_target(args);
-  if (socket.empty()) {
-    throw punt::Error("punt shutdown needs --connect=<socket> naming the daemon");
-  }
-  punt::server::Request request;
-  request.op = punt::server::Op::Shutdown;
-  const int exit_code = run_client(socket, request);
+  const std::string socket = daemon_socket(args, "shutdown");
+  const int exit_code = send_op(punt::server::Op::Shutdown, socket);
   std::fprintf(stderr, "server at %s acknowledged shutdown; it drains in-flight "
                "requests and exits\n", socket.c_str());
   return exit_code;
-}
-
-int cmd_cache(const std::vector<std::string>& args) {
-  if (args.empty() || args[0] != "stats") return usage();
-  const std::vector<std::string> rest{args.begin() + 1, args.end()};
-  reject_unknown_flags(rest, "cache stats", /*synthesis=*/false, {"--connect="});
-  const std::string socket = connect_target(rest);
-  if (socket.empty()) {
-    throw punt::Error("punt cache stats needs --connect=<socket> naming the daemon");
-  }
-  punt::server::Request request;
-  request.op = punt::server::Op::CacheStats;
-  return run_client(socket, request);
 }
 
 int cmd_bench(const std::vector<std::string>& args) {
@@ -904,7 +712,7 @@ int cmd_bench(const std::vector<std::string>& args) {
     return cmd_bench_lint({args.begin() + 1, args.end()});
   }
   if (!args.empty() && args[0] == "list") {
-    reject_unknown_flags({args.begin() + 1, args.end()}, "bench list", /*synthesis=*/false, {});
+    parse_flags({args.begin() + 1, args.end()}, "bench list", {});
     for (const auto& bench : punt::benchmarks::table1()) {
       std::printf("%-24s %3zu signals  # %s\n", bench.name.c_str(), bench.signals,
                   bench.note.c_str());
@@ -912,7 +720,7 @@ int cmd_bench(const std::vector<std::string>& args) {
     return 0;
   }
   if (args.size() >= 2 && args[0] == "dump") {
-    reject_unknown_flags({args.begin() + 2, args.end()}, "bench dump", /*synthesis=*/false, {});
+    parse_flags({args.begin() + 2, args.end()}, "bench dump", {});
     std::printf("%s", punt::stg::write_g(punt::benchmarks::find(args[1]).make()).c_str());
     return 0;
   }
@@ -936,18 +744,20 @@ int main(int argc, char** argv) {
       return cmd_lint({args.begin() + 1, args.end()});
     }
     if ((command == "resolve" || command == "trace") && args.size() >= 2) {
-      reject_unknown_flags({args.begin() + 2, args.end()}, command, /*synthesis=*/false, {});
+      parse_flags({args.begin() + 2, args.end()}, command, {});
       return command == "resolve" ? cmd_resolve(args[1]) : cmd_trace(args[1]);
     }
     if (command == "bench") return cmd_bench({args.begin() + 1, args.end()});
-    if (command == "cache") return cmd_cache({args.begin() + 1, args.end()});
+    if (command == "cache" && args.size() >= 2 && args[1] == "stats") {
+      return send_op(punt::server::Op::CacheStats,
+                     daemon_socket({args.begin() + 2, args.end()}, "cache stats"));
+    }
     if (command == "serve") return cmd_serve({args.begin() + 1, args.end()});
-    if (command == "ping") return cmd_ping({args.begin() + 1, args.end()});
+    if (command == "ping") {
+      return send_op(punt::server::Op::Ping, daemon_socket({args.begin() + 1, args.end()}, "ping"));
+    }
     if (command == "shutdown") return cmd_shutdown({args.begin() + 1, args.end()});
     return usage();
-  } catch (const punt::CscError& e) {
-    std::fprintf(stderr, "CSC conflict: %s\n(try `punt resolve`)\n", e.what());
-    return 2;
   } catch (const punt::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
